@@ -293,13 +293,7 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except DataError as exc:
-        print(f"deeplda: data error: {exc}", file=sys.stderr)
-        return 2
-    except ShapeError as exc:
-        print(f"deeplda: data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (DataError, ShapeError, OSError) as exc:
         print(f"deeplda: data error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, ContractError, ArithmeticError) as exc:

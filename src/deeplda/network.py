@@ -16,12 +16,14 @@ stream passed in; the draw order is documented on each consumer.
 from __future__ import annotations
 
 import json
+import math
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset
-from .exceptions import ContractError, DataError, ShapeError
+from .exceptions import ContractError, DataError, NumericalError, ShapeError
 from .linalg import Matrix, add_row_broadcast, matmul, transpose
 from .metrics import EpochRecord, TrainingHistory
 from .rng import SplitMix64
@@ -102,9 +104,10 @@ class LayerSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "LayerSpec":
-        if d.get("kind") == "dense":
+        kind = d.get("kind") if isinstance(d, dict) else None
+        if kind == "dense":
             return dense(int(d["units"]), str(d["activation"]), float(d.get("l2_lambda", 0.0)))
-        if d.get("kind") == "dropout":
+        if kind == "dropout":
             return dropout(float(d["rate"]))
         raise ValueError(f"unknown layer kind in {d!r}")
 
@@ -211,7 +214,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 64
     l2_lambda: float = 0.01
-    seed: int = 0
     threshold: float = 0.5
 
     def __post_init__(self):
@@ -232,13 +234,16 @@ class TrainConfig:
             "epochs": self.epochs,
             "batch_size": self.batch_size,
             "l2_lambda": self.l2_lambda,
-            "seed": self.seed,
             "threshold": self.threshold,
         }
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
-        return TrainConfig(**d)
+        """Inverse of :meth:`to_dict`; drops the unused ``seed`` key that
+        format-1 model manifests carry."""
+        if not isinstance(d, dict):
+            raise DataError(f"a train config must be an object, got {d!r}")
+        return TrainConfig(**{k: v for k, v in d.items() if k != "seed"})
 
 
 class Network:
@@ -516,7 +521,9 @@ def fit(
     binary cross-entropy plus L2 penalty, backward, and one Adam step.
     Train metrics are batch-size-weighted running averages computed before
     each update; validation metrics come from one full infer-mode pass
-    after the epoch. Reported losses include the L2 penalty.
+    after the epoch. Reported losses include the L2 penalty. A batch or
+    validation loss that is not finite raises :class:`NumericalError`
+    naming the epoch and batch.
     """
     if train.n_rows < 1:
         raise DataError("training set is empty")
@@ -541,25 +548,31 @@ def fit(
         ys = y_train[order]
         correct = 0
         loss_sum = 0.0
-        for start in range(0, n, config.batch_size):
+        for batch, start in enumerate(range(0, n, config.batch_size), start=1):
             xb = xs[start : start + config.batch_size]
             yb = ys[start : start + config.batch_size]
             out, cache = forward(net, xb, mode="train", rng=rng)
             bce, grad = bce_loss(out, yb)
-            loss_sum += (bce + _l2_value(net)) * xb.shape[0]
+            loss = bce + _l2_value(net)
+            if not math.isfinite(loss):
+                raise NumericalError(f"training loss is {loss} at epoch {epoch}, batch {batch}")
+            loss_sum += loss * xb.shape[0]
             pred_pos = out[:, 0] >= config.threshold
             correct += int(np.sum(pred_pos == (yb[:, 0] >= 0.5)))
             adam_step(net, backward(net, cache, grad), config.learning_rate)
         val_out, _ = forward(net, val.x, mode="infer")
         val_bce, _ = bce_loss(val_out, y_val)
         val_acc = float(np.mean((val_out[:, 0] >= config.threshold) == val_truth))
+        val_loss = val_bce + _l2_value(net)
+        if not math.isfinite(val_loss):
+            raise NumericalError(f"validation loss is {val_loss} after epoch {epoch}")
         history.append(
             EpochRecord(
                 epoch=epoch,
                 accuracy=correct / n,
                 loss=loss_sum / n,
                 val_accuracy=val_acc,
-                val_loss=val_bce + _l2_value(net),
+                val_loss=val_loss,
             )
         )
     return net, history
@@ -567,44 +580,80 @@ def fit(
 
 # --- serialization ---------------------------------------------------------
 
-NETWORK_FORMAT = "deeplda.network/1"
-
-
-def network_to_dict(net: Network, metadata: dict | None = None) -> dict:
-    """JSON-compatible snapshot: spec, weights and biases as nested lists."""
-    return {
-        "format": NETWORK_FORMAT,
-        "spec": net.spec.to_dict(),
-        "weights": [w.tolist() for w in net.weights],
-        "biases": [b.tolist() for b in net.biases],
-        "metadata": metadata or {},
-    }
-
-
-def network_from_dict(d: dict) -> Network:
-    if d.get("format") != NETWORK_FORMAT:
-        raise DataError(f"not a serialized network (format={d.get('format')!r})")
-    spec = NetworkSpec.from_dict(d["spec"])
-    weights = [np.asarray(w, dtype=np.float64) for w in d["weights"]]
-    biases = [np.asarray(b, dtype=np.float64) for b in d["biases"]]
-    return Network(spec, weights, biases)
+NETWORK_FORMAT = "deeplda.network/2"
+# Nested-list JSON of the first format: still read, no longer written.
+NETWORK_FORMAT_V1 = "deeplda.network/1"
+_ZIP_MAGIC = b"PK\x03\x04"
 
 
 def save_network(net: Network, path, metadata: dict | None = None) -> None:
-    """Write a value-exact JSON snapshot (floats keep full precision)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(network_to_dict(net, metadata), fh, sort_keys=True,
-                  separators=(",", ":"), allow_nan=False)
-        fh.write("\n")
+    """Write a ``deeplda.network/2`` file: an uncompressed ``.npz`` archive.
+
+    Entries ``w0, b0, w1, b1, ...`` hold the raw float64 parameters, so a
+    round trip is bit-exact. Entry ``header`` is a 0-d unicode array with
+    the sorted-key JSON of the format tag, the spec and ``metadata``. No
+    clock value is stored, so equal networks give equal bytes. The file is
+    written at ``path`` as given, whatever its suffix.
+    """
+    header = {"format": NETWORK_FORMAT, "spec": net.spec.to_dict(), "metadata": metadata or {}}
+    arrays = {"header": np.array(json.dumps(header, sort_keys=True, allow_nan=False))}
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        arrays[f"w{k}"] = w
+        arrays[f"b{k}"] = b
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _header_spec(doc, fmt: str) -> NetworkSpec:
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
+        raise DataError(f"not a serialized network (format={found!r}, expected {fmt!r})")
+    return NetworkSpec.from_dict(doc["spec"])
+
+
+def _network_from_arrays(spec: NetworkSpec, arrays: dict) -> Network:
+    n = len(spec.dense_shapes())
+    expected = sorted(f"{p}{k}" for k in range(n) for p in "wb")
+    if sorted(arrays) != expected:
+        raise DataError(f"parameter arrays {sorted(arrays)} do not match the spec's {expected}")
+    if any(a.dtype != np.float64 for a in arrays.values()):
+        raise DataError("parameter arrays must be float64")
+    return Network(spec, [arrays[f"w{k}"] for k in range(n)], [arrays[f"b{k}"] for k in range(n)])
 
 
 def load_network(path) -> Network:
-    """Load a snapshot written by :func:`save_network` (Adam state fresh)."""
+    """Load a network file written by :func:`save_network` (Adam state fresh).
+
+    ``deeplda.network/1`` JSON files are read as well. A file that is not
+    a well-formed network of either format raises :class:`DataError`.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
+        with open(path, "rb") as fh:
+            is_npz = fh.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC
+            fh.seek(0)
+            if is_npz:
+                with np.load(fh, allow_pickle=False) as npz:
+                    # Only plain stored entries, so no decompressor or decryptor runs.
+                    if any(i.compress_type != zipfile.ZIP_STORED or i.flag_bits & 0x1
+                           for i in npz.zip.infolist()):
+                        raise DataError("archive entries must be stored plain, "
+                                        "without compression or encryption")
+                    header = npz["header"]
+                    if header.shape != () or header.dtype.kind != "U":
+                        raise DataError("header is not a 0-d unicode array")
+                    spec = _header_spec(json.loads(header[()]), NETWORK_FORMAT)
+                    arrays = {name: npz[name] for name in npz.files if name != "header"}
+                return _network_from_arrays(spec, arrays)
+            doc = json.loads(fh.read())
+            spec = _header_spec(doc, NETWORK_FORMAT_V1)
+            arrays = {
+                f"{p}{k}": np.asarray(a, dtype=np.float64)
+                for p, key in (("w", "weights"), ("b", "biases"))
+                for k, a in enumerate(doc[key])
+            }
+            return _network_from_arrays(spec, arrays)
     except FileNotFoundError:
         raise DataError(f"model file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"model file {path} is not valid JSON: {exc}") from None
-    return network_from_dict(d)
+    except (OSError, EOFError, NotImplementedError, zipfile.BadZipFile,
+            KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"model file {path} is not a valid network file: {exc}") from None

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset, Standardizer
-from .exceptions import DataError, ShapeError
+from .exceptions import DataError, NumericalError, ShapeError
 from .linalg import Matrix
 from .metrics import TrainingHistory
 from .network import (
@@ -33,7 +34,7 @@ from .network import (
 )
 from .rng import SplitMix64
 
-TWO_PHASE_FORMAT = "deeplda.two-phase/1"
+TWO_PHASE_FORMAT = "deeplda.two-phase/2"
 
 PHASE1_HIDDEN = 1024
 PHASE2_HIDDEN = 100
@@ -103,6 +104,13 @@ def transform_phase1(model: TwoPhaseModel, x: Matrix) -> Matrix:
     return out
 
 
+def _fit_phase(phase: int, net: Network, *args) -> tuple[Network, TrainingHistory]:
+    try:
+        return fit(net, *args)
+    except NumericalError as exc:
+        raise NumericalError(f"phase {phase}: {exc}") from None
+
+
 def train_two_phase(
     train: Dataset,
     val: Dataset,
@@ -118,21 +126,22 @@ def train_two_phase(
     train and validation rows become the datasets phase 2 trains on, so
     phase-2 history rows are measured on transformed validation data.
     The datasets are used as given (standardize beforehand if desired);
-    ``standardizer`` is only recorded on the returned model.
+    ``standardizer`` is only recorded on the returned model. A loss that
+    goes non-finite raises :class:`NumericalError` naming the phase.
     """
     if train.n_features != val.n_features:
         raise ShapeError(
             f"train has {train.n_features} features, validation has {val.n_features}"
         )
     phase1 = init_network(build_phase1_spec(train.n_features, config1.l2_lambda), rng)
-    phase1, history1 = fit(phase1, train, val, config1, rng)
+    phase1, history1 = _fit_phase(1, phase1, train, val, config1, rng)
 
     model_stub = TwoPhaseModel(phase1=phase1, phase2=init_network(build_phase2_spec(), rng))
     z_train = transform_phase1(model_stub, train.x)
     z_val = transform_phase1(model_stub, val.x)
     train2 = Dataset(x=z_train, y=train.y, feature_names=("phase1_prob",))
     val2 = Dataset(x=z_val, y=val.y, feature_names=("phase1_prob",))
-    phase2, history2 = fit(model_stub.phase2, train2, val2, config2, rng)
+    phase2, history2 = _fit_phase(2, model_stub.phase2, train2, val2, config2, rng)
 
     model = TwoPhaseModel(
         phase1=phase1,
@@ -153,8 +162,12 @@ def predict_two_phase(
     return predict(model.phase2, transform_phase1(model, x), threshold)
 
 
-PHASE1_FILE = "phase1.json"
-PHASE2_FILE = "phase2.json"
+# Network file names under each manifest format. Format 1 stored the
+# networks as ``deeplda.network/1`` JSON and is read only.
+PHASE_FILES = {
+    "deeplda.two-phase/1": ("phase1.json", "phase2.json"),
+    TWO_PHASE_FORMAT: ("phase1.npz", "phase2.npz"),
+}
 MANIFEST_FILE = "manifest.json"
 
 
@@ -163,11 +176,11 @@ def save_two_phase(model: TwoPhaseModel, directory) -> None:
 
     The manifest records the per-phase configs, the seed, the feature
     names, and the standardizer, so a saved run can be reloaded and
-    applied to fresh raw data.
+    applied to fresh raw data. The files are written into a temporary
+    sibling directory that then replaces ``directory`` and any model
+    directory already there; a save that fails leaves neither a partial
+    model nor the temporary directory behind.
     """
-    os.makedirs(directory, exist_ok=True)
-    save_network(model.phase1, os.path.join(directory, PHASE1_FILE), {"phase": 1})
-    save_network(model.phase2, os.path.join(directory, PHASE2_FILE), {"phase": 2})
     manifest = {
         "format": TWO_PHASE_FORMAT,
         "config1": model.config1.to_dict(),
@@ -181,39 +194,69 @@ def save_two_phase(model: TwoPhaseModel, directory) -> None:
             "std": model.standardizer.std.tolist(),
         },
     }
-    path = os.path.join(directory, MANIFEST_FILE)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+    target = os.path.abspath(directory)
+    os.makedirs(os.path.dirname(target), exist_ok=True)
+    tmp = f"{target}.tmp-{os.getpid()}"
+    stale = f"{tmp}.old"
+    os.mkdir(tmp)
+    try:
+        phase1_file, phase2_file = PHASE_FILES[TWO_PHASE_FORMAT]
+        save_network(model.phase1, os.path.join(tmp, phase1_file), {"phase": 1})
+        save_network(model.phase2, os.path.join(tmp, phase2_file), {"phase": 2})
+        with open(os.path.join(tmp, MANIFEST_FILE), "w", encoding="utf-8", newline="") as fh:
+            json.dump(manifest, fh, sort_keys=True, indent=2, allow_nan=False)
+            fh.write("\n")
+        # os.replace cannot overwrite a non-empty directory, so an existing
+        # model is moved aside first and deleted once the new one is in place.
+        if os.path.isdir(target):
+            os.replace(target, stale)
+        os.replace(tmp, target)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    shutil.rmtree(stale, ignore_errors=True)
 
 
 def load_two_phase(directory) -> TwoPhaseModel:
-    """Load a directory written by :func:`save_two_phase`."""
-    manifest_path = os.path.join(directory, MANIFEST_FILE)
+    """Load a directory written by :func:`save_two_phase`, in either format.
+
+    A missing or malformed manifest or network file raises
+    :class:`DataError`.
+    """
+    path = os.path.join(directory, MANIFEST_FILE)
     try:
-        with open(manifest_path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
     except FileNotFoundError:
-        raise DataError(f"model manifest not found: {manifest_path}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"model manifest {manifest_path} is not valid JSON: {exc}") from None
-    if manifest.get("format") != TWO_PHASE_FORMAT:
-        raise DataError(
-            f"not a two-phase model directory (format={manifest.get('format')!r})"
-        )
-    std = None
-    if manifest.get("standardizer") is not None:
-        std = Standardizer(
-            mean=np.asarray(manifest["standardizer"]["mean"], dtype=np.float64),
-            std=np.asarray(manifest["standardizer"]["std"], dtype=np.float64),
-        )
-    names = manifest.get("feature_names")
+        raise DataError(f"model manifest not found: {path}") from None
+    except ValueError as exc:
+        raise DataError(f"model manifest {path} is not valid JSON: {exc}") from None
+    files = PHASE_FILES.get(str(manifest.get("format"))) if isinstance(manifest, dict) else None
+    if files is None:
+        raise DataError(f"{path} is not a two-phase model manifest")
+    try:
+        config1 = TrainConfig.from_dict(manifest["config1"])
+        config2 = TrainConfig.from_dict(manifest["config2"])
+        std = manifest["standardizer"]
+        standardizer = None if std is None else Standardizer(std["mean"], std["std"])
+        names = manifest["feature_names"]
+        if names is not None and not (
+            isinstance(names, list) and all(isinstance(n, str) for n in names)
+        ):
+            raise TypeError(f"feature_names must be a list of strings or null, got {names!r}")
+        seed = manifest["seed"]
+        if seed is not None and not isinstance(seed, int):
+            raise TypeError(f"seed must be an integer or null, got {seed!r}")
+    except KeyError as exc:
+        raise DataError(f"model manifest {path} lacks the key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"model manifest {path} is malformed: {exc}") from None
     return TwoPhaseModel(
-        phase1=load_network(os.path.join(directory, PHASE1_FILE)),
-        phase2=load_network(os.path.join(directory, PHASE2_FILE)),
-        config1=TrainConfig.from_dict(manifest["config1"]),
-        config2=TrainConfig.from_dict(manifest["config2"]),
-        standardizer=std,
+        phase1=load_network(os.path.join(directory, files[0])),
+        phase2=load_network(os.path.join(directory, files[1])),
+        config1=config1,
+        config2=config2,
+        standardizer=standardizer,
         feature_names=tuple(names) if names else None,
-        seed=manifest.get("seed"),
+        seed=seed,
     )

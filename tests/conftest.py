@@ -46,6 +46,21 @@ def make_gaussians(n_per_class: int, d: int, sep: float, seed: int) -> Dataset:
     return Dataset(x=x[order], y=y[order], feature_names=names)
 
 
+def write_v1_network(net, path, metadata=None):
+    """Write ``net`` in the retired ``deeplda.network/1`` JSON format, the
+    way earlier releases saved model files."""
+    doc = {
+        "format": "deeplda.network/1",
+        "spec": net.spec.to_dict(),
+        "weights": [w.tolist() for w in net.weights],
+        "biases": [b.tolist() for b in net.biases],
+        "metadata": metadata or {},
+    }
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        json.dump(doc, fh, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        fh.write("\n")
+
+
 def _clinical_row(g, label: int) -> list:
     s = 1.0 if label else 0.0
     binary = lambda p: str(int(g.random() < p))

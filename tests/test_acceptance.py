@@ -265,8 +265,8 @@ def test_determinism(toy_csv, tmp_path):
                           "--epochs", "6", "--lr", "1e-3"])
         assert code == 0
         outs.append(out)
-    compared = ["lda.csv", "svm.csv", "model/phase1.json",
-                "model/phase2.json", "model/manifest.json"]
+    compared = ["lda.csv", "svm.csv", "model/phase1.npz",
+                "model/phase2.npz", "model/manifest.json"]
     identical = all((outs[0] / n).read_bytes() == (outs[1] / n).read_bytes()
                     for n in compared)
     _verdict(

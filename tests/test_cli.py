@@ -35,7 +35,7 @@ class TestTrainCommand:
             "lda.csv", "manifest.json", "metrics.txt", "model", "svm.csv",
         ]
         assert sorted(p.name for p in (out / "model").iterdir()) == [
-            "manifest.json", "phase1.json", "phase2.json",
+            "manifest.json", "phase1.npz", "phase2.npz",
         ]
 
     def test_same_seed_byte_identical_outputs(self, toy_csv, tmp_path, capsys):
@@ -43,8 +43,40 @@ class TestTrainCommand:
         assert _run(capsys, *_train_args(toy_csv, a, "--seed", "7", *FAST))[0] == 0
         assert _run(capsys, *_train_args(toy_csv, b, "--seed", "7", *FAST))[0] == 0
         for name in ("lda.csv", "svm.csv", "metrics.txt",
-                     "model/phase1.json", "model/phase2.json"):
+                     "model/phase1.npz", "model/phase2.npz", "model/manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_seed_lives_in_model_manifest_only(self, toy_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert _run(capsys, *_train_args(toy_csv, out, "--seed", "7", *FAST))[0] == 0
+        model_manifest = json.loads((out / "model" / "manifest.json").read_text())
+        run_manifest = json.loads((out / "manifest.json").read_text())
+        assert model_manifest["seed"] == run_manifest["seed"] == 7
+        for config in (model_manifest["config1"], model_manifest["config2"],
+                       run_manifest["phase1"], run_manifest["phase2"]):
+            assert "seed" not in config
+
+    def test_retrain_into_same_directory_replaces_model(self, toy_csv, tmp_path, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert _run(capsys, *_train_args(toy_csv, a, "--seed", "1", *FAST))[0] == 0
+        assert _run(capsys, *_train_args(toy_csv, b, "--seed", "2", *FAST))[0] == 0
+        assert _run(capsys, *_train_args(toy_csv, a, "--seed", "2", *FAST))[0] == 0
+        assert sorted(p.name for p in a.iterdir()) == [
+            "lda.csv", "manifest.json", "metrics.txt", "model", "svm.csv",
+        ]
+        for name in ("phase1.npz", "phase2.npz", "manifest.json"):
+            assert (a / "model" / name).read_bytes() == (b / "model" / name).read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_divergence_is_numerical_error(self, toy_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        code, _, err = _run(capsys, *_train_args(toy_csv, out, "--epochs", "2",
+                                                 "--lr", "1e300"))
+        assert code == 3
+        assert "numerical error: phase 1:" in err
+        assert "epoch 1, batch" in err
+        assert "Traceback" not in err
+        assert not (out / "model").exists()
 
     def test_different_seed_changes_curves(self, toy_csv, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -176,6 +208,60 @@ class TestEvaluateCommand:
                             "--schema", str(narrowed))
         assert code == 2
         assert "features" in err
+
+    @pytest.mark.parametrize("damage", [
+        "manifest_without_config1",
+        "manifest_config_ill_typed",
+        "manifest_feature_names_ill_typed",
+        "phase1_truncated",
+        "phase1_not_zip",
+        "phase1_missing_w1",
+        "phase2_missing_b0",
+        "phase1_header_not_json",
+        "phase1_header_wrong_format",
+    ])
+    def test_malformed_model_is_data_error(self, toy_csv, overfit_run, tmp_path,
+                                           capsys, damage):
+        model = tmp_path / "model"
+        model.mkdir()
+        for p in (overfit_run / "model").iterdir():
+            (model / p.name).write_bytes(p.read_bytes())
+        manifest = json.loads((model / "manifest.json").read_text())
+
+        def rewrite(name, drop=(), **replace):
+            with np.load(model / name, allow_pickle=False) as npz:
+                entries = {k: npz[k] for k in npz.files if k not in drop}
+            entries.update(replace)
+            with open(model / name, "wb") as fh:
+                np.savez(fh, **entries)
+
+        if damage == "manifest_without_config1":
+            del manifest["config1"]
+        elif damage == "manifest_config_ill_typed":
+            manifest["config2"]["threshold"] = "half"
+        elif damage == "manifest_feature_names_ill_typed":
+            manifest["feature_names"] = 5
+        elif damage == "phase1_truncated":
+            blob = (model / "phase1.npz").read_bytes()
+            (model / "phase1.npz").write_bytes(blob[: len(blob) // 3])
+        elif damage == "phase1_not_zip":
+            (model / "phase1.npz").write_bytes(b"\x93NUMPY not a model")
+        elif damage == "phase1_missing_w1":
+            rewrite("phase1.npz", drop=("w1",))
+        elif damage == "phase2_missing_b0":
+            rewrite("phase2.npz", drop=("b0",))
+        elif damage == "phase1_header_not_json":
+            rewrite("phase1.npz", header=np.array("{not json"))
+        elif damage == "phase1_header_wrong_format":
+            rewrite("phase1.npz", header=np.array('{"format": "deeplda.network/1"}'))
+        (model / "manifest.json").write_text(json.dumps(manifest))
+
+        csv_path, schema_path = toy_csv
+        code, _, err = _run(capsys, "evaluate", "--model", str(model),
+                            "--data", str(csv_path), "--schema", str(schema_path))
+        assert code == 2
+        assert "data error" in err
+        assert "Traceback" not in err
 
     def test_missing_model_dir(self, toy_csv, tmp_path, capsys):
         csv_path, schema_path = toy_csv

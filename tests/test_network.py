@@ -1,5 +1,10 @@
 """Layer specs, initialization, forward pass, losses, Adam, serialization."""
 
+import json
+import os
+import tempfile
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +33,7 @@ from deeplda import (
     predict,
     save_network,
 )
+from conftest import write_v1_network
 from deeplda.rng import SplitMix64
 
 WIDE_SPEC = NetworkSpec(41, (dense(1024, "sigmoid", 0.01),) * 3 + (dense(1, "sigmoid"),))
@@ -91,6 +97,12 @@ class TestTrainConfig:
     def test_round_trip(self):
         cfg = TrainConfig(learning_rate=1e-3, epochs=7)
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_legacy_seed_key_is_dropped(self):
+        # format-1 manifests stored an unused ``seed`` in every config
+        cfg = TrainConfig(learning_rate=1e-3, epochs=7)
+        assert "seed" not in cfg.to_dict()
+        assert TrainConfig.from_dict({**cfg.to_dict(), "seed": 7}) == cfg
 
 
 class TestInit:
@@ -352,10 +364,20 @@ class TestPredictAndCache:
             backward(net, cache, grad)
 
 
+def _rewrite_npz(src, dst, drop=(), **replace):
+    """Copy a network file's entries to ``dst``, minus ``drop``, with
+    ``replace`` entries substituted or added."""
+    with np.load(src, allow_pickle=False) as npz:
+        entries = {name: npz[name] for name in npz.files if name not in drop}
+    entries.update(replace)
+    with open(dst, "wb") as fh:
+        np.savez(fh, **entries)
+
+
 class TestSerialization:
     def test_round_trip_is_value_exact(self, tmp_path):
         net = init_network(HEAD_SPEC, SplitMix64(11))
-        path = tmp_path / "net.json"
+        path = tmp_path / "net.npz"
         save_network(net, path)
         back = load_network(path)
         for a, b in zip(net.weights, back.weights):
@@ -366,16 +388,121 @@ class TestSerialization:
 
     def test_param_parity_survives_round_trip(self, tmp_path):
         net = init_network(WIDE_SPEC, SplitMix64(0))
-        path = tmp_path / "wide.json"
+        path = tmp_path / "wide.npz"
         save_network(net, path)
         assert param_count(load_network(path).spec) == 2_143_233
 
+    def test_file_layout(self, tmp_path):
+        net = init_network(HEAD_SPEC, SplitMix64(12))
+        path = tmp_path / "net.npz"
+        save_network(net, path, {"phase": 2})
+        with np.load(path, allow_pickle=False) as npz:
+            assert sorted(npz.files) == ["b0", "b1", "header", "w0", "w1"]
+            assert np.array_equal(npz["w1"], net.weights[1])
+            header = npz["header"]
+        assert header.shape == () and header.dtype.kind == "U"
+        text = str(header[()])
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True)
+        assert doc == {"format": "deeplda.network/2", "spec": HEAD_SPEC.to_dict(),
+                       "metadata": {"phase": 2}}
+
+    def test_written_at_the_given_name(self, tmp_path):
+        # np.savez given a path would append ".npz"; the file goes exactly here
+        net = init_network(HEAD_SPEC, SplitMix64(13))
+        save_network(net, tmp_path / "net.bin")
+        assert [p.name for p in tmp_path.iterdir()] == ["net.bin"]
+        assert load_network(tmp_path / "net.bin").spec == HEAD_SPEC
+
+    def test_bytes_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
+        net = init_network(HEAD_SPEC, SplitMix64(14))
+        blobs = []
+        for i, stamp in enumerate((1.0e9, 1.7e9)):
+            monkeypatch.setattr(time, "time", lambda: stamp)
+            monkeypatch.setattr(time, "localtime", lambda *a: time.gmtime(stamp))
+            save_network(net, tmp_path / f"n{i}.npz")
+            blobs.append((tmp_path / f"n{i}.npz").read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_format_1_json_still_loads(self, tmp_path):
+        net = init_network(WIDE_SPEC, SplitMix64(15))
+        write_v1_network(net, tmp_path / "net.json", {"phase": 1})
+        back = load_network(tmp_path / "net.json")
+        assert back.spec == net.spec
+        for a, b in zip(net.weights + net.biases, back.weights + back.biases):
+            assert np.array_equal(a, b)
+
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError):
-            load_network(tmp_path / "ghost.json")
+            load_network(tmp_path / "ghost.npz")
 
     def test_wrong_format_rejected(self, tmp_path):
         p = tmp_path / "x.json"
         p.write_text('{"format": "something.else/9"}')
         with pytest.raises(DataError):
             load_network(p)
+
+    @pytest.mark.parametrize("content", [b"", b"\x00\x01garbage", b"[1, 2, 3]", b"\xff\xfe"])
+    def test_non_network_bytes_rejected(self, tmp_path, content):
+        p = tmp_path / "x.npz"
+        p.write_bytes(content)
+        with pytest.raises(DataError):
+            load_network(p)
+
+    @pytest.mark.parametrize("keep", [4, 1000, -100])
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        save_network(init_network(HEAD_SPEC, SplitMix64(16)), tmp_path / "net.npz")
+        blob = (tmp_path / "net.npz").read_bytes()
+        (tmp_path / "cut.npz").write_bytes(blob[:keep])
+        with pytest.raises(DataError):
+            load_network(tmp_path / "cut.npz")
+
+    @settings(max_examples=150, deadline=None)
+    @given(edits=st.lists(st.tuples(st.floats(0, 1, exclude_max=True), st.integers(0, 255)),
+                          min_size=1, max_size=8),
+           keep=st.none() | st.floats(0, 1))
+    def test_corrupted_bytes_never_load_silently(self, edits, keep):
+        # A damaged file either raises DataError or still holds the exact
+        # parameters (the byte hit a field the loader does not use).
+        net = init_network(HEAD_SPEC, SplitMix64(19))
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "net.npz")
+            save_network(net, path)
+            blob = bytearray(open(path, "rb").read())
+            for where, value in edits:
+                blob[int(where * len(blob))] = value
+            if keep is not None:
+                blob = blob[: int(keep * len(blob))]
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            try:
+                back = load_network(path)
+            except DataError:
+                return
+        for a, b in zip(net.weights + net.biases, back.weights + back.biases):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("drop", ["w1", "b0", "header"])
+    def test_missing_entry_rejected(self, tmp_path, drop):
+        save_network(init_network(HEAD_SPEC, SplitMix64(17)), tmp_path / "net.npz")
+        _rewrite_npz(tmp_path / "net.npz", tmp_path / "bad.npz", drop=(drop,))
+        with pytest.raises(DataError, match=drop if drop == "header" else "arrays"):
+            load_network(tmp_path / "bad.npz")
+
+    @pytest.mark.parametrize("replace", [
+        {"header": np.array("not json")},
+        {"header": np.array('{"format": "deeplda.network/1", "spec": {}}')},
+        {"header": np.array('{"format": "deeplda.network/2"}')},
+        {"header": np.array('{"format": "deeplda.network/2", "spec": {"input_dim": 1}}')},
+        {"header": np.array('["deeplda.network/2"]')},
+        {"header": np.array(["a", "b"])},
+        {"header": np.array(3)},
+        {"w2": np.zeros((1, 1))},
+        {"w0": np.zeros((1, 100), dtype=np.float32)},
+        {"w0": np.zeros((2, 100))},
+    ])
+    def test_bad_header_or_arrays_rejected(self, tmp_path, replace):
+        save_network(init_network(HEAD_SPEC, SplitMix64(18)), tmp_path / "net.npz")
+        _rewrite_npz(tmp_path / "net.npz", tmp_path / "bad.npz", **replace)
+        with pytest.raises(DataError):
+            load_network(tmp_path / "bad.npz")

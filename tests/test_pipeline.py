@@ -1,12 +1,17 @@
 """Two-phase composition: specs, transform, training, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
-from conftest import make_gaussians
+import deeplda.pipeline
+from conftest import make_gaussians, write_v1_network
 from deeplda import (
+    DataError,
     Dataset,
     Network,
+    NumericalError,
     ShapeError,
     TrainConfig,
     TwoPhaseModel,
@@ -133,6 +138,13 @@ class TestTrainTwoPhase:
         acc = float(np.mean((probs[:, 0] >= 0.5) == (val.y >= 0.5)))
         assert abs(h2[-1].val_accuracy - acc) < 1e-12
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_divergence_names_phase_epoch_and_batch(self):
+        train, val = self._sets(seed=4)
+        wild = TrainConfig(learning_rate=1e300, epochs=2, batch_size=16)
+        with pytest.raises(NumericalError, match=r"phase 1: .*epoch 1, batch 2"):
+            train_two_phase(train, val, wild, FAST, SplitMix64(0))
+
     def test_feature_width_mismatch_rejected(self):
         train, _ = self._sets()
         bad_val = make_gaussians(5, 4, 1.0, seed=9)
@@ -142,7 +154,7 @@ class TestTrainTwoPhase:
     def test_phase1_untouched_by_phase2_retraining(self, tmp_path):
         train, val = self._sets(seed=3)
         model, _, _ = train_two_phase(train, val, FAST, FAST, SplitMix64(8))
-        before = tmp_path / "before.json"
+        before = tmp_path / "before.npz"
         save_network(model.phase1, before)
         z_train = transform_phase1(model, train.x)
         z_val = transform_phase1(model, val.x)
@@ -151,7 +163,7 @@ class TestTrainTwoPhase:
             Dataset(x=z_train, y=train.y, feature_names=("p",)),
             Dataset(x=z_val, y=val.y, feature_names=("p",)),
             FAST, SplitMix64(999))
-        after = tmp_path / "after.json"
+        after = tmp_path / "after.npz"
         save_network(model.phase1, after)
         assert before.read_bytes() == after.read_bytes()
 
@@ -193,8 +205,9 @@ class TestSaveLoad:
         out = tmp_path / "model"
         save_two_phase(model, out)
         assert sorted(p.name for p in out.iterdir()) == [
-            "manifest.json", "phase1.json", "phase2.json",
+            "manifest.json", "phase1.npz", "phase2.npz",
         ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model"]
         back = load_two_phase(out)
         for a, b in zip(model.phase1.weights, back.phase1.weights):
             assert np.array_equal(a, b)
@@ -223,3 +236,134 @@ class TestSaveLoad:
         p2, l2 = predict_two_phase(back, x)
         assert np.array_equal(p1, p2)
         assert np.array_equal(l1, l2)
+
+    def test_save_replaces_an_existing_model(self, tmp_path):
+        out = tmp_path / "model"
+        save_two_phase(_model(seed=11), out)
+        (out / "stray.txt").write_text("left by hand")
+        replacement = _model(seed=12)
+        save_two_phase(replacement, out)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "phase1.npz", "phase2.npz",
+        ]
+        back = load_two_phase(out)
+        assert np.array_equal(back.phase1.weights[0], replacement.phase1.weights[0])
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_save_leaves_nothing_partial(self, tmp_path, monkeypatch, existing):
+        out = tmp_path / "model"
+        if existing:
+            save_two_phase(_model(seed=13), out)
+            before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real = deeplda.pipeline.save_network
+        calls = []
+
+        def save_then_fail(net, path, metadata=None):
+            if calls:
+                raise OSError("disk full")
+            calls.append(path)
+            real(net, path, metadata)
+
+        monkeypatch.setattr(deeplda.pipeline, "save_network", save_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_two_phase(_model(seed=14), out)
+        assert len(calls) == 1  # phase 1 was written before the failure
+        if existing:
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["model"]
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        else:
+            assert list(tmp_path.iterdir()) == []
+
+    def test_format_1_directory_loads(self, tmp_path):
+        train = make_gaussians(20, 4, 2.0, seed=32)
+        val = make_gaussians(8, 4, 2.0, seed=33)
+        std = fit_standardizer(train)
+        model, _, _ = train_two_phase(train, val, FAST, FAST, SplitMix64(4),
+                                      standardizer=std)
+        model.seed = 4
+        v2 = tmp_path / "v2"
+        save_two_phase(model, v2)
+        v1 = tmp_path / "v1"
+        v1.mkdir()
+        write_v1_network(model.phase1, v1 / "phase1.json", {"phase": 1})
+        write_v1_network(model.phase2, v1 / "phase2.json", {"phase": 2})
+        manifest = json.loads((v2 / "manifest.json").read_text())
+        manifest["format"] = "deeplda.two-phase/1"
+        for key in ("config1", "config2"):
+            manifest[key]["seed"] = 0
+        (v1 / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
+
+        from_v1, from_v2 = load_two_phase(v1), load_two_phase(v2)
+        x = np.random.default_rng(7).normal(size=(15, 4))
+        p1, l1 = predict_two_phase(from_v1, x)
+        p2, l2 = predict_two_phase(from_v2, x)
+        assert np.array_equal(p1, p2)
+        assert np.array_equal(l1, l2)
+        assert from_v1.config1 == from_v2.config1 == model.config1
+        assert from_v1.seed == 4
+        assert np.array_equal(from_v1.standardizer.std, std.std)
+
+
+def _edit_manifest(directory, edit):
+    path = directory / "manifest.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+class TestMalformedModel:
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("saved") / "model"
+        model = _model(seed=15)
+        model.standardizer = fit_standardizer(make_gaussians(10, 5, 1.0, seed=34))
+        save_two_phase(model, out)
+        return out
+
+    @pytest.fixture
+    def copy(self, saved, tmp_path):
+        out = tmp_path / "model"
+        out.mkdir()
+        for p in saved.iterdir():
+            (out / p.name).write_bytes(p.read_bytes())
+        return out
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("config1"),
+        lambda d: d.pop("standardizer"),
+        lambda d: d.pop("seed"),
+        lambda d: d.update(config1=[1, 2]),
+        lambda d: d.update(config2={"learning_rate": "fast"}),
+        lambda d: d.update(config1={"momentum": 0.9}),
+        lambda d: d.update(config2={"threshold": 2.0}),
+        lambda d: d.update(standardizer={"mean": [0.0]}),
+        lambda d: d.update(standardizer={"mean": ["a"], "std": [1.0]}),
+        lambda d: d.update(standardizer=[0.0]),
+        lambda d: d.update(feature_names="abc"),
+        lambda d: d.update(feature_names=[1, 2]),
+        lambda d: d.update(seed="7"),
+        lambda d: d.update(format="deeplda.two-phase/9"),
+        lambda d: d.update(format=["deeplda.two-phase/2"]),
+    ])
+    def test_bad_manifest_is_data_error(self, copy, edit):
+        _edit_manifest(copy, edit)
+        with pytest.raises(DataError):
+            load_two_phase(copy)
+
+    @pytest.mark.parametrize("content", ["", "[]", "{not json", "\ufffe"])
+    def test_unreadable_manifest_is_data_error(self, copy, content):
+        (copy / "manifest.json").write_text(content)
+        with pytest.raises(DataError):
+            load_two_phase(copy)
+
+    def test_missing_network_file_is_data_error(self, copy):
+        (copy / "phase2.npz").unlink()
+        with pytest.raises(DataError, match="phase2.npz"):
+            load_two_phase(copy)
+
+    def test_truncated_network_file_is_data_error(self, copy):
+        blob = (copy / "phase1.npz").read_bytes()
+        (copy / "phase1.npz").write_bytes(blob[: len(blob) // 2])
+        with pytest.raises(DataError, match="phase1.npz"):
+            load_two_phase(copy)
