@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import warnings
 
 import click
 
@@ -283,10 +284,18 @@ def cmd_baseline(data, schema, config, seed, val_fraction, ridge):
     click.echo(_evaluation_report(labels, val_ds.y))
 
 
+def _show_warning(message, *args, **kwargs):
+    print(f"deeplda: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
-    """Entry point with the documented exit-code mapping."""
+    """Entry point with the documented exit-code mapping. Each Python
+    warning is printed as one ``deeplda: warning:`` line, without the
+    library source line."""
     try:
-        cli.main(args=argv, prog_name="deeplda", standalone_mode=False)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            cli.main(args=argv, prog_name="deeplda", standalone_mode=False)
         return 0
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)

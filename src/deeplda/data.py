@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DataError, ShapeError
-from .linalg import Matrix
 from .rng import SplitMix64
 
 
@@ -45,16 +44,20 @@ def load_schema(path) -> DataSchema:
             raw = json.load(fh)
     except FileNotFoundError:
         raise DataError(f"schema file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"schema file {path} is not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError and UnicodeDecodeError are both ValueErrors.
+        raise DataError(f"schema file {path} is not valid UTF-8 JSON: {exc}") from None
     if not isinstance(raw, dict) or "target" not in raw:
         raise DataError(f"schema file {path} must be an object with a 'target' key")
     unknown = set(raw) - {"target", "drop", "positive_label"}
     if unknown:
         raise DataError(f"schema file {path} has unknown keys: {sorted(unknown)}")
+    drop = raw.get("drop", [])
+    if not isinstance(drop, list):
+        raise DataError(f"schema file {path}: 'drop' must be a list of column names")
     return DataSchema(
         target=str(raw["target"]),
-        drop=tuple(str(c) for c in raw.get("drop", ())),
+        drop=tuple(str(c) for c in drop),
         positive_label=str(raw.get("positive_label", "1")),
     )
 
@@ -79,10 +82,11 @@ def load_csv(path, schema: DataSchema) -> RawTable:
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+            rows = list(csv.reader(fh))
     except FileNotFoundError:
         raise DataError(f"data file not found: {path}") from None
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"data file {path} is not a readable UTF-8 CSV: {exc}") from None
     if not rows:
         raise DataError(f"data file {path} is empty")
     header = [h.strip() for h in rows[0]]
@@ -104,7 +108,7 @@ def load_csv(path, schema: DataSchema) -> RawTable:
 class Dataset:
     """Feature matrix plus binary labels, immutable after construction."""
 
-    x: Matrix
+    x: np.ndarray
     y: np.ndarray
     feature_names: tuple[str, ...] = ()
 
@@ -189,7 +193,9 @@ def clean(raw: RawTable, schema: DataSchema) -> Dataset:
         present = col[~np.isnan(col)]
         if present.size == 0:
             raise DataError(f"column {names[j]!r} has no usable values")
-        col[np.isnan(col)] = np.median(present)
+        # Two values near the float64 limit average to inf: a data error below.
+        with np.errstate(over="ignore"):
+            col[np.isnan(col)] = np.median(present)
 
     y = np.empty(raw.n_rows, dtype=np.float64)
     negative_token = None

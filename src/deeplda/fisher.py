@@ -17,7 +17,6 @@ import numpy as np
 
 from .data import Dataset
 from .exceptions import DataError, NumericalError, ShapeError
-from .linalg import Matrix
 
 LDA_FORMAT = "deeplda.lda/1"
 
@@ -83,7 +82,7 @@ def fit_fisher(train: Dataset, ridge: float = 1e-6) -> LdaModel:
     return LdaModel(w=w, b=b, class_means=(mu0, mu1), priors=(prior0, prior1))
 
 
-def predict_lda(model: LdaModel, x: Matrix) -> tuple[np.ndarray, np.ndarray]:
+def predict_lda(model: LdaModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scores w.x - b and labels (score >= 0 is the positive class)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.n_features:

@@ -24,7 +24,6 @@ import numpy as np
 
 from .data import Dataset
 from .exceptions import ContractError, DataError, NumericalError, ShapeError
-from .linalg import Matrix, add_row_broadcast, matmul, transpose
 from .metrics import EpochRecord, TrainingHistory
 from .rng import SplitMix64
 
@@ -33,22 +32,29 @@ ACTIVATIONS = ("sigmoid", "relu", "none")
 # Probability clamp for the cross-entropy; matches the Adam epsilon scale.
 BCE_EPS = 1e-7
 
+# Adam walks each flattened parameter array in blocks of this many values,
+# so that the dozen elementwise passes over one block stay in the L2 cache.
+ADAM_BLOCK = 16384
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Two-branch form avoids exp overflow for large |z|.
-    out = np.empty_like(z)
+    """Logistic function, computed in place in ``z``. The bits equal the
+    two-branch form, 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below,
+    and exp(-|z|) cannot overflow."""
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.negative(np.abs(z, out=z), out=z), out=z)
+    d = e + 1.0
+    e /= d
+    np.divide(1.0, d, out=e, where=pos)
+    return e
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
+    """Apply an activation in place in ``z`` and return it."""
     if name == "sigmoid":
         return _sigmoid(z)
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     return z
 
 
@@ -249,9 +255,10 @@ class TrainConfig:
 class Network:
     """Instantiated parameters for a :class:`NetworkSpec`.
 
-    ``version`` counts optimizer steps; forward caches remember the
-    version they were computed against so a stale cache cannot silently
-    feed a backward pass.
+    The network holds C-contiguous copies of the arrays it is given, and
+    :func:`adam_step` updates them in place. ``version`` counts optimizer
+    steps; forward caches remember the version they were computed against
+    so a stale cache cannot silently feed a backward pass.
     """
 
     def __init__(self, spec: NetworkSpec, weights: list[np.ndarray], biases: list[np.ndarray]):
@@ -265,8 +272,8 @@ class Network:
         self.weights = []
         self.biases = []
         for k, (fan_in, units) in enumerate(shapes):
-            w = np.ascontiguousarray(np.asarray(weights[k], dtype=np.float64))
-            b = np.ascontiguousarray(np.asarray(biases[k], dtype=np.float64))
+            w = np.array(weights[k], dtype=np.float64, order="C")
+            b = np.array(biases[k], dtype=np.float64, order="C")
             if w.shape != (fan_in, units):
                 raise ShapeError(
                     f"dense layer {k}: expected weights {(fan_in, units)}, got {w.shape}"
@@ -278,10 +285,6 @@ class Network:
         self.adam_w = [AdamState.zeros(w.shape) for w in self.weights]
         self.adam_b = [AdamState.zeros(b.shape) for b in self.biases]
         self.version = 0
-
-    @property
-    def n_params(self) -> int:
-        return param_count(self.spec)
 
     def dense_layers(self) -> list[LayerSpec]:
         return [l for l in self.spec.layers if l.kind == "dense"]
@@ -309,7 +312,6 @@ class ForwardCache:
     """Intermediate activations and dropout masks from one forward pass."""
 
     version: int
-    mode: str
     records: list[tuple] = field(default_factory=list)
     output_shape: tuple[int, int] = (0, 0)
 
@@ -318,61 +320,77 @@ class ForwardCache:
         return [rec[1] for rec in self.records if rec[0] == "dropout" and rec[1] is not None]
 
 
-def forward(
+def _run_layers(
     net: Network,
-    x: Matrix,
-    mode: str = "infer",
-    rng: SplitMix64 | None = None,
-    dropout_masks: list[np.ndarray] | None = None,
-) -> tuple[Matrix, ForwardCache]:
-    """Run the network on a batch.
-
-    In train mode dropout masks are drawn from ``rng`` (one block per
-    dropout layer, in stack order), or taken from ``dropout_masks`` to
-    replay a frozen pass. In infer mode dropout is the identity and no
-    randomness is consumed.
-    """
-    if mode not in ("train", "infer"):
-        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
+    x: np.ndarray,
+    mode: str,
+    rng: SplitMix64 | None,
+    dropout_masks: list[np.ndarray] | None,
+    records: list[tuple] | None,
+) -> np.ndarray:
+    """The layer loop of :func:`forward` and :func:`predict`; each layer's
+    input and output are appended to ``records`` unless it is None."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.spec.input_dim:
         raise ShapeError(
             f"input has shape {x.shape}, network expects (n, {net.spec.input_dim})"
         )
-    cache = ForwardCache(version=net.version, mode=mode)
     a = x
     dense_i = 0
     mask_i = 0
     for layer in net.spec.layers:
         if layer.kind == "dense":
-            z = add_row_broadcast(matmul(a, net.weights[dense_i]), net.biases[dense_i])
+            z = a @ net.weights[dense_i]
+            z += net.biases[dense_i]
             a_out = _activate(layer.activation, z)
-            cache.records.append(("dense", dense_i, a, a_out))
+            if records is not None:
+                records.append(("dense", dense_i, a, a_out))
             a = a_out
             dense_i += 1
-        else:
-            if mode == "train":
-                if dropout_masks is not None:
-                    mask = np.asarray(dropout_masks[mask_i], dtype=np.float64)
-                    if mask.shape != a.shape:
-                        raise ShapeError(
-                            f"dropout mask {mask_i} has shape {mask.shape}, activations {a.shape}"
-                        )
-                    mask_i += 1
-                else:
-                    if rng is None:
-                        raise ValueError("train-mode forward through dropout needs an rng")
-                    keep = rng.uniforms(a.size).reshape(a.shape) >= layer.rate
-                    mask = keep.astype(np.float64) / (1.0 - layer.rate)
-                a = a * mask
-                cache.records.append(("dropout", mask))
+        elif mode == "train":
+            if dropout_masks is not None:
+                mask = np.asarray(dropout_masks[mask_i], dtype=np.float64)
+                if mask.shape != a.shape:
+                    raise ShapeError(
+                        f"dropout mask {mask_i} has shape {mask.shape}, activations {a.shape}"
+                    )
+                mask_i += 1
             else:
-                cache.records.append(("dropout", None))
-    cache.output_shape = a.shape
-    return a, cache
+                if rng is None:
+                    raise ValueError("train-mode forward through dropout needs an rng")
+                keep = rng.uniforms(a.size).reshape(a.shape) >= layer.rate
+                mask = keep.astype(np.float64) / (1.0 - layer.rate)
+            a = a * mask
+            if records is not None:
+                records.append(("dropout", mask))
+        elif records is not None:
+            records.append(("dropout", None))
+    return a
 
 
-def bce_loss(pred: Matrix, y: Matrix) -> tuple[float, Matrix]:
+def forward(
+    net: Network,
+    x: np.ndarray,
+    mode: str = "infer",
+    rng: SplitMix64 | None = None,
+    dropout_masks: list[np.ndarray] | None = None,
+) -> tuple[np.ndarray, ForwardCache]:
+    """Run the network on a batch and keep what :func:`backward` needs.
+
+    In train mode dropout masks are drawn from ``rng`` (one block per
+    dropout layer, in stack order), or taken from ``dropout_masks`` to
+    replay a frozen pass. In infer mode dropout is the identity and no
+    randomness is consumed, but the cache is still complete.
+    """
+    if mode not in ("train", "infer"):
+        raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
+    cache = ForwardCache(version=net.version)
+    out = _run_layers(net, x, mode, rng, dropout_masks, cache.records)
+    cache.output_shape = out.shape
+    return out, cache
+
+
+def bce_loss(pred: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     """Binary cross-entropy over clamped probabilities, with its gradient.
 
     Probabilities are clamped to [BCE_EPS, 1 - BCE_EPS] before the logs;
@@ -430,7 +448,7 @@ class Gradients:
     biases: list[np.ndarray]
 
 
-def backward(net: Network, cache: ForwardCache, loss_grad: Matrix) -> Gradients:
+def backward(net: Network, cache: ForwardCache, loss_grad: np.ndarray) -> Gradients:
     """Reverse-mode gradients of loss plus the per-layer L2 penalties.
 
     The cache must come from a forward pass against the network's current
@@ -454,14 +472,17 @@ def backward(net: Network, cache: ForwardCache, loss_grad: Matrix) -> Gradients:
     for rec in reversed(cache.records):
         if rec[0] == "dense":
             _, k, a_in, a_out = rec
+            w = net.weights[k]
             dz = delta * _activation_gradient(dense_specs[k].activation, a_out)
-            dw = matmul(transpose(a_in), dz)
+            # a_in.T is copied: with a one-column dz the product is a BLAS gemv,
+            # whose summation order depends on the operand layout.
+            dw = np.ascontiguousarray(a_in.T) @ dz
             lam = dense_specs[k].l2_lambda
             if lam > 0.0:
-                dw = dw + 2.0 * lam * net.weights[k]
+                dw += 2.0 * lam * w
             d_weights[k] = dw
             d_biases[k] = dz.sum(axis=0, keepdims=True)
-            delta = matmul(dz, transpose(net.weights[k]))
+            delta = dz @ w.T
         else:
             mask = rec[1]
             if mask is not None:
@@ -474,34 +495,51 @@ def adam_step(net: Network, grads: Gradients, learning_rate: float) -> Network:
 
     t += 1; m, v track the first and second gradient moments; the update
     is ``lr * mhat / (sqrt(vhat) + eps)`` with bias-corrected moments.
+    Arrays are updated in place in blocks of :data:`ADAM_BLOCK` values, in
+    the textbook operation order, so the bits equal the whole-array form.
     """
     if learning_rate <= 0:
         raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
     if len(grads.weights) != len(net.weights) or len(grads.biases) != len(net.biases):
         raise ShapeError("gradient list lengths do not match the network")
-    for params, gs, states in (
-        (net.weights, grads.weights, net.adam_w),
-        (net.biases, grads.biases, net.adam_b),
-    ):
-        for i, g in enumerate(gs):
-            if g.shape != params[i].shape:
-                raise ShapeError(
-                    f"gradient {i} has shape {g.shape}, parameter has {params[i].shape}"
-                )
-            st = states[i]
-            st.t += 1
-            st.m = st.beta1 * st.m + (1.0 - st.beta1) * g
-            st.v = st.beta2 * st.v + (1.0 - st.beta2) * (g * g)
-            mhat = st.m / (1.0 - st.beta1**st.t)
-            vhat = st.v / (1.0 - st.beta2**st.t)
-            params[i] = params[i] - learning_rate * mhat / (np.sqrt(vhat) + st.epsilon)
+    groups = list(zip(net.weights + net.biases, grads.weights + grads.biases,
+                      net.adam_w + net.adam_b))
+    for i, (p, g, _) in enumerate(groups):
+        if g.shape != p.shape:
+            raise ShapeError(f"gradient {i} has shape {g.shape}, parameter has {p.shape}")
+    scratch = np.empty((2, ADAM_BLOCK))
+    for p, g, st in groups:
+        st.t += 1
+        b1, b2 = st.beta1, st.beta2
+        c1, c2 = 1.0 - b1**st.t, 1.0 - b2**st.t
+        # Views, not copies: parameters and moments are C-contiguous.
+        flat = (p.reshape(-1), np.ravel(g), st.m.reshape(-1), st.v.reshape(-1))
+        for start in range(0, p.size, ADAM_BLOCK):
+            pb, gb, mb, vb = (a[start : start + ADAM_BLOCK] for a in flat)
+            s1, s2 = scratch[:, : pb.size]
+            mb *= b1  # m = b1*m + (1-b1)*g
+            mb += np.multiply(1.0 - b1, gb, out=s1)
+            vb *= b2  # v = b2*v + (1-b2)*(g*g)
+            np.multiply(gb, gb, out=s1)
+            s1 *= 1.0 - b2
+            vb += s1
+            np.divide(mb, c1, out=s1)  # lr*mhat / (sqrt(vhat) + eps)
+            s1 *= learning_rate
+            np.divide(vb, c2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += st.epsilon
+            s1 /= s2
+            pb -= s1
     net.version += 1
     return net
 
 
-def predict(net: Network, x: Matrix, threshold: float = 0.5) -> tuple[Matrix, np.ndarray]:
-    """Infer-mode probabilities and hard labels (prob >= threshold -> 1)."""
-    probs, _ = forward(net, x, mode="infer")
+def predict(
+    net: Network, x: np.ndarray, threshold: float = 0.5
+) -> tuple[np.ndarray, np.ndarray]:
+    """Infer-mode probabilities and hard labels (prob >= threshold -> 1),
+    holding one layer's activations at a time."""
+    probs = _run_layers(net, x, "infer", None, None, None)
     labels = (probs[:, 0] >= threshold).astype(np.int64)
     return probs, labels
 
@@ -560,9 +598,9 @@ def fit(
             pred_pos = out[:, 0] >= config.threshold
             correct += int(np.sum(pred_pos == (yb[:, 0] >= 0.5)))
             adam_step(net, backward(net, cache, grad), config.learning_rate)
-        val_out, _ = forward(net, val.x, mode="infer")
+        val_out, val_labels = predict(net, val.x, config.threshold)
         val_bce, _ = bce_loss(val_out, y_val)
-        val_acc = float(np.mean((val_out[:, 0] >= config.threshold) == val_truth))
+        val_acc = float(np.mean((val_labels == 1) == val_truth))
         val_loss = val_bce + _l2_value(net)
         if not math.isfinite(val_loss):
             raise NumericalError(f"validation loss is {val_loss} after epoch {epoch}")

@@ -17,7 +17,6 @@ import numpy as np
 
 from .data import Dataset, Standardizer
 from .exceptions import DataError, NumericalError, ShapeError
-from .linalg import Matrix
 from .metrics import TrainingHistory
 from .network import (
     Network,
@@ -26,7 +25,6 @@ from .network import (
     dense,
     dropout,
     fit,
-    forward,
     init_network,
     load_network,
     predict,
@@ -98,10 +96,9 @@ class TwoPhaseModel:
             object.__setattr__(self, "feature_names", tuple(self.feature_names))
 
 
-def transform_phase1(model: TwoPhaseModel, x: Matrix) -> Matrix:
+def transform_phase1(model: TwoPhaseModel, x: np.ndarray) -> np.ndarray:
     """Infer-mode phase-1 probabilities: the (n, 1) input for phase 2."""
-    out, _ = forward(model.phase1, x, mode="infer")
-    return out
+    return predict(model.phase1, x)[0]
 
 
 def _fit_phase(phase: int, net: Network, *args) -> tuple[Network, TrainingHistory]:
@@ -156,8 +153,8 @@ def train_two_phase(
 
 
 def predict_two_phase(
-    model: TwoPhaseModel, x: Matrix, threshold: float = 0.5
-) -> tuple[Matrix, np.ndarray]:
+    model: TwoPhaseModel, x: np.ndarray, threshold: float = 0.5
+) -> tuple[np.ndarray, np.ndarray]:
     """End-to-end probabilities and labels: phase 2 on phase-1 output."""
     return predict(model.phase2, transform_phase1(model, x), threshold)
 

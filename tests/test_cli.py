@@ -352,8 +352,63 @@ class TestExitCodes:
                           "--val-fraction", "1.5")
         assert code == 1
 
+    def test_oversized_csv_field_is_data_error(self, toy_csv, tmp_path, capsys):
+        _, schema_path = toy_csv
+        csv_path = tmp_path / "wide.csv"
+        csv_path.write_text("a,label\n" + "x" * 200_000 + ",1\n", encoding="utf-8")
+        code, _, err = _run(capsys, "baseline", "--data", str(csv_path),
+                            "--schema", str(schema_path))
+        assert code == 2
+        assert "data error" in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_data_is_data_error(self, toy_csv, tmp_path, capsys):
+        _, schema_path = toy_csv
+        csv_path = tmp_path / "latin1.csv"
+        csv_path.write_bytes(b"a,label\n\xe9\xff,1\n")
+        code, _, err = _run(capsys, "baseline", "--data", str(csv_path),
+                            "--schema", str(schema_path))
+        assert code == 2
+        assert "data error" in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_schema_is_data_error(self, toy_csv, tmp_path, capsys):
+        csv_path, _ = toy_csv
+        schema_path = tmp_path / "latin1.schema.json"
+        schema_path.write_bytes(b'{"target": "\xe9t\xe9"}')
+        code, _, err = _run(capsys, "baseline", "--data", str(csv_path),
+                            "--schema", str(schema_path))
+        assert code == 2
+        assert "data error" in err
+        assert "Traceback" not in err
+
     def test_help_exits_zero(self, capsys):
         code, stdout, _ = _run(capsys, "--help")
         assert code == 0
         for cmd in ("train", "evaluate", "inspect", "baseline"):
             assert cmd in stdout
+
+
+class TestWarnings:
+    """Warnings reach the user as single ``deeplda: warning:`` lines."""
+
+    def test_degenerate_metric_warning_is_one_line(self, toy_csv, tmp_path, capsys):
+        # A threshold no probability reaches makes the report's precision undefined.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"phase2": {"threshold": 0.999999}}))
+        code, stdout, err = _run(capsys, *_train_args(toy_csv, tmp_path / "run", *FAST,
+                                                      "--config", str(config)))
+        assert code == 0
+        assert "precision  0.000000" in stdout
+        assert "deeplda: warning: precision undefined" in err
+        assert "metrics.py" not in err
+        assert all(line.startswith("deeplda: warning: ") for line in err.splitlines())
+
+    @pytest.mark.filterwarnings("default:overflow:RuntimeWarning")
+    def test_numpy_overflow_warning_is_one_line(self, toy_csv, tmp_path, capsys):
+        code, _, err = _run(capsys, *_train_args(toy_csv, tmp_path / "run", "--epochs", "2",
+                                                 "--lr", "1e300"))
+        assert code == 3
+        assert "deeplda: warning: overflow encountered" in err
+        assert "network.py" not in err
+        assert all(line.startswith("deeplda: ") for line in err.splitlines())

@@ -1,6 +1,8 @@
 """CSV ingestion, cleaning, standardization, stratified splitting."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from deeplda import (
     DataError,
+    DeepLdaError,
     DataSchema,
     Dataset,
     RawTable,
@@ -49,6 +52,11 @@ class TestSchema:
         p.write_text(json.dumps({"target": "y", "tarXet": "oops"}))
         with pytest.raises(DataError, match="unknown keys"):
             load_schema(p)
+
+    def test_load_schema_drop_must_be_a_list(self, tmp_path):
+        path = _write(tmp_path, json.dumps({"target": "y", "drop": 5}), "s.json")
+        with pytest.raises(DataError, match="'drop' must be a list"):
+            load_schema(path)
 
     def test_load_schema_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
@@ -110,6 +118,12 @@ class TestClean:
                        cells=[[" 4 ", "0"], ["n/a", "1"], ["8", "1"], ["inf", "0"]])
         ds = clean(raw, DataSchema(target="label"))
         assert ds.x[:, 0].tolist() == [4.0, 6.0, 8.0, 6.0]
+
+    def test_overflowing_median_is_data_error(self):
+        raw = RawTable(header=["a", "label"],
+                       cells=[["1.7e308", "0"], ["", "0"], ["1.7e308", "1"]])
+        with pytest.raises(DataError, match="non-finite"):
+            clean(raw, DataSchema(target="label"))
 
     def test_all_missing_column_rejected(self):
         raw = RawTable(header=["a", "b", "label"],
@@ -301,3 +315,64 @@ class TestStratifiedSplit:
         assert all_ids == x[:, 0].tolist()
         assert int(val.y.sum()) == expect_val1
         assert val.n_rows - int(val.y.sum()) == expect_val0
+
+
+# --- hostile input -------------------------------------------------------------
+
+_NAMES = ["label", "id", "a", "b"]
+_CELLS = ["", "1", "0", "x", " 2.5 ", "-0", "nan", "inf", "1e308", "1.7e308", "1e999",
+          "\x00", "\ufeff", "\xe9"]
+_TOKENS = _NAMES + _CELLS + ['"', '""', "\r", "\n", ","]
+
+
+def _json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8)
+    | st.sampled_from(_NAMES),
+    _json_containers,
+    max_leaves=8,
+)
+_schema_bytes = st.one_of(
+    st.binary(max_size=64),
+    st.fixed_dictionaries(
+        {"target": st.sampled_from(_NAMES)},
+        optional={"drop": st.lists(st.sampled_from(_NAMES), max_size=2),
+                  "positive_label": st.sampled_from(["1", "0", "x"])},
+    ).map(lambda d: json.dumps(d).encode("utf-8")),
+    st.dictionaries(st.sampled_from(["target", "drop", "positive_label", "other"]),
+                    _json_values, max_size=4).map(lambda d: json.dumps(d).encode("utf-8")),
+)
+_csv_bytes = st.one_of(
+    st.binary(max_size=256),
+    st.lists(st.sampled_from(_NAMES), min_size=1, max_size=4, unique=True).flatmap(
+        lambda header: st.lists(st.lists(st.sampled_from(_CELLS), min_size=len(header),
+                                         max_size=len(header)), max_size=8).map(
+            lambda rows: "\n".join(",".join(row) for row in [header] + rows).encode("utf-8"))),
+    st.lists(st.lists(st.sampled_from(_TOKENS), min_size=1, max_size=4), max_size=8).map(
+        lambda rows: "\n".join(",".join(row) for row in rows).encode("utf-8")),
+)
+
+
+@given(schema_bytes=_schema_bytes, csv_bytes=_csv_bytes)
+@settings(max_examples=300, deadline=None)
+def test_loaders_raise_only_package_errors_on_arbitrary_bytes(schema_bytes, csv_bytes):
+    """Whatever bytes the files hold, the loaders either succeed or raise a
+    DeepLdaError subclass (or an OSError); nothing else escapes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        schema_path = os.path.join(tmp, "schema.json")
+        csv_path = os.path.join(tmp, "data.csv")
+        with open(schema_path, "wb") as fh:
+            fh.write(schema_bytes)
+        with open(csv_path, "wb") as fh:
+            fh.write(csv_bytes)
+        try:
+            schema = load_schema(schema_path)
+        except (DeepLdaError, OSError):
+            schema = SCHEMA  # keep exercising the CSV path
+        try:
+            clean(load_csv(csv_path, schema), schema)
+        except (DeepLdaError, OSError):
+            pass

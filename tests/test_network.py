@@ -34,6 +34,7 @@ from deeplda import (
     save_network,
 )
 from conftest import write_v1_network
+from deeplda.network import ADAM_BLOCK, AdamState, _sigmoid
 from deeplda.rng import SplitMix64
 
 WIDE_SPEC = NetworkSpec(41, (dense(1024, "sigmoid", 0.01),) * 3 + (dense(1, "sigmoid"),))
@@ -362,6 +363,104 @@ class TestPredictAndCache:
         adam_step(net, grads, 0.01)
         with pytest.raises(ContractError):
             backward(net, cache, grad)
+
+
+def _two_branch_sigmoid(z):
+    """The reference form: 1/(1+exp(-z)) for z >= 0, exp(z)/(1+exp(z)) below."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _textbook_adam(p, g, st, lr):
+    """Whole-array Adam with temporaries, in the library's operation order."""
+    st.t += 1
+    st.m = st.beta1 * st.m + (1.0 - st.beta1) * g
+    st.v = st.beta2 * st.v + (1.0 - st.beta2) * (g * g)
+    mhat = st.m / (1.0 - st.beta1**st.t)
+    vhat = st.v / (1.0 - st.beta2**st.t)
+    return p - lr * mhat / (np.sqrt(vhat) + st.epsilon)
+
+
+class TestFastPathBits:
+    """The in-place kernels give the same bits as their textbook forms."""
+
+    def test_sigmoid_matches_two_branch_form(self):
+        special = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300]
+        rand = np.random.default_rng(5).normal(0.0, 20.0, size=3991)
+        z = np.concatenate([special, rand]).reshape(-1, 10)
+        expected = _two_branch_sigmoid(z)
+        got = _sigmoid(z.copy())
+        nan = np.isnan(expected)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+
+    def test_sigmoid_works_in_place(self):
+        z = np.array([[-2.0, 0.0, 3.0]])
+        out = _sigmoid(z)
+        assert out is z
+
+    def test_adam_matches_textbook_form_over_five_steps(self):
+        shape = (203, 211)  # 42,833 values: several blocks and a partial one
+        assert shape[0] * shape[1] > 2 * ADAM_BLOCK
+        assert shape[0] * shape[1] % ADAM_BLOCK != 0
+        spec = NetworkSpec(203, (dense(211, "sigmoid"), dense(1, "sigmoid")))
+        g = np.random.default_rng(8)
+        net = Network(spec, [g.normal(size=shape), g.normal(size=(211, 1))],
+                      [g.normal(size=(1, 211)), g.normal(size=(1, 1))])
+        params = [w.copy() for w in net.weights] + [b.copy() for b in net.biases]
+        states = [AdamState.zeros(p.shape) for p in params]
+        for _ in range(5):
+            grads = Gradients(weights=[g.normal(size=shape), g.normal(size=(211, 1))],
+                              biases=[g.normal(size=(1, 211)), g.normal(size=(1, 1))])
+            adam_step(net, grads, 0.003)
+            for i, grad in enumerate(grads.weights + grads.biases):
+                params[i] = _textbook_adam(params[i], grad, states[i], 0.003)
+        for got, st, want, ref in zip(net.weights + net.biases, net.adam_w + net.adam_b,
+                                      params, states):
+            assert np.array_equal(got, want)
+            assert np.array_equal(st.m, ref.m)
+            assert np.array_equal(st.v, ref.v)
+            assert st.t == ref.t == 5
+
+    def test_predict_matches_forward(self):
+        net = init_network(WIDE_SPEC, SplitMix64(6))
+        x = np.random.default_rng(2).normal(size=(50, 41))
+        probs, _ = predict(net, x)
+        assert np.array_equal(probs, forward(net, x, mode="infer")[0])
+
+    def test_network_leaves_caller_arrays_unchanged(self):
+        spec = NetworkSpec(3, (dense(4, "sigmoid"), dense(1, "sigmoid")))
+        g = np.random.default_rng(1)
+        weights = [g.normal(size=(3, 4)), g.normal(size=(4, 1))]
+        biases = [np.zeros((1, 4)), np.zeros((1, 1))]
+        before = [a.copy() for a in weights + biases]
+        net = Network(spec, weights, biases)
+        grads = Gradients(weights=[np.ones((3, 4)), np.ones((4, 1))],
+                          biases=[np.ones((1, 4)), np.ones((1, 1))])
+        adam_step(net, grads, 0.1)
+        assert not np.array_equal(net.weights[0], before[0])
+        for caller, original in zip(weights + biases, before):
+            assert np.array_equal(caller, original)
+
+    def test_predict_holds_one_layer_at_a_time(self):
+        import tracemalloc
+
+        spec = NetworkSpec(8, (dense(256, "sigmoid"),) * 6 + (dense(1, "sigmoid"),))
+        net = init_network(spec, SplitMix64(4))
+        x = np.random.default_rng(3).normal(size=(2000, 8))
+        layer_bytes = 2000 * 256 * 8
+        peaks = []
+        for run in (lambda: forward(net, x, mode="infer"), lambda: predict(net, x)):
+            tracemalloc.start()
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[0] > 6 * layer_bytes  # forward keeps every layer's output
+        assert peaks[1] < 4 * layer_bytes
 
 
 def _rewrite_npz(src, dst, drop=(), **replace):
