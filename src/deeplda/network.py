@@ -32,8 +32,9 @@ ACTIVATIONS = ("sigmoid", "relu", "none")
 # Probability clamp for the cross-entropy; matches the Adam epsilon scale.
 BCE_EPS = 1e-7
 
-# Adam walks each flattened parameter array in blocks of this many values,
-# so that the dozen elementwise passes over one block stay in the L2 cache.
+# Adam and the L2 gradient term walk each flattened parameter array in
+# blocks of this many values, so that the elementwise passes over one block
+# stay in the L2 cache and no full-size temporary is allocated.
 ADAM_BLOCK = 16384
 
 
@@ -448,6 +449,18 @@ class Gradients:
     biases: list[np.ndarray]
 
 
+def _add_scaled(dst: np.ndarray, alpha: float, src: np.ndarray) -> None:
+    """``dst += alpha * src`` for C-contiguous arrays, in blocks of
+    :data:`ADAM_BLOCK` values. The bits equal the whole-array form, but no
+    full-size temporary is made: a fresh one per step is fresh pages that
+    the kernel faults in and zeroes every time."""
+    d, s = dst.reshape(-1), src.reshape(-1)
+    scratch = np.empty(min(ADAM_BLOCK, d.size))
+    for start in range(0, d.size, ADAM_BLOCK):
+        db = d[start : start + ADAM_BLOCK]
+        db += np.multiply(alpha, s[start : start + ADAM_BLOCK], out=scratch[: db.size])
+
+
 def backward(net: Network, cache: ForwardCache, loss_grad: np.ndarray) -> Gradients:
     """Reverse-mode gradients of loss plus the per-layer L2 penalties.
 
@@ -479,7 +492,7 @@ def backward(net: Network, cache: ForwardCache, loss_grad: np.ndarray) -> Gradie
             dw = np.ascontiguousarray(a_in.T) @ dz
             lam = dense_specs[k].l2_lambda
             if lam > 0.0:
-                dw += 2.0 * lam * w
+                _add_scaled(dw, 2.0 * lam, w)
             d_weights[k] = dw
             d_biases[k] = dz.sum(axis=0, keepdims=True)
             delta = dz @ w.T

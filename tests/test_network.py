@@ -34,7 +34,7 @@ from deeplda import (
     save_network,
 )
 from conftest import write_v1_network
-from deeplda.network import ADAM_BLOCK, AdamState, _sigmoid
+from deeplda.network import ADAM_BLOCK, AdamState, _add_scaled, _sigmoid
 from deeplda.rng import SplitMix64
 
 WIDE_SPEC = NetworkSpec(41, (dense(1024, "sigmoid", 0.01),) * 3 + (dense(1, "sigmoid"),))
@@ -425,6 +425,27 @@ class TestFastPathBits:
             assert np.array_equal(st.m, ref.m)
             assert np.array_equal(st.v, ref.v)
             assert st.t == ref.t == 5
+
+    def test_add_scaled_matches_whole_array_form(self):
+        g = np.random.default_rng(9)
+        dst, src = g.normal(size=(203, 211)), g.normal(size=(203, 211))
+        want = dst + 2.0 * 0.01 * src
+        _add_scaled(dst, 2.0 * 0.01, src)
+        assert np.array_equal(dst, want)
+
+    def test_backward_makes_no_weight_sized_temporary(self):
+        import tracemalloc
+
+        net = init_network(WIDE_SPEC, SplitMix64(5))
+        x = np.random.default_rng(4).normal(size=(4, 41))
+        out, cache = forward(net, x, mode="train")
+        weight_bytes = 1024 * 1024 * 8
+        tracemalloc.start()
+        backward(net, cache, out - 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # Two 1024x1024 weight gradients are held when the third is made.
+        assert peak < 2.5 * weight_bytes
 
     def test_predict_matches_forward(self):
         net = init_network(WIDE_SPEC, SplitMix64(6))
