@@ -88,33 +88,38 @@ def recall(cm: ConfusionMatrix) -> float:
     return _ratio(cm.tp, cm.tp + cm.fn, "recall")
 
 
-def f_score(cm: ConfusionMatrix) -> float:
-    p = precision(cm)
-    r = recall(cm)
+def _f_from(p: float, r: float) -> float:
     if p + r == 0.0:
         warnings.warn("f_score undefined (precision + recall is zero); reporting 0.0",
-                      DegenerateMetricWarning, stacklevel=2)
+                      DegenerateMetricWarning, stacklevel=3)
         return 0.0
     return 2.0 * p * r / (p + r)
 
 
+def f_score(cm: ConfusionMatrix) -> float:
+    return _f_from(precision(cm), recall(cm))
+
+
 def report_dict(cm: ConfusionMatrix) -> dict:
-    """Machine-readable report: counts plus the four headline metrics."""
+    """Machine-readable report: counts plus the four headline metrics.
+    Each degenerate metric warns once."""
+    acc, p, r = accuracy(cm), precision(cm), recall(cm)
     return {
         "tp": cm.tp,
         "fp": cm.fp,
         "fn": cm.fn,
         "tn": cm.tn,
         "total": cm.total,
-        "accuracy": accuracy(cm),
-        "precision": precision(cm),
-        "recall": recall(cm),
-        "f_score": f_score(cm),
+        "accuracy": acc,
+        "precision": p,
+        "recall": r,
+        "f_score": _f_from(p, r),
     }
 
 
 def format_report(cm: ConfusionMatrix) -> str:
     """Aligned plain-text report with the 2x2 matrix and the four metrics."""
+    m = report_dict(cm)
     width = max(6, len(str(cm.total)))
     lines = [
         "confusion matrix (positive class = 1)",
@@ -122,11 +127,7 @@ def format_report(cm: ConfusionMatrix) -> str:
         f"  actual=1  {cm.tp:>{width}}  {cm.fn:>{width}}",
         f"  actual=0  {cm.fp:>{width}}  {cm.tn:>{width}}",
         "",
-        f"accuracy   {accuracy(cm):.6f}",
-        f"precision  {precision(cm):.6f}",
-        f"recall     {recall(cm):.6f}",
-        f"f_score    {f_score(cm):.6f}",
-    ]
+    ] + [f"{name:<9}  {m[name]:.6f}" for name in ("accuracy", "precision", "recall", "f_score")]
     return "\n".join(lines) + "\n"
 
 

@@ -25,29 +25,34 @@ import numpy as np
 from .data import Dataset
 from .exceptions import ContractError, DataError, NumericalError, ShapeError
 from .metrics import EpochRecord, TrainingHistory
-from .rng import SplitMix64
+from .rng import BLOCK, SplitMix64
 
 ACTIVATIONS = ("sigmoid", "relu", "none")
 
 # Probability clamp for the cross-entropy; matches the Adam epsilon scale.
 BCE_EPS = 1e-7
 
-# Adam and the L2 gradient term walk each flattened parameter array in
-# blocks of this many values, so that the elementwise passes over one block
-# stay in the L2 cache and no full-size temporary is allocated.
-ADAM_BLOCK = 16384
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function, computed in place in ``z``. The bits equal the
-    two-branch form, 1/(1+exp(-z)) for z >= 0 and exp(z)/(1+exp(z)) below,
-    and exp(-|z|) cannot overflow."""
-    pos = z >= 0
-    e = np.exp(np.negative(np.abs(z, out=z), out=z), out=z)
-    d = e + 1.0
-    e /= d
-    np.divide(1.0, d, out=e, where=pos)
-    return e
+    """Logistic function, computed in place in the C-contiguous ``z``.
+
+    The bits equal the two-branch form, 1/(1+exp(-z)) for z >= 0 and
+    exp(z)/(1+exp(z)) below, and exp(-|z|) cannot overflow. Both branches
+    are one division num/(1+e) with e = exp(-|z|): num is max(e, [z >= 0]),
+    which is 1 where z >= 0 (there e <= 1) and e elsewhere, and NaN stays
+    NaN. The array is walked in blocks of :data:`BLOCK` values through one
+    block of scratch, with no mask and no full-size temporary.
+    """
+    flat = z.reshape(-1)
+    scratch = np.empty(min(BLOCK, flat.size))
+    for start in range(0, flat.size, BLOCK):
+        e = flat[start : start + BLOCK]
+        num = np.greater_equal(e, 0.0, out=scratch[: e.size])
+        np.exp(np.negative(np.abs(e, out=e), out=e), out=e)
+        np.maximum(e, num, out=num)
+        e += 1.0
+        np.divide(num, e, out=e)
+    return z
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
@@ -59,14 +64,19 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _activation_gradient(name: str, a_out: np.ndarray) -> np.ndarray:
-    """d act / d z expressed through the activation output."""
+def _activation_gradient(name: str, a_out: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """``delta * act'(z)``, with act' expressed through the activation
+    output, as one new array (``delta`` itself for no activation)."""
+    if name == "none":
+        return delta
     if name == "sigmoid":
-        return a_out * (1.0 - a_out)
-    if name == "relu":
-        # Subgradient 0 at z == 0.
-        return (a_out > 0.0).astype(np.float64)
-    return np.ones_like(a_out)
+        g = np.subtract(1.0, a_out)
+        g *= a_out
+    else:
+        # relu; subgradient 0 at z == 0.
+        g = np.greater(a_out, 0.0, out=np.empty_like(a_out))
+    g *= delta
+    return g
 
 
 @dataclass(frozen=True)
@@ -359,8 +369,9 @@ def _run_layers(
             else:
                 if rng is None:
                     raise ValueError("train-mode forward through dropout needs an rng")
-                keep = rng.uniforms(a.size).reshape(a.shape) >= layer.rate
-                mask = keep.astype(np.float64) / (1.0 - layer.rate)
+                mask = rng.uniforms(a.size).reshape(a.shape)
+                np.greater_equal(mask, layer.rate, out=mask)
+                mask /= 1.0 - layer.rate
             a = a * mask
             if records is not None:
                 records.append(("dropout", mask))
@@ -451,14 +462,14 @@ class Gradients:
 
 def _add_scaled(dst: np.ndarray, alpha: float, src: np.ndarray) -> None:
     """``dst += alpha * src`` for C-contiguous arrays, in blocks of
-    :data:`ADAM_BLOCK` values. The bits equal the whole-array form, but no
+    :data:`BLOCK` values. The bits equal the whole-array form, but no
     full-size temporary is made: a fresh one per step is fresh pages that
     the kernel faults in and zeroes every time."""
     d, s = dst.reshape(-1), src.reshape(-1)
-    scratch = np.empty(min(ADAM_BLOCK, d.size))
-    for start in range(0, d.size, ADAM_BLOCK):
-        db = d[start : start + ADAM_BLOCK]
-        db += np.multiply(alpha, s[start : start + ADAM_BLOCK], out=scratch[: db.size])
+    scratch = np.empty(min(BLOCK, d.size))
+    for start in range(0, d.size, BLOCK):
+        db = d[start : start + BLOCK]
+        db += np.multiply(alpha, s[start : start + BLOCK], out=scratch[: db.size])
 
 
 def backward(net: Network, cache: ForwardCache, loss_grad: np.ndarray) -> Gradients:
@@ -486,7 +497,7 @@ def backward(net: Network, cache: ForwardCache, loss_grad: np.ndarray) -> Gradie
         if rec[0] == "dense":
             _, k, a_in, a_out = rec
             w = net.weights[k]
-            dz = delta * _activation_gradient(dense_specs[k].activation, a_out)
+            dz = _activation_gradient(dense_specs[k].activation, a_out, delta)
             # a_in.T is copied: with a one-column dz the product is a BLAS gemv,
             # whose summation order depends on the operand layout.
             dw = np.ascontiguousarray(a_in.T) @ dz
@@ -508,7 +519,7 @@ def adam_step(net: Network, grads: Gradients, learning_rate: float) -> Network:
 
     t += 1; m, v track the first and second gradient moments; the update
     is ``lr * mhat / (sqrt(vhat) + eps)`` with bias-corrected moments.
-    Arrays are updated in place in blocks of :data:`ADAM_BLOCK` values, in
+    Arrays are updated in place in blocks of :data:`BLOCK` values, in
     the textbook operation order, so the bits equal the whole-array form.
     """
     if learning_rate <= 0:
@@ -520,15 +531,15 @@ def adam_step(net: Network, grads: Gradients, learning_rate: float) -> Network:
     for i, (p, g, _) in enumerate(groups):
         if g.shape != p.shape:
             raise ShapeError(f"gradient {i} has shape {g.shape}, parameter has {p.shape}")
-    scratch = np.empty((2, ADAM_BLOCK))
+    scratch = np.empty((2, BLOCK))
     for p, g, st in groups:
         st.t += 1
         b1, b2 = st.beta1, st.beta2
         c1, c2 = 1.0 - b1**st.t, 1.0 - b2**st.t
         # Views, not copies: parameters and moments are C-contiguous.
         flat = (p.reshape(-1), np.ravel(g), st.m.reshape(-1), st.v.reshape(-1))
-        for start in range(0, p.size, ADAM_BLOCK):
-            pb, gb, mb, vb = (a[start : start + ADAM_BLOCK] for a in flat)
+        for start in range(0, p.size, BLOCK):
+            pb, gb, mb, vb = (a[start : start + BLOCK] for a in flat)
             s1, s2 = scratch[:, : pb.size]
             mb *= b1  # m = b1*m + (1-b1)*g
             mb += np.multiply(1.0 - b1, gb, out=s1)

@@ -404,6 +404,21 @@ class TestWarnings:
         assert "metrics.py" not in err
         assert all(line.startswith("deeplda: warning: ") for line in err.splitlines())
 
+    def test_degenerate_evaluate_warns_once_per_metric(self, toy_csv, tmp_path, capsys):
+        csv_path, schema_path = toy_csv
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"phase2": {"threshold": 0.999999}}))
+        run = tmp_path / "run"
+        assert _run(capsys, *_train_args(toy_csv, run, *FAST, "--config", str(config)))[0] == 0
+        code, stdout, err = _run(capsys, "evaluate", "--model", str(run / "model"),
+                                 "--data", str(csv_path), "--schema", str(schema_path))
+        assert code == 0
+        assert "precision  0.000000" in stdout
+        lines = err.splitlines()
+        assert "deeplda: warning: precision undefined (zero denominator); reporting 0.0" in lines
+        assert all(line.startswith("deeplda: warning: ") for line in lines)
+        assert len(lines) == len(set(lines))
+
     @pytest.mark.filterwarnings("default:overflow:RuntimeWarning")
     def test_numpy_overflow_warning_is_one_line(self, toy_csv, tmp_path, capsys):
         code, _, err = _run(capsys, *_train_args(toy_csv, tmp_path / "run", "--epochs", "2",

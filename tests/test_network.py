@@ -34,7 +34,7 @@ from deeplda import (
     save_network,
 )
 from conftest import write_v1_network
-from deeplda.network import ADAM_BLOCK, AdamState, _add_scaled, _sigmoid
+from deeplda.network import BLOCK, AdamState, _activation_gradient, _add_scaled, _sigmoid
 from deeplda.rng import SplitMix64
 
 WIDE_SPEC = NetworkSpec(41, (dense(1024, "sigmoid", 0.01),) * 3 + (dense(1, "sigmoid"),))
@@ -389,14 +389,55 @@ class TestFastPathBits:
     """The in-place kernels give the same bits as their textbook forms."""
 
     def test_sigmoid_matches_two_branch_form(self):
-        special = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300]
-        rand = np.random.default_rng(5).normal(0.0, 20.0, size=3991)
-        z = np.concatenate([special, rand]).reshape(-1, 10)
+        special = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan,
+                   1e-300, -1e-300, 5e-324, -5e-324]
+        flat = np.random.default_rng(6).normal(0.0, 20.0, size=3 * BLOCK + 5)
+        # The special values straddle the start, each block boundary and the end.
+        for edge in (0, BLOCK, 2 * BLOCK, 3 * BLOCK, flat.size):
+            lo = min(max(edge - len(special) // 2, 0), flat.size - len(special))
+            flat[lo : lo + len(special)] = special
+        z = flat.reshape(-1, 1)
         expected = _two_branch_sigmoid(z)
         got = _sigmoid(z.copy())
         nan = np.isnan(expected)
         assert np.array_equal(np.isnan(got), nan)
         assert np.array_equal(got[~nan].view(np.uint64), expected[~nan].view(np.uint64))
+
+    def test_sigmoid_peak_memory_is_one_block(self):
+        import tracemalloc
+
+        z = np.random.default_rng(7).normal(size=(1024, 1024))
+        tracemalloc.start()
+        _sigmoid(z)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2 * BLOCK * 8
+
+    def test_activation_gradient_matches_product_form(self):
+        g = np.random.default_rng(10)
+        shape = (301, 67)
+        delta = g.normal(size=shape)
+        delta[0, :3] = [0.0, -0.0, -1e-310]
+        sig = 1.0 / (1.0 + np.exp(-g.normal(0.0, 5.0, size=shape)))
+        relu = np.maximum(g.normal(size=shape), 0.0)
+        for name, a, dact in (("sigmoid", sig, sig * (1.0 - sig)),
+                              ("relu", relu, (relu > 0.0).astype(np.float64)),
+                              ("none", sig, np.ones_like(sig))):
+            before = (a.copy(), delta.copy())
+            got = _activation_gradient(name, a, delta)
+            assert np.array_equal(got.view(np.uint64), (delta * dact).view(np.uint64)), name
+            assert np.array_equal(a, before[0]) and np.array_equal(delta, before[1])
+
+    def test_train_dropout_mask_matches_threshold_form(self):
+        net = init_network(HEAD_SPEC, SplitMix64(20))
+        x = np.random.default_rng(11).normal(size=(300, 1))  # 30,000 draws: two blocks
+        rng = SplitMix64(21, counter=5)
+        _, cache = forward(net, x, mode="train", rng=rng)
+        u = SplitMix64(21, counter=5).uniforms(300 * 100).reshape(300, 100)
+        want = (u >= 0.5) / (1 - 0.5)
+        (mask,) = cache.dropout_masks()
+        assert np.array_equal(mask.view(np.uint64), want.view(np.uint64))
+        assert rng.counter == 5 + 300 * 100
 
     def test_sigmoid_works_in_place(self):
         z = np.array([[-2.0, 0.0, 3.0]])
@@ -405,8 +446,8 @@ class TestFastPathBits:
 
     def test_adam_matches_textbook_form_over_five_steps(self):
         shape = (203, 211)  # 42,833 values: several blocks and a partial one
-        assert shape[0] * shape[1] > 2 * ADAM_BLOCK
-        assert shape[0] * shape[1] % ADAM_BLOCK != 0
+        assert shape[0] * shape[1] > 2 * BLOCK
+        assert shape[0] * shape[1] % BLOCK != 0
         spec = NetworkSpec(203, (dense(211, "sigmoid"), dense(1, "sigmoid")))
         g = np.random.default_rng(8)
         net = Network(spec, [g.normal(size=shape), g.normal(size=(211, 1))],

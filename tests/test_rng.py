@@ -82,6 +82,14 @@ def test_bounded_interval_and_exclusive_upper():
     assert np.all(vals < 3.0)
 
 
+def test_negative_draw_count_rejected_without_advancing():
+    rng = SplitMix64(0, counter=3)
+    for draw in (rng.uniforms, rng._next_words):
+        with pytest.raises(ValueError, match="non-negative"):
+            draw(-1)
+    assert rng.counter == 3
+
+
 def test_empty_interval_rejected():
     rng = SplitMix64(0)
     with pytest.raises(ValueError):
@@ -132,3 +140,45 @@ def test_any_seed_matches_reference_words(seed, n):
 def test_draws_always_inside_unit_interval(seed):
     vals = SplitMix64(seed).uniforms(64)
     assert np.all((vals >= 0.0) & (vals < 1.0))
+
+
+def _whole_array_words(seed: int, counter: int, n: int) -> np.ndarray:
+    """The single-pass form: every index, product and mix step full-size."""
+    idx = np.arange(counter + 1, counter + 1 + n, dtype=np.uint64)
+    z = np.uint64(seed) + idx * np.uint64(_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _whole_array_uniforms(seed: int, counter: int, n: int, lo: float, hi: float) -> np.ndarray:
+    u = (_whole_array_words(seed, counter, n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return np.minimum(lo + u * (hi - lo), np.nextafter(hi, lo))
+
+
+@pytest.mark.parametrize("n", [0, 1, 16383, 16385, 100003])
+@pytest.mark.parametrize("seed,counter", [(0, 0), (_M, 2**40), (2**63 + 17, 16383)])
+def test_blocked_draws_match_whole_array_form(seed, counter, n):
+    rng = SplitMix64(seed, counter)
+    words = rng._next_words(n)
+    assert words.dtype == np.uint64
+    assert np.array_equal(words, _whole_array_words(seed, counter, n))
+    assert rng.counter == counter + n
+    for lo, hi in ((0.0, 1.0), (-0.05, 0.05), (2.5, 3.0)):
+        rng = SplitMix64(seed, counter)
+        got = rng.uniforms(n, lo, hi)
+        want = _whole_array_uniforms(seed, counter, n, lo, hi)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert rng.counter == counter + n
+
+
+def test_uniforms_peak_memory_is_near_its_output():
+    import tracemalloc
+
+    n = 2**20
+    tracemalloc.start()
+    SplitMix64(3).uniforms(n)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 1.5 * n * 8
