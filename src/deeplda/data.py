@@ -16,6 +16,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -157,6 +158,27 @@ def _parse_cell(token: str) -> float:
     return value if math.isfinite(value) else math.nan
 
 
+def _parse_features(cells: list[list[str]], cols: list[int]) -> np.ndarray:
+    """The :func:`_parse_cell` value of every cell in columns ``cols``, as
+    an (rows, len(cols)) matrix with the same bits, parsed a row at a time.
+
+    ``float`` ignores surrounding whitespace as ``str.strip`` does, and an
+    empty cell reads as "nan"; a row where ``float`` fails falls back to
+    :func:`_parse_cell` cell by cell. Non-finite values become NaN in one
+    pass at the end.
+    """
+    get = itemgetter(*cols) if len(cols) > 1 else lambda row: (row[cols[0]],)
+    x = np.empty((len(cells), len(cols)), dtype=np.float64)
+    for r, row in enumerate(cells):
+        tokens = get(row)
+        try:
+            x[r] = [float(t or "nan") for t in tokens]
+        except ValueError:
+            x[r] = [_parse_cell(t) for t in tokens]
+    x[~np.isfinite(x)] = np.nan
+    return x
+
+
 def clean(raw: RawTable, schema: DataSchema) -> Dataset:
     """Turn a raw table into a numeric dataset.
 
@@ -181,11 +203,7 @@ def clean(raw: RawTable, schema: DataSchema) -> Dataset:
     if not feature_cols:
         raise DataError("no feature columns remain after schema drops")
 
-    x = np.empty((raw.n_rows, len(feature_cols)), dtype=np.float64)
-    for r, row in enumerate(raw.cells):
-        for j, c in enumerate(feature_cols):
-            x[r, j] = _parse_cell(row[c])
-
+    x = _parse_features(raw.cells, feature_cols)
     names = [raw.header[c] for c in feature_cols]
     missing = np.isnan(x)
     for j in np.nonzero(missing.any(axis=0))[0]:

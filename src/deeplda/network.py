@@ -32,6 +32,17 @@ ACTIVATIONS = ("sigmoid", "relu", "none")
 # Probability clamp for the cross-entropy; matches the Adam epsilon scale.
 BCE_EPS = 1e-7
 
+# Rows per block of :func:`predict`; 1,024 rows keep the GEMMs at
+# whole-matrix speed. With one BLAS thread the blocks keep the bits of the
+# whole-matrix pass: a GEMM split by rows keeps them for blocks of two or
+# more rows, and the one-column output layer's gemv, which takes rows in
+# groups of four, keeps them when every block starts at a multiple of
+# four. A one-row block would take numpy's gemv path in every layer, so a
+# trailing one joins the block before it. (With several BLAS threads gemv
+# can also split rows between threads at a point that depends on the row
+# count, so bits can then depend on the thread count.)
+ROWS = 1024
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function, computed in place in the C-contiguous ``z``.
@@ -425,12 +436,32 @@ def bce_loss(pred: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
+def _sum_squares(w: np.ndarray, scratch: np.ndarray | None = None) -> float:
+    """``float(np.sum(w * w))`` for a C-contiguous ``w``, with the same
+    bits but without the full-size temporary.
+
+    numpy sums a contiguous array pairwise: a run of n values longer than
+    its leaf size is cut at ``n2 = n//2 - (n//2) % 8`` and the two halves'
+    sums are added left to right. Cutting the same way down to pieces of
+    at most :data:`BLOCK` values, and squaring and summing each piece
+    through one block of ``scratch``, keeps that order.
+    """
+    flat = w.reshape(-1)
+    n = flat.size
+    if scratch is None:
+        scratch = np.empty(min(BLOCK, n))
+    if n <= BLOCK:
+        return float(np.sum(np.multiply(flat, flat, out=scratch[:n])))
+    n2 = n // 2 - (n // 2) % 8
+    return _sum_squares(flat[:n2], scratch) + _sum_squares(flat[n2:], scratch)
+
+
 def _l2_value(net: Network) -> float:
     """Total L2 kernel penalty under each layer's own coefficient."""
     total = 0.0
     for layer, w in zip(net.dense_layers(), net.weights):
         if layer.l2_lambda > 0.0:
-            total += layer.l2_lambda * float(np.sum(w * w))
+            total += layer.l2_lambda * _sum_squares(w)
     return total
 
 
@@ -447,7 +478,7 @@ def l2_penalty(net: Network, lam: float | None = None) -> tuple[float, list[np.n
     grads = []
     for layer, w in zip(net.dense_layers(), net.weights):
         coeff = layer.l2_lambda if lam is None else lam
-        penalty += coeff * float(np.sum(w * w))
+        penalty += coeff * _sum_squares(w)
         grads.append(2.0 * coeff * w)
     return penalty, grads
 
@@ -561,9 +592,25 @@ def adam_step(net: Network, grads: Gradients, learning_rate: float) -> Network:
 def predict(
     net: Network, x: np.ndarray, threshold: float = 0.5
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Infer-mode probabilities and hard labels (prob >= threshold -> 1),
-    holding one layer's activations at a time."""
-    probs = _run_layers(net, x, "infer", None, None, None)
+    """Infer-mode probabilities and hard labels (prob >= threshold -> 1).
+
+    The rows run through the layers in blocks of :data:`ROWS`, holding one
+    layer's input and output for one block at a time, so activation memory
+    does not grow with the row count. The bits equal the whole-matrix
+    :func:`forward`: blocks start at multiples of ``ROWS`` and a trailing
+    one-row block joins the block before it (see :data:`ROWS`).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] <= ROWS:
+        probs = _run_layers(net, x, "infer", None, None, None)
+    else:
+        n = x.shape[0]
+        starts = list(range(0, n, ROWS))
+        if n - starts[-1] == 1:
+            starts.pop()
+        probs = np.empty((n, net.spec.output_dim))
+        for start, stop in zip(starts, starts[1:] + [n]):
+            probs[start:stop] = _run_layers(net, x[start:stop], "infer", None, None, None)
     labels = (probs[:, 0] >= threshold).astype(np.int64)
     return probs, labels
 

@@ -10,10 +10,13 @@ trailing column, and sparse missing cells.
 
 import csv
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import deeplda
 from deeplda import Dataset
 
 CLINICAL_FEATURES = [
@@ -44,6 +47,15 @@ def make_gaussians(n_per_class: int, d: int, sep: float, seed: int) -> Dataset:
     order = g.permutation(2 * n_per_class)
     names = tuple(f"f{i}" for i in range(d))
     return Dataset(x=x[order], y=y[order], feature_names=names)
+
+
+def child_env(**overrides) -> dict:
+    """This process's environment for a child Python process, with the
+    imported ``deeplda`` package first on ``PYTHONPATH`` and ``overrides``
+    set."""
+    src = str(Path(deeplda.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **overrides)
 
 
 def write_v1_network(net, path, metadata=None):

@@ -1,5 +1,6 @@
 """CSV ingestion, cleaning, standardization, stratified splitting."""
 
+import itertools
 import json
 import os
 import tempfile
@@ -24,6 +25,7 @@ from deeplda import (
     load_schema,
     stratified_split,
 )
+from deeplda.data import _parse_cell, _parse_features
 from deeplda.rng import SplitMix64
 
 
@@ -118,6 +120,36 @@ class TestClean:
                        cells=[[" 4 ", "0"], ["n/a", "1"], ["8", "1"], ["inf", "0"]])
         ds = clean(raw, DataSchema(target="label"))
         assert ds.x[:, 0].tolist() == [4.0, 6.0, 8.0, 6.0]
+
+    # Cells that float() reads as they are, reads only after the empty-cell
+    # rule, reads as non-finite, or rejects, so a row takes the fallback.
+    PARSE_TOKENS = ["", "  ", "\t1.5 ", "1_000", "nan", "-inf", "1e999", "0x10", "-0", "+.5",
+                    "abc", " 1.5 ", "\u0661\u0662.\u0665", "2.25"]
+
+    def test_row_parse_matches_cell_parse_bitwise(self):
+        cells = [list(row) for row in itertools.product(self.PARSE_TOKENS, repeat=2)]
+        want = np.array([[_parse_cell(t) for t in row] for row in cells])
+        got = _parse_features(cells, [0, 1])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_clean_matches_cell_by_cell_reference_bitwise(self):
+        tokens = itertools.product(self.PARSE_TOKENS, repeat=2)
+        cells = [[a, str(i), b, str(i % 2)] for i, (a, b) in enumerate(tokens)]
+        raw = RawTable(header=["a", "id", "b", "label"], cells=cells)
+        want = np.array([[_parse_cell(row[c]) for c in (0, 2)] for row in cells])
+        for col in want.T:
+            col[np.isnan(col)] = np.median(col[~np.isnan(col)])
+        got = clean(raw, SCHEMA).x
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @given(st.lists(st.lists(st.one_of(st.sampled_from(PARSE_TOKENS), st.text(max_size=6),
+                                       st.floats().map(repr)), min_size=3, max_size=3),
+                    min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_row_parse_matches_cell_parse_on_any_text(self, cells):
+        want = np.array([[_parse_cell(t) for t in row] for row in cells])
+        got = _parse_features(cells, [0, 1, 2])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_overflowing_median_is_data_error(self):
         raw = RawTable(header=["a", "label"],

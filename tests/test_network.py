@@ -2,7 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 import time
 
 import numpy as np
@@ -33,8 +36,16 @@ from deeplda import (
     predict,
     save_network,
 )
-from conftest import write_v1_network
-from deeplda.network import BLOCK, AdamState, _activation_gradient, _add_scaled, _sigmoid
+from conftest import child_env, write_v1_network
+from deeplda.network import (
+    BLOCK,
+    ROWS,
+    AdamState,
+    _activation_gradient,
+    _add_scaled,
+    _sigmoid,
+    _sum_squares,
+)
 from deeplda.rng import SplitMix64
 
 WIDE_SPEC = NetworkSpec(41, (dense(1024, "sigmoid", 0.01),) * 3 + (dense(1, "sigmoid"),))
@@ -439,6 +450,30 @@ class TestFastPathBits:
         assert np.array_equal(mask.view(np.uint64), want.view(np.uint64))
         assert rng.counter == 5 + 300 * 100
 
+    @pytest.mark.parametrize("shape", [(1024, 1024), (41, 1024), (1024, 1), (100, 1), (1, 100),
+                                       (3, 5), (16385, 1), (1000, 1001), (7, 49157)])
+    def test_sum_squares_matches_numpy_sum(self, shape):
+        w = np.random.default_rng(12).normal(size=shape)
+        assert _sum_squares(w) == float(np.sum(w * w))
+
+    @given(st.integers(0, 6 * BLOCK + 41), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_sum_squares_matches_numpy_sum_at_any_size(self, size, seed):
+        w = np.random.default_rng(seed).normal(0.0, 10.0, size=size)
+        assert _sum_squares(w) == float(np.sum(w * w))
+
+    def test_sum_squares_holds_one_block_and_keeps_nothing(self):
+        import tracemalloc
+
+        w = np.random.default_rng(13).normal(size=(1024, 1024))
+        tracemalloc.start()
+        _sum_squares(w)
+        current, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 2 * BLOCK * 8
+        # Nothing, the scratch block included, waits for the cycle collector.
+        assert current < BLOCK * 8
+
     def test_sigmoid_works_in_place(self):
         z = np.array([[-2.0, 0.0, 3.0]])
         out = _sigmoid(z)
@@ -523,6 +558,41 @@ class TestFastPathBits:
             tracemalloc.stop()
         assert peaks[0] > 6 * layer_bytes  # forward keeps every layer's output
         assert peaks[1] < 4 * layer_bytes
+
+    def test_predict_blocks_keep_the_whole_matrix_bits(self):
+        # numpy reads the BLAS thread count at import, so the check runs in a
+        # child process pinned to one thread, where the bits are promised.
+        code = textwrap.dedent("""
+            import numpy as np
+            from deeplda import build_phase1_spec, build_phase2_spec, forward, init_network, predict
+            from deeplda.network import ROWS
+            from deeplda.rng import SplitMix64
+
+            for spec in (build_phase1_spec(), build_phase2_spec()):
+                net = init_network(spec, SplitMix64(7))
+                for n in (0, 1, 2, ROWS - 1, ROWS, ROWS + 1, ROWS + 2, 2 * ROWS + 1, 3 * ROWS + 5):
+                    x = np.random.default_rng(n).normal(size=(n, spec.input_dim))
+                    probs = predict(net, x)[0]
+                    assert np.array_equal(probs, forward(net, x, mode="infer")[0]), (spec, n)
+        """)
+        env = child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_predict_memory_does_not_grow_with_rows(self):
+        import tracemalloc
+
+        spec = NetworkSpec(8, (dense(256, "sigmoid"),) * 3 + (dense(1, "sigmoid"),))
+        net = init_network(spec, SplitMix64(4))
+        peaks = []
+        for n in (2 * ROWS, 8 * ROWS):
+            x = np.random.default_rng(n).normal(size=(n, 8))
+            tracemalloc.start()
+            predict(net, x)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
 
 def _rewrite_npz(src, dst, drop=(), **replace):
