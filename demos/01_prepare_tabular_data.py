@@ -39,22 +39,23 @@ def synthesize(path: Path, n_rows: int = 120) -> None:
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="prepare-demo-"))
-    csv_path = workdir / "visits.csv"
-    schema_path = workdir / "visits.schema.json"
-    synthesize(csv_path)
-    schema_path.write_text(json.dumps({
-        "target": "diagnosis",
-        "drop": ["record_id", ""],
-        "positive_label": "yes",
-    }, indent=2))
-    print(f"wrote {csv_path}")
+    with tempfile.TemporaryDirectory(prefix="prepare-demo-") as tmp:
+        workdir = Path(tmp)
+        csv_path = workdir / "visits.csv"
+        schema_path = workdir / "visits.schema.json"
+        synthesize(csv_path)
+        schema_path.write_text(json.dumps({
+            "target": "diagnosis",
+            "drop": ["record_id", ""],
+            "positive_label": "yes",
+        }, indent=2))
+        print(f"wrote {csv_path}")
 
-    schema = load_schema(schema_path)
-    raw = load_csv(csv_path, schema)
-    print(f"raw table: {raw.n_rows} rows x {len(raw.header)} columns")
+        schema = load_schema(schema_path)
+        raw = load_csv(csv_path, schema)
+        print(f"raw table: {raw.n_rows} rows x {len(raw.header)} columns")
 
-    ds = clean(raw, schema)
+        ds = clean(raw, schema)
     print(f"cleaned: {ds.n_rows} rows, {ds.n_features} features "
           f"({', '.join(ds.feature_names)})")
     print(f"positives: {int(ds.y.sum())} of {ds.n_rows} "

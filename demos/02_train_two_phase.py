@@ -60,16 +60,17 @@ def main() -> None:
     print("\nvalidation report:")
     print(format_report(confusion(labels, val_s.y)), end="")
 
-    out = Path(tempfile.mkdtemp(prefix="two-phase-demo-")) / "model"
-    save_two_phase(model, out)
-    history_to_csv(hist1, out.parent / "phase1_curve.csv")
-    print(f"\nsaved model directory: {out}")
-    print(f"saved curve: {out.parent / 'phase1_curve.csv'}")
+    with tempfile.TemporaryDirectory(prefix="two-phase-demo-") as tmp:
+        out = Path(tmp) / "model"
+        save_two_phase(model, out)
+        history_to_csv(hist1, out.parent / "phase1_curve.csv")
+        print(f"\nsaved model directory: {out}")
+        print(f"saved curve: {out.parent / 'phase1_curve.csv'}")
 
-    reloaded = load_two_phase(out)
-    _, labels2 = predict_two_phase(reloaded, val_s.x)
-    print(f"reloaded model agrees on all {len(labels2)} predictions: "
-          f"{bool(np.array_equal(labels, labels2))}")
+        reloaded = load_two_phase(out)
+        _, labels2 = predict_two_phase(reloaded, val_s.x)
+        print(f"reloaded model agrees on all {len(labels2)} predictions: "
+              f"{bool(np.array_equal(labels, labels2))}")
 
 
 if __name__ == "__main__":

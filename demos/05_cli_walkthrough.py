@@ -36,25 +36,26 @@ def step(title: str, argv: list[str]) -> None:
 
 
 def main_demo() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="cli-demo-"))
-    csv_path = workdir / "visits.csv"
-    schema_path = workdir / "visits.schema.json"
-    run_dir = workdir / "run"
-    synthesize(csv_path)
-    schema_path.write_text(json.dumps(
-        {"target": "target", "drop": ["id"], "positive_label": "1"}))
+    with tempfile.TemporaryDirectory(prefix="cli-demo-") as tmp:
+        workdir = Path(tmp)
+        csv_path = workdir / "visits.csv"
+        schema_path = workdir / "visits.schema.json"
+        run_dir = workdir / "run"
+        synthesize(csv_path)
+        schema_path.write_text(json.dumps(
+            {"target": "target", "drop": ["id"], "positive_label": "1"}))
 
-    step("train", ["train", "--data", str(csv_path), "--schema",
-                   str(schema_path), "--out", str(run_dir),
-                   "--epochs", "10", "--lr", "1e-3", "--l2", "0"])
-    print("artifacts:", sorted(p.name for p in run_dir.iterdir()))
+        step("train", ["train", "--data", str(csv_path), "--schema",
+                       str(schema_path), "--out", str(run_dir),
+                       "--epochs", "10", "--lr", "1e-3", "--l2", "0"])
+        print("artifacts:", sorted(p.name for p in run_dir.iterdir()))
 
-    step("evaluate", ["evaluate", "--model", str(run_dir / "model"),
-                      "--data", str(csv_path), "--schema", str(schema_path)])
-    step("inspect", ["inspect", "--phase", "1"])
-    step("inspect", ["inspect", "--phase", "2"])
-    step("baseline", ["baseline", "--data", str(csv_path),
-                      "--schema", str(schema_path)])
+        step("evaluate", ["evaluate", "--model", str(run_dir / "model"),
+                          "--data", str(csv_path), "--schema", str(schema_path)])
+        step("inspect", ["inspect", "--phase", "1"])
+        step("inspect", ["inspect", "--phase", "2"])
+        step("baseline", ["baseline", "--data", str(csv_path),
+                          "--schema", str(schema_path)])
 
 
 if __name__ == "__main__":

@@ -17,14 +17,7 @@ import warnings
 
 import click
 
-from .data import (
-    apply_standardizer,
-    clean,
-    fit_standardizer,
-    load_csv,
-    load_schema,
-    stratified_split,
-)
+from .data import apply_standardizer, fit_standardizer, load_dataset, load_schema, stratified_split
 from .exceptions import ContractError, DataError, NumericalError, ShapeError
 from .fisher import fit_fisher, predict_lda
 from .metrics import confusion, format_report, history_to_csv
@@ -117,8 +110,7 @@ def _require(value, flag: str):
 
 def _load_split(data_path, schema_path, val_fraction, rng):
     """Shared train/baseline preamble: load, clean, split, standardize."""
-    schema = load_schema(schema_path)
-    ds = clean(load_csv(data_path, schema), schema)
+    ds = load_dataset(data_path, load_schema(schema_path))
     train, val = stratified_split(ds, val_fraction, rng)
     std = fit_standardizer(train)
     return apply_standardizer(std, train), apply_standardizer(std, val), std
@@ -173,6 +165,9 @@ def cmd_train(data, schema, config, seed, val_fraction, lr, epochs, batch_size, 
     flags = {"lr": lr, "epochs": epochs, "batch_size": batch_size, "l2": l2}
     config1 = _resolve_phase(cfg, "phase1", flags)
     config2 = _resolve_phase(cfg, "phase2", flags)
+    if min(config1.epochs, config2.epochs) < 1:
+        raise click.UsageError(f"epochs must be at least 1 in each phase, got "
+                               f"{config1.epochs} and {config2.epochs}")
 
     rng = SplitMix64(seed)
     train_ds, val_ds, std = _load_split(data, schema, val_fraction, rng)
@@ -227,8 +222,7 @@ def cmd_evaluate(model_dir, data, schema, config):
     _require(data, "--data")
     _require(schema, "--schema")
     model = load_two_phase(model_dir)
-    schema_obj = load_schema(schema)
-    ds = clean(load_csv(data, schema_obj), schema_obj)
+    ds = load_dataset(data, load_schema(schema))
     if model.feature_names is not None and ds.feature_names != model.feature_names:
         raise DataError(
             f"dataset features {list(ds.feature_names)} do not match "

@@ -6,8 +6,9 @@ names the label column, the columns to discard (identifiers, empty
 columns), and the token that maps to class 1. Everything else is treated
 as a numeric feature: cells that do not parse as finite numbers count as
 missing and are imputed with the column median computed over the whole
-table. Standardization statistics are fitted on the training split only
-and applied unchanged elsewhere.
+table; :func:`load_dataset` parses a file row by row into a flat float64
+buffer, never holding its cells as strings. Standardization statistics
+are fitted on the training split only and applied unchanged elsewhere.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -75,34 +77,61 @@ class RawTable:
         return len(self.cells)
 
 
-def load_csv(path, schema: DataSchema) -> RawTable:
-    """Parse a CSV file and validate it against the schema.
-
-    Every data row must have exactly as many cells as the header; the
-    target and all drop columns must exist.
-    """
+def _read_csv(path, schema: DataSchema, consume):
+    """``consume(header, rows, schema)`` on a CSV file, rows read as consumed."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            rows = list(csv.reader(fh))
+            rows = csv.reader(fh)
+            header = next(rows, None)
+            if header is None:
+                raise DataError(f"data file {path} is empty")
+            return consume([h.strip() for h in header], rows, schema)
     except FileNotFoundError:
         raise DataError(f"data file not found: {path}") from None
     except (csv.Error, UnicodeDecodeError) as exc:
         raise DataError(f"data file {path} is not a readable UTF-8 CSV: {exc}") from None
-    if not rows:
-        raise DataError(f"data file {path} is empty")
-    header = [h.strip() for h in rows[0]]
-    cells = rows[1:]
-    for i, row in enumerate(cells, start=1):
-        if len(row) != len(header):
-            raise DataError(
-                f"row {i}: expected {len(header)} cells per the header, got {len(row)}"
-            )
+
+
+def _columns(header: list[str], schema: DataSchema) -> tuple[int, list[int]]:
+    """The target column's index and the feature columns' indices."""
     if schema.target not in header:
         raise DataError(f"target column {schema.target!r} not found in header")
     for col in schema.drop:
         if col not in header:
             raise DataError(f"drop column {col!r} not found in header")
-    return RawTable(header=header, cells=cells)
+    if header.count(schema.target) > 1:
+        raise DataError(f"target column {schema.target!r} appears more than once")
+    target_col = header.index(schema.target)
+    dropped = set(schema.drop)
+    feature_cols = [i for i, h in enumerate(header) if i != target_col and h not in dropped]
+    if not feature_cols:
+        raise DataError("no feature columns remain after schema drops")
+    return target_col, feature_cols
+
+
+def _numbered(header: list[str], rows):
+    """The data rows numbered from 1, each checked to be as wide as the header."""
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise DataError(
+                f"row {i}: expected {len(header)} cells per the header, got {len(row)}"
+            )
+        yield i, row
+
+
+def load_csv(path, schema: DataSchema) -> RawTable:
+    """Parse a CSV file and validate it against the schema.
+
+    The target and all drop columns must exist, and every data row must
+    have exactly as many cells as the header. Unlike :func:`load_dataset`,
+    it holds the whole file, as strings.
+    """
+    return _read_csv(path, schema, _table)
+
+
+def _table(header: list[str], rows, schema: DataSchema) -> RawTable:
+    _columns(header, schema)
+    return RawTable(header=header, cells=[row for _, row in _numbered(header, rows)])
 
 
 @dataclass(frozen=True)
@@ -158,25 +187,55 @@ def _parse_cell(token: str) -> float:
     return value if math.isfinite(value) else math.nan
 
 
-def _parse_features(cells: list[list[str]], cols: list[int]) -> np.ndarray:
-    """The :func:`_parse_cell` value of every cell in columns ``cols``, as
-    an (rows, len(cols)) matrix with the same bits, parsed a row at a time.
+def _dataset(header: list[str], rows, schema: DataSchema) -> Dataset:
+    """Validate, parse and impute data rows, consuming ``rows`` one at a time.
 
-    ``float`` ignores surrounding whitespace as ``str.strip`` does, and an
-    empty cell reads as "nan"; a row where ``float`` fails falls back to
-    :func:`_parse_cell` cell by cell. Non-finite values become NaN in one
-    pass at the end.
+    Feature cells go straight into a flat float64 buffer with the bits of
+    :func:`_parse_cell`: ``float`` ignores surrounding whitespace as
+    ``str.strip`` does, an empty cell reads as "nan", and a row where
+    ``float`` fails falls back to :func:`_parse_cell` cell by cell.
+    Non-finite values become NaN in one pass at the end.
     """
+    target_col, cols = _columns(header, schema)
     get = itemgetter(*cols) if len(cols) > 1 else lambda row: (row[cols[0]],)
-    x = np.empty((len(cells), len(cols)), dtype=np.float64)
-    for r, row in enumerate(cells):
+    values = array("d")
+    labels = array("d")
+    negative_token = None
+    n = 0
+    for n, row in _numbered(header, rows):
         tokens = get(row)
         try:
-            x[r] = [float(t or "nan") for t in tokens]
+            values.extend([float(t or "nan") for t in tokens])
         except ValueError:
-            x[r] = [_parse_cell(t) for t in tokens]
+            values.extend([_parse_cell(t) for t in tokens])
+        token = row[target_col].strip()
+        if not token:
+            raise DataError(f"row {n}: empty target cell")
+        if token == schema.positive_label:
+            labels.append(1.0)
+        elif negative_token is None or token == negative_token:
+            negative_token = token
+            labels.append(0.0)
+        else:
+            raise DataError(
+                f"row {n}: target token {token!r} (already saw {negative_token!r}; "
+                f"positive label is {schema.positive_label!r})"
+            )
+    if n == 0:
+        raise DataError("table has no data rows")
+
+    x = np.frombuffer(values).reshape(n, len(cols))
     x[~np.isfinite(x)] = np.nan
-    return x
+    names = [header[c] for c in cols]
+    for j in np.nonzero(np.isnan(x).any(axis=0))[0]:
+        col = x[:, j]
+        present = col[~np.isnan(col)]
+        if present.size == 0:
+            raise DataError(f"column {names[j]!r} has no usable values")
+        # Two values near the float64 limit average to inf: a data error below.
+        with np.errstate(over="ignore"):
+            col[np.isnan(col)] = np.median(present)
+    return Dataset(x=x, y=np.frombuffer(labels), feature_names=names)
 
 
 def clean(raw: RawTable, schema: DataSchema) -> Dataset:
@@ -186,52 +245,17 @@ def clean(raw: RawTable, schema: DataSchema) -> Dataset:
     tolerated, anything unparseable treated as missing), imputes missing
     cells with the column median over the full table, and maps the target
     column to {0, 1} via ``schema.positive_label``. The target column may
-    contain at most two distinct tokens.
+    contain at most two distinct tokens. The header and row widths are
+    checked as :func:`load_csv` checks them.
     """
-    if raw.n_rows < 1:
-        raise DataError("table has no data rows")
-    dropped = set(schema.drop)
-    target_idx = [i for i, h in enumerate(raw.header) if h == schema.target]
-    if not target_idx:
-        raise DataError(f"target column {schema.target!r} not found in header")
-    if len(target_idx) > 1:
-        raise DataError(f"target column {schema.target!r} appears more than once")
-    target_col = target_idx[0]
-    feature_cols = [
-        i for i, h in enumerate(raw.header) if i != target_col and h not in dropped
-    ]
-    if not feature_cols:
-        raise DataError("no feature columns remain after schema drops")
+    return _dataset(raw.header, raw.cells, schema)
 
-    x = _parse_features(raw.cells, feature_cols)
-    names = [raw.header[c] for c in feature_cols]
-    missing = np.isnan(x)
-    for j in np.nonzero(missing.any(axis=0))[0]:
-        col = x[:, j]
-        present = col[~np.isnan(col)]
-        if present.size == 0:
-            raise DataError(f"column {names[j]!r} has no usable values")
-        # Two values near the float64 limit average to inf: a data error below.
-        with np.errstate(over="ignore"):
-            col[np.isnan(col)] = np.median(present)
 
-    y = np.empty(raw.n_rows, dtype=np.float64)
-    negative_token = None
-    for r, row in enumerate(raw.cells, start=1):
-        token = row[target_col].strip()
-        if not token:
-            raise DataError(f"row {r}: empty target cell")
-        if token == schema.positive_label:
-            y[r - 1] = 1.0
-        elif negative_token is None or token == negative_token:
-            negative_token = token
-            y[r - 1] = 0.0
-        else:
-            raise DataError(
-                f"row {r}: target token {token!r} (already saw {negative_token!r}; "
-                f"positive label is {schema.positive_label!r})"
-            )
-    return Dataset(x=x, y=y, feature_names=names)
+def load_dataset(path, schema: DataSchema) -> Dataset:
+    """``clean(load_csv(path, schema), schema)`` with the same result and
+    errors for any file with one defect, read a row at a time: the file's
+    cells are never held as strings, so memory is the feature matrix's."""
+    return _read_csv(path, schema, _dataset)
 
 
 class Standardizer:
@@ -275,7 +299,8 @@ def apply_standardizer(s: Standardizer, ds: Dataset) -> Dataset:
         raise ShapeError(
             f"standardizer was fitted on {s.n_features} features, dataset has {ds.n_features}"
         )
-    z = (ds.x - s.mean) / s.std
+    z = ds.x - s.mean
+    z /= s.std
     return Dataset(x=z, y=ds.y, feature_names=ds.feature_names)
 
 

@@ -11,14 +11,10 @@ is divided by max(n - 2, 1).
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .data import Dataset
 from .exceptions import DataError, NumericalError, ShapeError
-
-LDA_FORMAT = "deeplda.lda/1"
 
 
 class LdaModel:
@@ -107,39 +103,3 @@ def fisher_ratio(w: np.ndarray, ds: Dataset) -> float:
     if within == 0.0:
         return np.inf if between > 0 else 0.0
     return between / within
-
-
-def save_lda(model: LdaModel, path) -> None:
-    """Value-exact JSON snapshot of the fitted discriminant."""
-    doc = {
-        "format": LDA_FORMAT,
-        "n_features": model.n_features,
-        "w": model.w.tolist(),
-        "b": model.b,
-        "class_means": [m.tolist() for m in model.class_means],
-        "priors": list(model.priors),
-    }
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
-
-
-def load_lda(path) -> LdaModel:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"model file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"model file {path} is not valid JSON: {exc}") from None
-    if doc.get("format") != LDA_FORMAT:
-        raise DataError(f"not a discriminant file (format={doc.get('format')!r})")
-    return LdaModel(
-        w=np.asarray(doc["w"], dtype=np.float64),
-        b=doc["b"],
-        class_means=(
-            np.asarray(doc["class_means"][0], dtype=np.float64),
-            np.asarray(doc["class_means"][1], dtype=np.float64),
-        ),
-        priors=(doc["priors"][0], doc["priors"][1]),
-    )

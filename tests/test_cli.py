@@ -141,6 +141,23 @@ class TestTrainCommand:
         assert code == 1
         assert "--out" in err
 
+    @pytest.mark.parametrize("how", ["flag", "top-level config", "phase1 config",
+                                     "phase2 config"])
+    def test_zero_epochs_is_usage_error_before_any_work(self, tmp_path, capsys, how):
+        cfg = {"flag": {}, "top-level config": {"epochs": 0},
+               "phase1 config": {"phase1": {"epochs": 0}},
+               "phase2 config": {"phase2": {"epochs": 0}}}[how]
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        # The data file does not exist: reading it would be a data error (2).
+        code, _, err = _run(capsys, "train", "--data", str(tmp_path / "missing.csv"),
+                            "--schema", str(tmp_path / "missing.json"), "--out", str(out),
+                            "--config", str(tmp_path / "run.json"),
+                            *(["--epochs", "0"] if how == "flag" else []))
+        assert code == 1
+        assert "epochs must be at least 1" in err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def overfit_run(toy_csv, tmp_path_factory):

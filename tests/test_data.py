@@ -1,8 +1,10 @@
 """CSV ingestion, cleaning, standardization, stratified splitting."""
 
+import csv
 import itertools
 import json
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -22,17 +24,38 @@ from deeplda import (
     clean,
     fit_standardizer,
     load_csv,
+    load_dataset,
     load_schema,
     stratified_split,
 )
-from deeplda.data import _parse_cell, _parse_features
+from conftest import write_clinical_csv
+from deeplda.data import _parse_cell
 from deeplda.rng import SplitMix64
 
 
 def _write(tmp_path, text, name="t.csv"):
     path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     return path
+
+
+def _write_rows(path, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return path
+
+
+def _cell_by_cell(cells, cols):
+    """The features clean should give: :func:`_parse_cell` of every cell in
+    ``cols``, then each column's NaNs set to the median of its values."""
+    want = np.array([[_parse_cell(row[c]) for c in cols] for row in cells])
+    with np.errstate(over="ignore"):
+        for col in want.T:
+            col[np.isnan(col)] = np.median(col[~np.isnan(col)])
+    return want
 
 
 SCHEMA = DataSchema(target="label", drop=("id",), positive_label="1")
@@ -126,20 +149,20 @@ class TestClean:
     PARSE_TOKENS = ["", "  ", "\t1.5 ", "1_000", "nan", "-inf", "1e999", "0x10", "-0", "+.5",
                     "abc", " 1.5 ", "\u0661\u0662.\u0665", "2.25"]
 
-    def test_row_parse_matches_cell_parse_bitwise(self):
-        cells = [list(row) for row in itertools.product(self.PARSE_TOKENS, repeat=2)]
-        want = np.array([[_parse_cell(t) for t in row] for row in cells])
-        got = _parse_features(cells, [0, 1])
+    def test_row_parse_matches_cell_parse_bitwise(self, tmp_path):
+        tokens = itertools.product(self.PARSE_TOKENS, repeat=2)
+        cells = [[str(i), a, b, str(i % 2)] for i, (a, b) in enumerate(tokens)]
+        path = _write_rows(tmp_path / "t.csv", [["id", "a", "b", "label"]] + cells)
+        got = load_dataset(path, SCHEMA).x
+        want = _cell_by_cell(cells, [1, 2])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_clean_matches_cell_by_cell_reference_bitwise(self):
         tokens = itertools.product(self.PARSE_TOKENS, repeat=2)
         cells = [[a, str(i), b, str(i % 2)] for i, (a, b) in enumerate(tokens)]
         raw = RawTable(header=["a", "id", "b", "label"], cells=cells)
-        want = np.array([[_parse_cell(row[c]) for c in (0, 2)] for row in cells])
-        for col in want.T:
-            col[np.isnan(col)] = np.median(col[~np.isnan(col)])
         got = clean(raw, SCHEMA).x
+        want = _cell_by_cell(cells, [0, 2])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @given(st.lists(st.lists(st.one_of(st.sampled_from(PARSE_TOKENS), st.text(max_size=6),
@@ -147,8 +170,15 @@ class TestClean:
                     min_size=1, max_size=12))
     @settings(max_examples=150, deadline=None)
     def test_row_parse_matches_cell_parse_on_any_text(self, cells):
-        want = np.array([[_parse_cell(t) for t in row] for row in cells])
-        got = _parse_features(cells, [0, 1, 2])
+        # A last row of zeros gives every column a usable value.
+        cells = [row + [str(i % 2)] for i, row in enumerate(cells + [["0", "0", "0"]])]
+        raw = RawTable(header=["a", "b", "c", "label"], cells=cells)
+        want = _cell_by_cell(cells, [0, 1, 2])
+        if not np.all(np.isfinite(want)):  # a median overflowed
+            with pytest.raises(DataError, match="non-finite"):
+                clean(raw, DataSchema(target="label"))
+            return
+        got = clean(raw, DataSchema(target="label")).x
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_overflowing_median_is_data_error(self):
@@ -205,6 +235,80 @@ class TestClean:
         assert np.array_equal(once.y, twice.y)
 
 
+# One defect per file, and a part of the message both readers give for it.
+SINGLE_DEFECTS = {
+    "row width": ("id,a,label\n1,0.5,1\n2,0.6\n", "row 2: expected 3 cells per the header, got 2"),
+    "missing target": ("id,a,b\n1,0.5,0.2\n", "target column 'label' not found in header"),
+    "missing drop": ("a,label\n0.5,1\n", "drop column 'id' not found in header"),
+    "duplicate target": ("id,a,label,label\n1,0.5,1,1\n", "target column 'label' appears more"),
+    "empty target": ("id,a,label\n1,0.5,1\n2,0.6, \n", "row 2: empty target cell"),
+    "third target token": ("id,a,label\n1,0.5,1\n2,0.6,0\n3,0.7,maybe\n",
+                           "row 3: target token 'maybe' (already saw '0'"),
+    "no usable values": ("id,a,b,label\n1,,2,1\n2,x,3,0\n", "column 'a' has no usable values"),
+    "no feature columns": ("id,label\n1,1\n", "no feature columns remain"),
+    "no data rows": ("id,a,label\n", "table has no data rows"),
+    "empty file": ("", "t.csv is empty"),
+    "non-UTF-8": (b"id,a,label\n1,\xff,1\n", "t.csv is not a readable UTF-8 CSV: 'utf-8' codec"),
+    "over-long field": ("id,a,label\n1," + "9" * 200_000 + ",1\n",
+                        "t.csv is not a readable UTF-8 CSV: field larger than field limit"),
+}
+
+
+class TestLoadDataset:
+    @given(st.lists(st.tuples(st.sampled_from(TestClean.PARSE_TOKENS),
+                              st.sampled_from(TestClean.PARSE_TOKENS),
+                              st.sampled_from(["0", "1"])), min_size=1, max_size=16))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_clean_of_load_csv(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write_rows(os.path.join(tmp, "t.csv"), [["id", "a", "b", "label"]]
+                               + [[str(i), *row] for i, row in enumerate(rows)])
+            outcomes = []
+            for read in (lambda: load_dataset(path, SCHEMA),
+                         lambda: clean(load_csv(path, SCHEMA), SCHEMA)):
+                try:
+                    ds = read()
+                except DataError as exc:
+                    outcomes.append(str(exc))
+                else:
+                    outcomes.append((ds.x.view(np.uint64).tolist(), ds.y.tolist(),
+                                     ds.feature_names))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("text, message", SINGLE_DEFECTS.values(), ids=SINGLE_DEFECTS)
+    def test_single_defect_gives_the_same_error_as_clean(self, tmp_path, text, message):
+        path = _write(tmp_path, text)
+        with pytest.raises(DataError, match=re.escape(message)) as streamed:
+            load_dataset(path, SCHEMA)
+        with pytest.raises(DataError) as whole:
+            clean(load_csv(path, SCHEMA), SCHEMA)
+        assert str(streamed.value) == str(whole.value)
+
+    def test_header_defect_is_reported_before_row_widths(self, tmp_path):
+        path = _write(tmp_path, "id,a,b\n1,0.5\n")
+        for read in (load_dataset, load_csv):
+            with pytest.raises(DataError, match="target column 'label' not found"):
+                read(path, SCHEMA)
+
+    def test_memory_grows_by_the_feature_matrix_only(self, tmp_path):
+        import tracemalloc
+
+        peaks = []
+        for rows in (2000, 8000):
+            csv_path, schema_path = write_clinical_csv(
+                tmp_path / f"{rows}.csv", tmp_path / "schema.json", n_rows=rows,
+                n_positive=rows // 3)
+            schema = load_schema(schema_path)
+            tracemalloc.start()
+            ds = load_dataset(csv_path, schema)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert ds.n_rows == rows
+        # 41 features and a label are 336 bytes a row; the strings of a
+        # whole-file read take about 2.4 KB a row.
+        assert peaks[1] - peaks[0] < 6000 * 600
+
+
 class TestDataset:
     def test_rejects_non_binary_labels(self):
         with pytest.raises(DataError):
@@ -258,6 +362,14 @@ class TestStandardizer:
             hasattr(Standardizer, name)
             for name in ("fit", "partial_fit", "update", "refit")
         )
+
+    def test_apply_keeps_the_bits_of_the_whole_expression(self):
+        g = np.random.default_rng(8)
+        ds = Dataset(x=g.normal(3.0, 50.0, size=(300, 7)), y=np.zeros(300))
+        s = Standardizer(g.normal(size=7), g.uniform(0.1, 10.0, size=7))
+        want = (ds.x - s.mean) / s.std
+        got = apply_standardizer(s, ds).x
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_rejects_nonpositive_std(self):
         with pytest.raises(DataError):
@@ -404,7 +516,9 @@ def test_loaders_raise_only_package_errors_on_arbitrary_bytes(schema_bytes, csv_
             schema = load_schema(schema_path)
         except (DeepLdaError, OSError):
             schema = SCHEMA  # keep exercising the CSV path
-        try:
-            clean(load_csv(csv_path, schema), schema)
-        except (DeepLdaError, OSError):
-            pass
+        for read in (lambda: clean(load_csv(csv_path, schema), schema),
+                     lambda: load_dataset(csv_path, schema)):
+            try:
+                read()
+            except (DeepLdaError, OSError):
+                pass

@@ -17,9 +17,13 @@ def test_all_five_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_cleanly(demo, tmp_path):
-    # The demos write into tempfile directories; TMPDIR keeps them under tmp_path.
+    # The demos write into tempfile directories, under an empty TMPDIR of
+    # their own, and must remove them before they exit.
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
-                          env=child_env(TMPDIR=str(tmp_path)), capture_output=True, text=True,
+                          env=child_env(TMPDIR=str(tmpdir)), capture_output=True, text=True,
                           timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert list(tmpdir.iterdir()) == []

@@ -12,9 +12,7 @@ from deeplda import (
     ShapeError,
     fisher_ratio,
     fit_fisher,
-    load_lda,
     predict_lda,
-    save_lda,
 )
 
 # Hand-solved 2-D system: class 0 at {(0,0),(1,0),(0,1)}, class 1 at
@@ -117,25 +115,6 @@ class TestFisherOptimality:
 
 
 class TestLdaSerialization:
-    def test_round_trip_value_exact(self, tmp_path):
-        model = fit_fisher(make_gaussians(50, 5, 1.0, seed=15))
-        path = tmp_path / "disc.json"
-        save_lda(model, path)
-        back = load_lda(path)
-        assert np.array_equal(back.w, model.w)
-        assert back.b == model.b
-        assert back.priors == model.priors
-        for a, b in zip(back.class_means, model.class_means):
-            assert np.array_equal(a, b)
-
-    def test_missing_and_malformed_files(self, tmp_path):
-        with pytest.raises(DataError):
-            load_lda(tmp_path / "none.json")
-        p = tmp_path / "bad.json"
-        p.write_text('{"format": "other/1"}')
-        with pytest.raises(DataError):
-            load_lda(p)
-
     def test_non_finite_model_rejected(self):
         with pytest.raises(NumericalError):
             LdaModel(w=np.array([np.inf, 1.0]), b=0.0,

@@ -623,6 +623,22 @@ class TestSerialization:
         save_network(net, path)
         assert param_count(load_network(path).spec) == 2_143_233
 
+    def test_load_holds_the_parameters_once(self, tmp_path):
+        import tracemalloc
+
+        net = init_network(WIDE_SPEC, SplitMix64(0))
+        save_network(net, tmp_path / "wide.npz")
+        array_bytes = sum(a.nbytes for a in net.weights + net.biases)
+        del net
+        tracemalloc.start()
+        back = load_network(tmp_path / "wide.npz")
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # The Adam moments are calloc'd zeros that loading never touches, so
+        # they take no resident memory; everything else is the file's arrays.
+        adam_bytes = sum(s.m.nbytes + s.v.nbytes for s in back.adam_w + back.adam_b)
+        assert peak - adam_bytes < 1.25 * array_bytes
+
     def test_file_layout(self, tmp_path):
         net = init_network(HEAD_SPEC, SplitMix64(12))
         path = tmp_path / "net.npz"
