@@ -30,7 +30,7 @@ def objective(net, x, y, masks):
     out, _ = forward(net, x, mode="train" if masks else "infer",
                      dropout_masks=masks)
     loss, _ = bce_loss(out, y)
-    return loss + l2_penalty(net)[0]
+    return loss + l2_penalty(net)
 
 
 def worst_error(spec, seed, with_masks):

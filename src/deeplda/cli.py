@@ -60,6 +60,9 @@ def _load_run_config(path: str | None) -> dict:
     unknown = set(doc) - _TOP_KEYS
     if unknown:
         raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key in ("data", "schema", "out"):
+        if not isinstance(doc.get(key, ""), str):
+            raise click.UsageError(f"config key {key!r} must be a string, got {doc[key]!r}")
     for phase in ("phase1", "phase2"):
         section = doc.get(phase, {})
         if not isinstance(section, dict):
@@ -84,7 +87,7 @@ def _resolve_phase(cfg: dict, section: str, flags: dict) -> TrainConfig:
             l2_lambda=float(merged.get("l2", defaults.l2_lambda)),
             threshold=float(merged.get("threshold", defaults.threshold)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise click.UsageError(str(exc)) from None
 
 
@@ -92,11 +95,13 @@ def _resolve_common(cfg: dict, data, schema, seed, val_fraction, out):
     data = data if data is not None else cfg.get("data")
     schema = schema if schema is not None else cfg.get("schema")
     out = out if out is not None else cfg.get("out")
-    seed = seed if seed is not None else int(cfg.get("seed", DEFAULT_SEED))
-    val_fraction = (
-        val_fraction if val_fraction is not None
-        else float(cfg.get("val_fraction", DEFAULT_VAL_FRACTION))
-    )
+    try:
+        if seed is None:
+            seed = int(cfg.get("seed", DEFAULT_SEED))
+        if val_fraction is None:
+            val_fraction = float(cfg.get("val_fraction", DEFAULT_VAL_FRACTION))
+    except (TypeError, ValueError) as exc:
+        raise click.UsageError(f"ill-typed config value: {exc}") from None
     if not 0.0 < val_fraction < 1.0:
         raise click.UsageError(f"val-fraction must lie in (0, 1), got {val_fraction}")
     return data, schema, seed, val_fraction, out

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,11 @@ ACTIVATIONS = ("sigmoid", "relu", "none")
 
 # Probability clamp for the cross-entropy; matches the Adam epsilon scale.
 BCE_EPS = 1e-7
+
+# Adam hyperparameters, shared by every parameter (Kingma & Ba, Algorithm 1).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-7
 
 # Rows per block of :func:`predict`. Per-row speed matches 1,024-row blocks
 # (predict on 10,000 phase-1 rows: median 1,293 ms at 256, 1,320 ms at
@@ -214,22 +219,6 @@ def param_count(spec: NetworkSpec) -> int:
     return sum(layer_param_counts(spec))
 
 
-@dataclass
-class AdamState:
-    """Per-parameter Adam moments; m and v are zero until the first step."""
-
-    m: np.ndarray
-    v: np.ndarray
-    t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-7
-
-    @staticmethod
-    def zeros(shape: tuple[int, ...]) -> "AdamState":
-        return AdamState(m=np.zeros(shape), v=np.zeros(shape))
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of one training run.
@@ -258,21 +247,14 @@ class TrainConfig:
             raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
 
     def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "l2_lambda": self.l2_lambda,
-            "threshold": self.threshold,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
-        """Inverse of :meth:`to_dict`; drops the unused ``seed`` key that
-        format-1 model manifests carry."""
+        """Inverse of :meth:`to_dict`; an unknown key raises TypeError."""
         if not isinstance(d, dict):
             raise DataError(f"a train config must be an object, got {d!r}")
-        return TrainConfig(**{k: v for k, v in d.items() if k != "seed"})
+        return TrainConfig(**d)
 
 
 class Network:
@@ -281,7 +263,9 @@ class Network:
     The network holds C-contiguous copies of the arrays it is given, and
     :func:`adam_step` updates them in place. ``version`` counts optimizer
     steps; forward caches remember the version they were computed against
-    so a stale cache cannot silently feed a backward pass.
+    so a stale cache cannot silently feed a backward pass. ``moments`` holds
+    one Adam ``(m, v)`` pair per array of ``weights + biases``; it is None
+    until the first :func:`adam_step`, so a network only scored holds none.
     """
 
     def __init__(self, spec: NetworkSpec, weights: list[np.ndarray], biases: list[np.ndarray]):
@@ -315,8 +299,7 @@ class Network:
                 raise ShapeError(f"dense layer {k}: expected bias (1, {units}), got {b.shape}")
             self.weights.append(w)
             self.biases.append(b)
-        self.adam_w = [AdamState.zeros(w.shape) for w in self.weights]
-        self.adam_b = [AdamState.zeros(b.shape) for b in self.biases]
+        self.moments: list[tuple[np.ndarray, np.ndarray]] | None = None
         self.version = 0
 
     def dense_layers(self) -> list[LayerSpec]:
@@ -324,7 +307,7 @@ class Network:
 
 
 def init_network(spec: NetworkSpec, rng: SplitMix64) -> Network:
-    """Fresh network: Glorot-uniform weights, zero biases, zero Adam state.
+    """Fresh network: Glorot-uniform weights, zero biases, no Adam moments.
 
     Each dense layer's weights are drawn in stack order as one row-major
     block from ``[-sqrt(6/(fan_in+units)), +sqrt(6/(fan_in+units))]``.
@@ -471,31 +454,14 @@ def _sum_squares(w: np.ndarray, scratch: np.ndarray | None = None) -> float:
     return _sum_squares(flat[:n2], scratch) + _sum_squares(flat[n2:], scratch)
 
 
-def _l2_value(net: Network) -> float:
-    """Total L2 kernel penalty under each layer's own coefficient."""
+def l2_penalty(net: Network) -> float:
+    """Total L2 penalty: each dense layer's coefficient times its sum of
+    squared weights; biases are excluded. :func:`backward` adds its gradient."""
     total = 0.0
     for layer, w in zip(net.dense_layers(), net.weights):
         if layer.l2_lambda > 0.0:
             total += layer.l2_lambda * _sum_squares(w)
     return total
-
-
-def l2_penalty(net: Network, lam: float | None = None) -> tuple[float, list[np.ndarray]]:
-    """L2 penalty over dense-layer weights (biases excluded) and its gradient.
-
-    With ``lam=None`` each layer's spec coefficient applies (this is what
-    training uses); passing a float applies that single coefficient to
-    every dense layer's weights.
-    """
-    if lam is not None and lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
-    penalty = 0.0
-    grads = []
-    for layer, w in zip(net.dense_layers(), net.weights):
-        coeff = layer.l2_lambda if lam is None else lam
-        penalty += coeff * _sum_squares(w)
-        grads.append(2.0 * coeff * w)
-    return penalty, grads
 
 
 @dataclass
@@ -563,27 +529,29 @@ def backward(net: Network, cache: ForwardCache, loss_grad: np.ndarray) -> Gradie
 def adam_step(net: Network, grads: Gradients, learning_rate: float) -> Network:
     """One Adam update over every parameter, in place.
 
-    t += 1; m, v track the first and second gradient moments; the update
+    The step number is ``t = net.version + 1``. m and v, made as zeros by
+    the first step, track the first and second gradient moments; the update
     is ``lr * mhat / (sqrt(vhat) + eps)`` with bias-corrected moments.
-    Arrays are updated in place in blocks of :data:`BLOCK` values, in
-    the textbook operation order, so the bits equal the whole-array form.
+    Arrays are updated in place in blocks of :data:`BLOCK` values, in the
+    textbook operation order, so the bits equal the whole-array form.
     """
     if learning_rate <= 0:
         raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
     if len(grads.weights) != len(net.weights) or len(grads.biases) != len(net.biases):
         raise ShapeError("gradient list lengths do not match the network")
-    groups = list(zip(net.weights + net.biases, grads.weights + grads.biases,
-                      net.adam_w + net.adam_b))
-    for i, (p, g, _) in enumerate(groups):
+    params, gs = net.weights + net.biases, grads.weights + grads.biases
+    for i, (p, g) in enumerate(zip(params, gs)):
         if g.shape != p.shape:
             raise ShapeError(f"gradient {i} has shape {g.shape}, parameter has {p.shape}")
+    if net.moments is None:
+        net.moments = [(np.zeros(p.shape), np.zeros(p.shape)) for p in params]
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    t = net.version + 1
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     scratch = np.empty((2, BLOCK))
-    for p, g, st in groups:
-        st.t += 1
-        b1, b2 = st.beta1, st.beta2
-        c1, c2 = 1.0 - b1**st.t, 1.0 - b2**st.t
+    for p, g, (m, v) in zip(params, gs, net.moments):
         # Views, not copies: parameters and moments are C-contiguous.
-        flat = (p.reshape(-1), np.ravel(g), st.m.reshape(-1), st.v.reshape(-1))
+        flat = (p.reshape(-1), np.ravel(g), m.reshape(-1), v.reshape(-1))
         for start in range(0, p.size, BLOCK):
             pb, gb, mb, vb = (a[start : start + BLOCK] for a in flat)
             s1, s2 = scratch[:, : pb.size]
@@ -597,7 +565,7 @@ def adam_step(net: Network, grads: Gradients, learning_rate: float) -> Network:
             s1 *= learning_rate
             np.divide(vb, c2, out=s2)
             np.sqrt(s2, out=s2)
-            s2 += st.epsilon
+            s2 += ADAM_EPSILON
             s1 /= s2
             pb -= s1
     net.version += 1
@@ -682,7 +650,7 @@ def fit(
             yb = ys[start : start + config.batch_size]
             out, cache = forward(net, xb, mode="train", rng=rng)
             bce, grad = bce_loss(out, yb)
-            loss = bce + _l2_value(net)
+            loss = bce + l2_penalty(net)
             if not math.isfinite(loss):
                 raise NumericalError(f"training loss is {loss} at epoch {epoch}, batch {batch}")
             loss_sum += loss * xb.shape[0]
@@ -692,7 +660,7 @@ def fit(
         val_out, val_labels = predict(net, val.x, config.threshold)
         val_bce, _ = bce_loss(val_out, y_val)
         val_acc = float(np.mean((val_labels == 1) == val_truth))
-        val_loss = val_bce + _l2_value(net)
+        val_loss = val_bce + l2_penalty(net)
         if not math.isfinite(val_loss):
             raise NumericalError(f"validation loss is {val_loss} after epoch {epoch}")
         history.append(
@@ -710,8 +678,6 @@ def fit(
 # --- serialization ---------------------------------------------------------
 
 NETWORK_FORMAT = "deeplda.network/2"
-# Nested-list JSON of the first format: still read, no longer written.
-NETWORK_FORMAT_V1 = "deeplda.network/1"
 _ZIP_MAGIC = b"PK\x03\x04"
 
 
@@ -733,55 +699,42 @@ def save_network(net: Network, path, metadata: dict | None = None) -> None:
         np.savez(fh, **arrays)
 
 
-def _header_spec(doc, fmt: str) -> NetworkSpec:
-    if not isinstance(doc, dict) or doc.get("format") != fmt:
-        found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
-        raise DataError(f"not a serialized network (format={found!r}, expected {fmt!r})")
-    return NetworkSpec.from_dict(doc["spec"])
-
-
-def _network_from_arrays(spec: NetworkSpec, arrays: dict) -> Network:
-    n = len(spec.dense_shapes())
-    expected = sorted(f"{p}{k}" for k in range(n) for p in "wb")
-    if sorted(arrays) != expected:
-        raise DataError(f"parameter arrays {sorted(arrays)} do not match the spec's {expected}")
-    if any(a.dtype != np.float64 for a in arrays.values()):
-        raise DataError("parameter arrays must be float64")
-    return Network._adopting(spec, [arrays[f"w{k}"] for k in range(n)],
-                             [arrays[f"b{k}"] for k in range(n)])
-
-
 def load_network(path) -> Network:
-    """Load a network file written by :func:`save_network` (Adam state fresh).
-
-    ``deeplda.network/1`` JSON files are read as well. A file that is not
-    a well-formed network of either format raises :class:`DataError`.
+    """Load a network file written by :func:`save_network`; the network
+    holds no Adam moments. A file that is not a well-formed
+    ``deeplda.network/2`` archive raises :class:`DataError`.
     """
     try:
         with open(path, "rb") as fh:
-            is_npz = fh.read(len(_ZIP_MAGIC)) == _ZIP_MAGIC
+            # np.load would also return a bare .npy array; networks are zip archives.
+            if fh.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
+                raise DataError(f"not a {NETWORK_FORMAT} archive (no zip signature)")
             fh.seek(0)
-            if is_npz:
-                with np.load(fh, allow_pickle=False) as npz:
-                    # Only plain stored entries, so no decompressor or decryptor runs.
-                    if any(i.compress_type != zipfile.ZIP_STORED or i.flag_bits & 0x1
-                           for i in npz.zip.infolist()):
-                        raise DataError("archive entries must be stored plain, "
-                                        "without compression or encryption")
-                    header = npz["header"]
-                    if header.shape != () or header.dtype.kind != "U":
-                        raise DataError("header is not a 0-d unicode array")
-                    spec = _header_spec(json.loads(header[()]), NETWORK_FORMAT)
-                    arrays = {name: npz[name] for name in npz.files if name != "header"}
-                return _network_from_arrays(spec, arrays)
-            doc = json.loads(fh.read())
-            spec = _header_spec(doc, NETWORK_FORMAT_V1)
-            arrays = {
-                f"{p}{k}": np.asarray(a, dtype=np.float64)
-                for p, key in (("w", "weights"), ("b", "biases"))
-                for k, a in enumerate(doc[key])
-            }
-            return _network_from_arrays(spec, arrays)
+            with np.load(fh, allow_pickle=False) as npz:
+                # Only plain stored entries, so no decompressor or decryptor runs.
+                if any(i.compress_type != zipfile.ZIP_STORED or i.flag_bits & 0x1
+                       for i in npz.zip.infolist()):
+                    raise DataError("archive entries must be stored plain, "
+                                    "without compression or encryption")
+                header = npz["header"]
+                if header.shape != () or header.dtype.kind != "U":
+                    raise DataError("header is not a 0-d unicode array")
+                doc = json.loads(header[()])
+                if not isinstance(doc, dict) or doc.get("format") != NETWORK_FORMAT:
+                    found = doc.get("format") if isinstance(doc, dict) else type(doc).__name__
+                    raise DataError(f"not a serialized network "
+                                    f"(format={found!r}, expected {NETWORK_FORMAT!r})")
+                spec = NetworkSpec.from_dict(doc["spec"])
+                arrays = {name: npz[name] for name in npz.files if name != "header"}
+        n = len(spec.dense_shapes())
+        expected = sorted(f"{p}{k}" for k in range(n) for p in "wb")
+        if sorted(arrays) != expected:
+            raise DataError(f"parameter arrays {sorted(arrays)} do not match "
+                            f"the spec's {expected}")
+        if any(a.dtype != np.float64 for a in arrays.values()):
+            raise DataError("parameter arrays must be float64")
+        return Network._adopting(spec, [arrays[f"w{k}"] for k in range(n)],
+                                 [arrays[f"b{k}"] for k in range(n)])
     except FileNotFoundError:
         raise DataError(f"model file not found: {path}") from None
     except (OSError, EOFError, NotImplementedError, zipfile.BadZipFile,

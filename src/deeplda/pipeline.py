@@ -159,12 +159,7 @@ def predict_two_phase(
     return predict(model.phase2, transform_phase1(model, x), threshold)
 
 
-# Network file names under each manifest format. Format 1 stored the
-# networks as ``deeplda.network/1`` JSON and is read only.
-PHASE_FILES = {
-    "deeplda.two-phase/1": ("phase1.json", "phase2.json"),
-    TWO_PHASE_FORMAT: ("phase1.npz", "phase2.npz"),
-}
+PHASE_FILES = ("phase1.npz", "phase2.npz")
 MANIFEST_FILE = "manifest.json"
 
 
@@ -197,9 +192,8 @@ def save_two_phase(model: TwoPhaseModel, directory) -> None:
     stale = f"{tmp}.old"
     os.mkdir(tmp)
     try:
-        phase1_file, phase2_file = PHASE_FILES[TWO_PHASE_FORMAT]
-        save_network(model.phase1, os.path.join(tmp, phase1_file), {"phase": 1})
-        save_network(model.phase2, os.path.join(tmp, phase2_file), {"phase": 2})
+        save_network(model.phase1, os.path.join(tmp, PHASE_FILES[0]), {"phase": 1})
+        save_network(model.phase2, os.path.join(tmp, PHASE_FILES[1]), {"phase": 2})
         with open(os.path.join(tmp, MANIFEST_FILE), "w", encoding="utf-8", newline="") as fh:
             json.dump(manifest, fh, sort_keys=True, indent=2, allow_nan=False)
             fh.write("\n")
@@ -215,10 +209,10 @@ def save_two_phase(model: TwoPhaseModel, directory) -> None:
 
 
 def load_two_phase(directory) -> TwoPhaseModel:
-    """Load a directory written by :func:`save_two_phase`, in either format.
+    """Load a directory written by :func:`save_two_phase`.
 
-    A missing or malformed manifest or network file raises
-    :class:`DataError`.
+    A missing or malformed manifest or network file, or a manifest of
+    another format, raises :class:`DataError`.
     """
     path = os.path.join(directory, MANIFEST_FILE)
     try:
@@ -228,9 +222,10 @@ def load_two_phase(directory) -> TwoPhaseModel:
         raise DataError(f"model manifest not found: {path}") from None
     except ValueError as exc:
         raise DataError(f"model manifest {path} is not valid JSON: {exc}") from None
-    files = PHASE_FILES.get(str(manifest.get("format"))) if isinstance(manifest, dict) else None
-    if files is None:
-        raise DataError(f"{path} is not a two-phase model manifest")
+    found = manifest.get("format") if isinstance(manifest, dict) else type(manifest).__name__
+    if found != TWO_PHASE_FORMAT:
+        raise DataError(f"{path} is not a two-phase model manifest "
+                        f"(format={found!r}, expected {TWO_PHASE_FORMAT!r})")
     try:
         config1 = TrainConfig.from_dict(manifest["config1"])
         config2 = TrainConfig.from_dict(manifest["config2"])
@@ -242,15 +237,15 @@ def load_two_phase(directory) -> TwoPhaseModel:
         ):
             raise TypeError(f"feature_names must be a list of strings or null, got {names!r}")
         seed = manifest["seed"]
-        if seed is not None and not isinstance(seed, int):
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
             raise TypeError(f"seed must be an integer or null, got {seed!r}")
     except KeyError as exc:
         raise DataError(f"model manifest {path} lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise DataError(f"model manifest {path} is malformed: {exc}") from None
     return TwoPhaseModel(
-        phase1=load_network(os.path.join(directory, files[0])),
-        phase2=load_network(os.path.join(directory, files[1])),
+        phase1=load_network(os.path.join(directory, PHASE_FILES[0])),
+        phase2=load_network(os.path.join(directory, PHASE_FILES[1])),
         config1=config1,
         config2=config2,
         standardizer=standardizer,

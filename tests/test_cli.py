@@ -158,6 +158,25 @@ class TestTrainCommand:
         assert "epochs must be at least 1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cfg", [
+        {"lr": None}, {"val_fraction": {}}, {"seed": [1]}, {"phase2": {"epochs": [3]}},
+        {"data": 5}, {"schema": ["s.json"]}, {"out": 5},
+    ], ids=repr)
+    def test_ill_typed_config_value_is_usage_error_before_any_work(self, tmp_path, capsys,
+                                                                   cfg):
+        (tmp_path / "run.json").write_text(json.dumps(cfg))
+        args = {"--data": str(tmp_path / "missing.csv"), "--schema": str(tmp_path / "s.json"),
+                "--out": str(tmp_path / "run")}
+        for key in ("data", "schema", "out"):  # the config value is used only without a flag
+            if key in cfg:
+                del args[f"--{key}"]
+        # The data file does not exist: reading it would be a data error (2).
+        code, _, err = _run(capsys, "train", "--config", str(tmp_path / "run.json"),
+                            *[x for item in args.items() for x in item])
+        assert code == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
 
 @pytest.fixture(scope="module")
 def overfit_run(toy_csv, tmp_path_factory):
@@ -236,6 +255,7 @@ class TestEvaluateCommand:
         "phase2_missing_b0",
         "phase1_header_not_json",
         "phase1_header_wrong_format",
+        "format_1_directory",
     ])
     def test_malformed_model_is_data_error(self, toy_csv, overfit_run, tmp_path,
                                            capsys, damage):
@@ -271,6 +291,14 @@ class TestEvaluateCommand:
             rewrite("phase1.npz", header=np.array("{not json"))
         elif damage == "phase1_header_wrong_format":
             rewrite("phase1.npz", header=np.array('{"format": "deeplda.network/1"}'))
+        elif damage == "format_1_directory":
+            # Format 1 kept a seed in each config and JSON networks.
+            manifest["format"] = "deeplda.two-phase/1"
+            for key in ("config1", "config2"):
+                manifest[key]["seed"] = 0
+            for name in ("phase1", "phase2"):
+                (model / f"{name}.npz").unlink()
+                (model / f"{name}.json").write_text('{"format": "deeplda.network/1"}')
         (model / "manifest.json").write_text(json.dumps(manifest))
 
         csv_path, schema_path = toy_csv
@@ -279,6 +307,8 @@ class TestEvaluateCommand:
         assert code == 2
         assert "data error" in err
         assert "Traceback" not in err
+        if damage == "format_1_directory":
+            assert "'deeplda.two-phase/1'" in err and "'deeplda.two-phase/2'" in err
 
     def test_missing_model_dir(self, toy_csv, tmp_path, capsys):
         csv_path, schema_path = toy_csv

@@ -15,8 +15,8 @@ from deeplda import (
     fit,
     forward,
     init_network,
+    l2_penalty,
 )
-from deeplda.network import _l2_value
 from deeplda.rng import SplitMix64
 
 SPEC = NetworkSpec(4, (dense(8, "sigmoid", 0.01), dense(1, "sigmoid")))
@@ -94,12 +94,12 @@ def test_first_epoch_metrics_match_manual_single_batch_replay():
     yb = train.y[order].reshape(-1, 1)
     out, cache = forward(mirror, xb, mode="train")
     pre_loss, lgrad = bce_loss(out, yb)
-    pre_loss += _l2_value(mirror)
+    pre_loss += l2_penalty(mirror)
     pre_acc = float(np.mean((out[:, 0] >= 0.5) == (yb[:, 0] >= 0.5)))
     adam_step(mirror, backward(mirror, cache, lgrad), cfg.learning_rate)
     val_out, _ = forward(mirror, val.x, mode="infer")
     val_bce, _ = bce_loss(val_out, val.y.reshape(-1, 1))
-    val_loss = val_bce + _l2_value(mirror)
+    val_loss = val_bce + l2_penalty(mirror)
     val_acc = float(np.mean((val_out[:, 0] >= 0.5) == (val.y >= 0.5)))
 
     rec = history[0]

@@ -18,8 +18,8 @@ from deeplda import (
     dropout,
     forward,
     init_network,
+    l2_penalty,
 )
-from deeplda.network import _l2_value
 from deeplda.rng import SplitMix64
 
 H = 1e-6
@@ -42,7 +42,7 @@ def _objective(net, x, y, masks):
     else:
         out, _ = forward(net, x, mode="infer")
     loss, _ = bce_loss(out, y)
-    return loss + _l2_value(net)
+    return loss + l2_penalty(net)
 
 
 def _batch(spec, seed, n=8):

@@ -1,5 +1,6 @@
 """Layer specs, initialization, forward pass, losses, Adam, serialization."""
 
+import io
 import json
 import os
 import subprocess
@@ -36,11 +37,13 @@ from deeplda import (
     predict,
     save_network,
 )
-from conftest import child_env, write_v1_network
+from conftest import child_env
 from deeplda.network import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     BLOCK,
     ROWS,
-    AdamState,
     _activation_gradient,
     _add_scaled,
     _sigmoid,
@@ -110,11 +113,12 @@ class TestTrainConfig:
         cfg = TrainConfig(learning_rate=1e-3, epochs=7)
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
-    def test_legacy_seed_key_is_dropped(self):
+    def test_legacy_seed_key_is_refused(self):
         # format-1 manifests stored an unused ``seed`` in every config
         cfg = TrainConfig(learning_rate=1e-3, epochs=7)
         assert "seed" not in cfg.to_dict()
-        assert TrainConfig.from_dict({**cfg.to_dict(), "seed": 7}) == cfg
+        with pytest.raises(TypeError, match="seed"):
+            TrainConfig.from_dict({**cfg.to_dict(), "seed": 7})
 
 
 class TestInit:
@@ -137,8 +141,7 @@ class TestInit:
 
     def test_adam_state_fresh(self):
         net = init_network(HEAD_SPEC, SplitMix64(0))
-        assert all(s.t == 0 and np.all(s.m == 0) and np.all(s.v == 0)
-                   for s in net.adam_w + net.adam_b)
+        assert net.moments is None and net.version == 0
 
     def test_requires_binary_output(self):
         with pytest.raises(ValueError):
@@ -257,34 +260,22 @@ class TestL2Penalty:
         return Network(spec, [np.array([[w]])], [np.zeros((1, 1))])
 
     def test_zero_lambda(self):
-        net = self._single_weight_net(3.0)
-        penalty, grads = l2_penalty(net, 0.0)
-        assert penalty == 0.0
-        assert np.all(grads[0] == 0.0)
+        assert l2_penalty(self._single_weight_net(3.0)) == 0.0
 
     def test_hand_value(self):
-        net = self._single_weight_net(3.0)
-        penalty, grads = l2_penalty(net, 0.01)
-        assert abs(penalty - 0.09) < 1e-12
-        assert abs(grads[0][0, 0] - 0.06) < 1e-12
+        assert abs(l2_penalty(self._single_weight_net(3.0, 0.01)) - 0.09) < 1e-12
 
     def test_bias_never_contributes(self):
         spec = NetworkSpec(1, (dense(1, "sigmoid", 0.5),))
         a = Network(spec, [np.array([[2.0]])], [np.zeros((1, 1))])
         b = Network(spec, [np.array([[2.0]])], [np.array([[9.0]])])
-        assert l2_penalty(a)[0] == l2_penalty(b)[0]
+        assert l2_penalty(a) == l2_penalty(b)
 
     def test_default_uses_per_layer_coefficients(self):
         spec = NetworkSpec(1, (dense(1, "none", 0.5), dense(1, "sigmoid", 0.0)))
         net = Network(spec, [np.array([[2.0]]), np.array([[3.0]])],
                       [np.zeros((1, 1)), np.zeros((1, 1))])
-        penalty, grads = l2_penalty(net)
-        assert penalty == 0.5 * 4.0
-        assert grads[1][0, 0] == 0.0
-
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            l2_penalty(self._single_weight_net(1.0), -0.5)
+        assert l2_penalty(net) == 0.5 * 4.0
 
 
 class TestAdam:
@@ -386,14 +377,14 @@ def _two_branch_sigmoid(z):
     return out
 
 
-def _textbook_adam(p, g, st, lr):
-    """Whole-array Adam with temporaries, in the library's operation order."""
-    st.t += 1
-    st.m = st.beta1 * st.m + (1.0 - st.beta1) * g
-    st.v = st.beta2 * st.v + (1.0 - st.beta2) * (g * g)
-    mhat = st.m / (1.0 - st.beta1**st.t)
-    vhat = st.v / (1.0 - st.beta2**st.t)
-    return p - lr * mhat / (np.sqrt(vhat) + st.epsilon)
+def _textbook_adam(p, g, m, v, t, lr):
+    """Whole-array Adam step ``t`` with temporaries, in the library's
+    operation order: the new parameters and moments."""
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+    mhat = m / (1.0 - ADAM_BETA1**t)
+    vhat = v / (1.0 - ADAM_BETA2**t)
+    return p - lr * mhat / (np.sqrt(vhat) + ADAM_EPSILON), m, v
 
 
 class TestFastPathBits:
@@ -488,19 +479,20 @@ class TestFastPathBits:
         net = Network(spec, [g.normal(size=shape), g.normal(size=(211, 1))],
                       [g.normal(size=(1, 211)), g.normal(size=(1, 1))])
         params = [w.copy() for w in net.weights] + [b.copy() for b in net.biases]
-        states = [AdamState.zeros(p.shape) for p in params]
-        for _ in range(5):
+        moments = [(np.zeros(p.shape), np.zeros(p.shape)) for p in params]
+        for t in range(1, 6):
             grads = Gradients(weights=[g.normal(size=shape), g.normal(size=(211, 1))],
                               biases=[g.normal(size=(1, 211)), g.normal(size=(1, 1))])
             adam_step(net, grads, 0.003)
             for i, grad in enumerate(grads.weights + grads.biases):
-                params[i] = _textbook_adam(params[i], grad, states[i], 0.003)
-        for got, st, want, ref in zip(net.weights + net.biases, net.adam_w + net.adam_b,
-                                      params, states):
+                params[i], *moments[i] = _textbook_adam(params[i], grad, *moments[i], t, 0.003)
+        assert net.version == 5
+        assert len(net.moments) == len(params)
+        for got, (m, v), want, (ref_m, ref_v) in zip(net.weights + net.biases, net.moments,
+                                                     params, moments):
             assert np.array_equal(got, want)
-            assert np.array_equal(st.m, ref.m)
-            assert np.array_equal(st.v, ref.v)
-            assert st.t == ref.t == 5
+            assert np.array_equal(m, ref_m)
+            assert np.array_equal(v, ref_v)
 
     def test_add_scaled_matches_whole_array_form(self):
         g = np.random.default_rng(9)
@@ -595,6 +587,12 @@ class TestFastPathBits:
         assert peaks[1] <= 1.1 * peaks[0]
 
 
+def _npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
 def _rewrite_npz(src, dst, drop=(), **replace):
     """Copy a network file's entries to ``dst``, minus ``drop``, with
     ``replace`` entries substituted or added."""
@@ -634,10 +632,9 @@ class TestSerialization:
         back = load_network(tmp_path / "wide.npz")
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        # The Adam moments are calloc'd zeros that loading never touches, so
-        # they take no resident memory; everything else is the file's arrays.
-        adam_bytes = sum(s.m.nbytes + s.v.nbytes for s in back.adam_w + back.adam_b)
-        assert peak - adam_bytes < 1.25 * array_bytes
+        # No Adam moments: only the file's arrays.
+        assert back.moments is None
+        assert peak < 1.25 * array_bytes
 
     def test_file_layout(self, tmp_path):
         net = init_network(HEAD_SPEC, SplitMix64(12))
@@ -671,14 +668,6 @@ class TestSerialization:
             blobs.append((tmp_path / f"n{i}.npz").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_format_1_json_still_loads(self, tmp_path):
-        net = init_network(WIDE_SPEC, SplitMix64(15))
-        write_v1_network(net, tmp_path / "net.json", {"phase": 1})
-        back = load_network(tmp_path / "net.json")
-        assert back.spec == net.spec
-        for a, b in zip(net.weights + net.biases, back.weights + back.biases):
-            assert np.array_equal(a, b)
-
     def test_missing_file_is_data_error(self, tmp_path):
         with pytest.raises(DataError):
             load_network(tmp_path / "ghost.npz")
@@ -689,11 +678,19 @@ class TestSerialization:
         with pytest.raises(DataError):
             load_network(p)
 
-    @pytest.mark.parametrize("content", [b"", b"\x00\x01garbage", b"[1, 2, 3]", b"\xff\xfe"])
+    @pytest.mark.parametrize("content", [
+        b"", b"\x00\x01garbage", b"[1, 2, 3]", b"\xff\xfe",
+        pytest.param(_npy_bytes(np.zeros((1, 1))), id="npy_array"),
+        pytest.param(json.dumps({
+            "format": "deeplda.network/1",
+            "spec": NetworkSpec(1, (dense(1, "sigmoid"),)).to_dict(),
+            "weights": [[[0.5]]], "biases": [[[0.0]]], "metadata": {},
+        }).encode(), id="network_format_1_json"),
+    ])
     def test_non_network_bytes_rejected(self, tmp_path, content):
         p = tmp_path / "x.npz"
         p.write_bytes(content)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="not a deeplda.network/2 archive"):
             load_network(p)
 
     @pytest.mark.parametrize("keep", [4, 1000, -100])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import deeplda.pipeline
-from conftest import make_gaussians, write_v1_network
+from conftest import make_gaussians
 from deeplda import (
     DataError,
     Dataset,
@@ -32,6 +32,7 @@ from deeplda import (
     transform_phase1,
 )
 from deeplda.network import NetworkSpec
+from deeplda.pipeline import TWO_PHASE_FORMAT
 from deeplda.rng import SplitMix64
 
 FAST = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=64)
@@ -275,35 +276,6 @@ class TestSaveLoad:
         else:
             assert list(tmp_path.iterdir()) == []
 
-    def test_format_1_directory_loads(self, tmp_path):
-        train = make_gaussians(20, 4, 2.0, seed=32)
-        val = make_gaussians(8, 4, 2.0, seed=33)
-        std = fit_standardizer(train)
-        model, _, _ = train_two_phase(train, val, FAST, FAST, SplitMix64(4),
-                                      standardizer=std)
-        model.seed = 4
-        v2 = tmp_path / "v2"
-        save_two_phase(model, v2)
-        v1 = tmp_path / "v1"
-        v1.mkdir()
-        write_v1_network(model.phase1, v1 / "phase1.json", {"phase": 1})
-        write_v1_network(model.phase2, v1 / "phase2.json", {"phase": 2})
-        manifest = json.loads((v2 / "manifest.json").read_text())
-        manifest["format"] = "deeplda.two-phase/1"
-        for key in ("config1", "config2"):
-            manifest[key]["seed"] = 0
-        (v1 / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
-
-        from_v1, from_v2 = load_two_phase(v1), load_two_phase(v2)
-        x = np.random.default_rng(7).normal(size=(15, 4))
-        p1, l1 = predict_two_phase(from_v1, x)
-        p2, l2 = predict_two_phase(from_v2, x)
-        assert np.array_equal(p1, p2)
-        assert np.array_equal(l1, l2)
-        assert from_v1.config1 == from_v2.config1 == model.config1
-        assert from_v1.seed == 4
-        assert np.array_equal(from_v1.standardizer.std, std.std)
-
 
 def _edit_manifest(directory, edit):
     path = directory / "manifest.json"
@@ -345,11 +317,17 @@ class TestMalformedModel:
         lambda d: d.update(seed="7"),
         lambda d: d.update(format="deeplda.two-phase/9"),
         lambda d: d.update(format=["deeplda.two-phase/2"]),
+        lambda d: d.update(seed=True),
+        lambda d: d.update(format="deeplda.two-phase/1"),
     ])
     def test_bad_manifest_is_data_error(self, copy, edit):
         _edit_manifest(copy, edit)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError) as info:
             load_two_phase(copy)
+        found = json.loads((copy / "manifest.json").read_text())["format"]
+        if found != TWO_PHASE_FORMAT:
+            assert repr(found) in str(info.value)
+            assert repr(TWO_PHASE_FORMAT) in str(info.value)
 
     @pytest.mark.parametrize("content", ["", "[]", "{not json", "\ufffe"])
     def test_unreadable_manifest_is_data_error(self, copy, content):
