@@ -37,12 +37,17 @@ RUN_FORMAT = "deeplda.run/1"
 DEFAULT_SEED = 0
 DEFAULT_VAL_FRACTION = 0.2
 
-_TOP_KEYS = {
-    "data", "schema", "out", "seed", "val_fraction",
-    "lr", "epochs", "batch_size", "l2", "threshold",
-    "phase1", "phase2",
+# Run-config keys of one phase and the TrainConfig fields they set.
+_PHASE_FIELDS = {
+    "lr": "learning_rate", "epochs": "epochs", "batch_size": "batch_size",
+    "l2": "l2_lambda", "threshold": "threshold",
 }
-_PHASE_KEYS = {"lr", "epochs", "batch_size", "l2", "threshold"}
+# The other scalar run-config keys, each with its type and that type's name.
+_SCALAR_TYPES = {
+    "data": (str, "a string"), "schema": (str, "a string"), "out": (str, "a string"),
+    "seed": (int, "an integer"), "val_fraction": ((int, float), "a number"),
+}
+_TOP_KEYS = set(_PHASE_FIELDS) | set(_SCALAR_TYPES) | {"phase1", "phase2"}
 
 
 def _load_run_config(path: str | None) -> dict:
@@ -60,14 +65,15 @@ def _load_run_config(path: str | None) -> dict:
     unknown = set(doc) - _TOP_KEYS
     if unknown:
         raise click.UsageError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("data", "schema", "out"):
-        if not isinstance(doc.get(key, ""), str):
-            raise click.UsageError(f"config key {key!r} must be a string, got {doc[key]!r}")
+    for key, (kind, name) in _SCALAR_TYPES.items():
+        value = doc.get(key)
+        if key in doc and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise click.UsageError(f"config key {key!r} must be {name}, got {value!r}")
     for phase in ("phase1", "phase2"):
         section = doc.get(phase, {})
         if not isinstance(section, dict):
             raise click.UsageError(f"config section {phase!r} must be an object")
-        bad = set(section) - _PHASE_KEYS
+        bad = set(section) - set(_PHASE_FIELDS)
         if bad:
             raise click.UsageError(f"unknown keys in {phase!r}: {sorted(bad)}")
     return doc
@@ -75,36 +81,26 @@ def _load_run_config(path: str | None) -> dict:
 
 def _resolve_phase(cfg: dict, section: str, flags: dict) -> TrainConfig:
     """Precedence inside one phase: flag, then phase section, then top level."""
-    merged = {k: cfg[k] for k in _PHASE_KEYS if k in cfg}
+    merged = {k: cfg[k] for k in _PHASE_FIELDS if k in cfg}
     merged.update(cfg.get(section, {}))
     merged.update({k: v for k, v in flags.items() if v is not None})
-    defaults = TrainConfig()
     try:
-        return TrainConfig(
-            learning_rate=float(merged.get("lr", defaults.learning_rate)),
-            epochs=int(merged.get("epochs", defaults.epochs)),
-            batch_size=int(merged.get("batch_size", defaults.batch_size)),
-            l2_lambda=float(merged.get("l2", defaults.l2_lambda)),
-            threshold=float(merged.get("threshold", defaults.threshold)),
-        )
+        return TrainConfig(**{_PHASE_FIELDS[k]: v for k, v in merged.items()})
     except (TypeError, ValueError) as exc:
         raise click.UsageError(str(exc)) from None
 
 
+def _given(flag, cfg: dict, key: str, default=None):
+    """A flag's value if it was given, else the run config's, else ``default``."""
+    return flag if flag is not None else cfg.get(key, default)
+
+
 def _resolve_common(cfg: dict, data, schema, seed, val_fraction, out):
-    data = data if data is not None else cfg.get("data")
-    schema = schema if schema is not None else cfg.get("schema")
-    out = out if out is not None else cfg.get("out")
-    try:
-        if seed is None:
-            seed = int(cfg.get("seed", DEFAULT_SEED))
-        if val_fraction is None:
-            val_fraction = float(cfg.get("val_fraction", DEFAULT_VAL_FRACTION))
-    except (TypeError, ValueError) as exc:
-        raise click.UsageError(f"ill-typed config value: {exc}") from None
+    val_fraction = _given(val_fraction, cfg, "val_fraction", DEFAULT_VAL_FRACTION)
     if not 0.0 < val_fraction < 1.0:
         raise click.UsageError(f"val-fraction must lie in (0, 1), got {val_fraction}")
-    return data, schema, seed, val_fraction, out
+    return (_given(data, cfg, "data"), _given(schema, cfg, "schema"),
+            _given(seed, cfg, "seed", DEFAULT_SEED), val_fraction, _given(out, cfg, "out"))
 
 
 def _require(value, flag: str):
@@ -221,11 +217,9 @@ def cmd_train(data, schema, config, seed, val_fraction, lr, epochs, batch_size, 
 def cmd_evaluate(model_dir, data, schema, config):
     """Print the metric report of a saved model on a dataset."""
     cfg = _load_run_config(config)
-    data = data if data is not None else cfg.get("data")
-    schema = schema if schema is not None else cfg.get("schema")
     _require(model_dir, "--model")
-    _require(data, "--data")
-    _require(schema, "--schema")
+    data = _require(_given(data, cfg, "data"), "--data")
+    schema = _require(_given(schema, cfg, "schema"), "--schema")
     model = load_two_phase(model_dir)
     ds = load_dataset(data, load_schema(schema))
     if model.feature_names is not None and ds.feature_names != model.feature_names:
@@ -233,10 +227,10 @@ def cmd_evaluate(model_dir, data, schema, config):
             f"dataset features {list(ds.feature_names)} do not match "
             f"the model's {list(model.feature_names)}"
         )
-    x = ds.x
     if model.standardizer is not None:
-        x = apply_standardizer(model.standardizer, ds).x
-    probs, labels = predict_two_phase(model, x, model.config2.threshold)
+        # Rebinding frees the raw features before scoring.
+        ds = apply_standardizer(model.standardizer, ds)
+    probs, labels = predict_two_phase(model, ds.x, model.config2.threshold)
     click.echo(_evaluation_report(labels, ds.y))
 
 

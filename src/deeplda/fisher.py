@@ -11,35 +11,26 @@ is divided by max(n - 2, 1).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .data import Dataset
 from .exceptions import DataError, NumericalError, ShapeError
 
 
+@dataclass(frozen=True, eq=False)
 class LdaModel:
-    """Fitted discriminant: direction w, threshold b, class summaries."""
+    """Fitted discriminant: direction w and threshold b."""
 
-    def __init__(
-        self,
-        w: np.ndarray,
-        b: float,
-        class_means: tuple[np.ndarray, np.ndarray],
-        priors: tuple[float, float],
-    ):
-        self.w = np.asarray(w, dtype=np.float64).reshape(-1)
-        self.b = float(b)
-        self.class_means = (
-            np.asarray(class_means[0], dtype=np.float64).reshape(-1),
-            np.asarray(class_means[1], dtype=np.float64).reshape(-1),
-        )
-        self.priors = (float(priors[0]), float(priors[1]))
-        if self.class_means[0].shape != self.w.shape or self.class_means[1].shape != self.w.shape:
-            raise ShapeError("class means must match the direction's dimension")
+    w: np.ndarray
+    b: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "w", np.asarray(self.w, dtype=np.float64).reshape(-1))
+        object.__setattr__(self, "b", float(self.b))
         if not np.isfinite(self.w).all() or not np.isfinite(self.b):
             raise NumericalError("discriminant contains non-finite values")
-        if abs(self.priors[0] + self.priors[1] - 1.0) > 1e-9:
-            raise ValueError(f"priors must sum to 1, got {self.priors}")
 
     @property
     def n_features(self) -> int:
@@ -75,7 +66,7 @@ def fit_fisher(train: Dataset, ridge: float = 1e-6) -> LdaModel:
     prior0 = x0.shape[0] / n
     prior1 = x1.shape[0] / n
     b = float(w @ (mu0 + mu1) / 2.0) - np.log(prior1 / prior0) / max(n - 2, 1)
-    return LdaModel(w=w, b=b, class_means=(mu0, mu1), priors=(prior0, prior1))
+    return LdaModel(w=w, b=b)
 
 
 def predict_lda(model: LdaModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import zipfile
 from dataclasses import asdict, dataclass, field
 
@@ -176,14 +177,6 @@ class NetworkSpec:
                 width = layer.units
         return shapes
 
-    @property
-    def output_dim(self) -> int:
-        width = self.input_dim
-        for layer in self.layers:
-            if layer.kind == "dense":
-                width = layer.units
-        return width
-
     def has_binary_output(self) -> bool:
         if not self.layers:
             return False
@@ -225,7 +218,9 @@ class TrainConfig:
 
     Defaults follow the reference experiment: learning rate 1e-5, 100
     epochs, batches of 64, L2 coefficient 0.01 on regularized kernels.
-    ``epochs=0`` is allowed and makes ``fit`` a no-op.
+    ``epochs=0`` is allowed and makes ``fit`` a no-op. The counts must be
+    integers and the rates numbers, never bools (TypeError otherwise);
+    the rates are stored as floats.
     """
 
     learning_rate: float = 1e-5
@@ -235,6 +230,16 @@ class TrainConfig:
     threshold: float = 0.5
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("learning_rate", "l2_lambda", "threshold"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.epochs < 0:
@@ -251,16 +256,15 @@ class TrainConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
-        """Inverse of :meth:`to_dict`; an unknown key raises TypeError."""
-        if not isinstance(d, dict):
-            raise DataError(f"a train config must be an object, got {d!r}")
+        """Inverse of :meth:`to_dict`; a non-mapping or an unknown key raises TypeError."""
         return TrainConfig(**d)
 
 
 class Network:
     """Instantiated parameters for a :class:`NetworkSpec`.
 
-    The network holds C-contiguous copies of the arrays it is given, and
+    The network takes over the arrays it is given, converting (and so
+    copying) only those that are not C-contiguous float64, and
     :func:`adam_step` updates them in place. ``version`` counts optimizer
     steps; forward caches remember the version they were computed against
     so a stale cache cannot silently feed a backward pass. ``moments`` holds
@@ -269,16 +273,6 @@ class Network:
     """
 
     def __init__(self, spec: NetworkSpec, weights: list[np.ndarray], biases: list[np.ndarray]):
-        self._take(spec, weights, biases, copy=True)
-
-    @classmethod
-    def _adopting(cls, spec: NetworkSpec, weights: list[np.ndarray], biases: list[np.ndarray]):
-        """A network that takes over freshly made arrays instead of copying."""
-        net = cls.__new__(cls)
-        net._take(spec, weights, biases, copy=None)
-        return net
-
-    def _take(self, spec: NetworkSpec, weights: list, biases: list, copy: bool | None):
         shapes = spec.dense_shapes()
         if len(weights) != len(shapes) or len(biases) != len(shapes):
             raise ShapeError(
@@ -289,8 +283,8 @@ class Network:
         self.weights = []
         self.biases = []
         for k, (fan_in, units) in enumerate(shapes):
-            w = np.array(weights[k], dtype=np.float64, order="C", copy=copy)
-            b = np.array(biases[k], dtype=np.float64, order="C", copy=copy)
+            w = np.ascontiguousarray(weights[k], dtype=np.float64)
+            b = np.ascontiguousarray(biases[k], dtype=np.float64)
             if w.shape != (fan_in, units):
                 raise ShapeError(
                     f"dense layer {k}: expected weights {(fan_in, units)}, got {w.shape}"
@@ -320,7 +314,7 @@ def init_network(spec: NetworkSpec, rng: SplitMix64) -> Network:
         limit = np.sqrt(6.0 / (fan_in + units))
         weights.append(rng.uniform_matrix(fan_in, units, -limit, limit))
         biases.append(np.zeros((1, units)))
-    return Network._adopting(spec, weights, biases)
+    return Network(spec, weights, biases)
 
 
 @dataclass
@@ -593,8 +587,9 @@ def predict(
         starts = list(range(0, n, ROWS))
         if n - starts[-1] == 1:
             starts.pop()
-        probs = np.empty((n, net.spec.output_dim))
-        size = (ROWS + 1) * max(units for _, units in net.spec.dense_shapes())
+        widths = [units for _, units in net.spec.dense_shapes()]
+        probs = np.empty((n, widths[-1]))
+        size = (ROWS + 1) * max(widths)
         scratch = (np.empty(size), np.empty(size))
         for start, stop in zip(starts, starts[1:] + [n]):
             probs[start:stop] = _run_layers(net, x[start:stop], "infer", None, None, None,
@@ -733,8 +728,8 @@ def load_network(path) -> Network:
                             f"the spec's {expected}")
         if any(a.dtype != np.float64 for a in arrays.values()):
             raise DataError("parameter arrays must be float64")
-        return Network._adopting(spec, [arrays[f"w{k}"] for k in range(n)],
-                                 [arrays[f"b{k}"] for k in range(n)])
+        return Network(spec, [arrays[f"w{k}"] for k in range(n)],
+                       [arrays[f"b{k}"] for k in range(n)])
     except FileNotFoundError:
         raise DataError(f"model file not found: {path}") from None
     except (OSError, EOFError, NotImplementedError, zipfile.BadZipFile,

@@ -88,8 +88,8 @@ class TwoPhaseModel:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.phase1.spec.output_dim != 1:
-            raise ShapeError("phase 1 must produce a single column")
+        if not self.phase1.spec.has_binary_output():
+            raise ShapeError("phase 1 must end in one sigmoid unit")
         if self.phase2.spec.input_dim != 1:
             raise ShapeError("phase 2 must consume a single column")
         if self.feature_names is not None:
@@ -147,7 +147,6 @@ def train_two_phase(
         config2=config2,
         standardizer=standardizer,
         feature_names=train.feature_names,
-        seed=None,
     )
     return model, history1, history2
 

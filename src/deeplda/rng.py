@@ -97,10 +97,6 @@ class SplitMix64:
             np.minimum(ob, top, out=ob)
         return out
 
-    def next_uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        """One double in [lo, hi), advancing the state by one draw."""
-        return float(self.uniforms(1, lo, hi)[0])
-
     def uniform_matrix(self, rows: int, cols: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """A (rows, cols) float64 matrix of uniforms, filled row-major."""
         if rows < 1 or cols < 1:

@@ -161,6 +161,8 @@ class TestTrainCommand:
     @pytest.mark.parametrize("cfg", [
         {"lr": None}, {"val_fraction": {}}, {"seed": [1]}, {"phase2": {"epochs": [3]}},
         {"data": 5}, {"schema": ["s.json"]}, {"out": 5},
+        {"epochs": 2.7}, {"batch_size": True}, {"seed": 1.9}, {"lr": "1e-3"},
+        {"val_fraction": "0.2"}, {"phase1": {"threshold": False}},
     ], ids=repr)
     def test_ill_typed_config_value_is_usage_error_before_any_work(self, tmp_path, capsys,
                                                                    cfg):
@@ -176,6 +178,17 @@ class TestTrainCommand:
         assert code == 1
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
+
+    def test_integer_learning_rate_is_recorded_as_float(self, toy_csv, tmp_path, capsys):
+        (tmp_path / "run.json").write_text(json.dumps({"lr": 1}))
+        out = tmp_path / "run"
+        code, _, _ = _run(capsys, *_train_args(toy_csv, out, "--epochs", "1",
+                                               "--config", str(tmp_path / "run.json")))
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        for phase in ("phase1", "phase2"):
+            rate = manifest[phase]["learning_rate"]
+            assert type(rate) is float and rate == 1.0
 
 
 @pytest.fixture(scope="module")

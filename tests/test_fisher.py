@@ -24,6 +24,7 @@ HAND_X = np.array([
     [3.0, 2.0], [4.0, 2.0], [3.0, 3.0],
 ])
 HAND_Y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+HAND_MEANS = (HAND_X[:3].mean(axis=0), HAND_X[3:].mean(axis=0))
 
 
 def _hand_dataset():
@@ -35,9 +36,9 @@ class TestFitFisher:
         model = fit_fisher(_hand_dataset(), ridge=0.0)
         assert np.allclose(model.w, [4.0, 3.5], atol=1e-12)
         assert abs(model.b - 12.0) < 1e-12
-        assert np.allclose(model.class_means[0], [1 / 3, 1 / 3])
-        assert np.allclose(model.class_means[1], [10 / 3, 7 / 3])
-        assert model.priors == (0.5, 0.5)
+        assert np.allclose(HAND_MEANS[0], [1 / 3, 1 / 3])
+        assert np.allclose(HAND_MEANS[1], [10 / 3, 7 / 3])
+        assert abs(model.w @ (HAND_MEANS[0] + HAND_MEANS[1]) / 2.0 - model.b) < 1e-12
 
     def test_hand_example_classifies_all_points(self):
         model = fit_fisher(_hand_dataset(), ridge=0.0)
@@ -74,7 +75,7 @@ class TestFitFisher:
 class TestPredictLda:
     def test_midpoint_scores_zero_and_ties_positive(self):
         model = fit_fisher(_hand_dataset(), ridge=0.0)
-        mid = (model.class_means[0] + model.class_means[1]) / 2.0
+        mid = (HAND_MEANS[0] + HAND_MEANS[1]) / 2.0
         scores, labels = predict_lda(model, mid.reshape(1, -1))
         assert abs(scores[0]) < 1e-12
         assert labels[0] == 1
@@ -114,8 +115,9 @@ class TestFisherOptimality:
             assert all(fisher_ratio(r, ds) <= fitted * (1 + 1e-9) for r in randoms)
 
 
-class TestLdaSerialization:
+class TestLdaModel:
     def test_non_finite_model_rejected(self):
         with pytest.raises(NumericalError):
-            LdaModel(w=np.array([np.inf, 1.0]), b=0.0,
-                     class_means=(np.zeros(2), np.ones(2)), priors=(0.5, 0.5))
+            LdaModel(w=np.array([np.inf, 1.0]), b=0.0)
+        with pytest.raises(NumericalError):
+            LdaModel(w=np.ones(2), b=np.nan)

@@ -109,6 +109,20 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(threshold=1.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("epochs", 2.7), ("epochs", True), ("batch_size", 64.0), ("batch_size", "64"),
+        ("learning_rate", "1e-3"), ("learning_rate", True), ("l2_lambda", None),
+        ("threshold", False),
+    ])
+    def test_ill_typed_field_is_type_error(self, field, value):
+        with pytest.raises(TypeError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_integer_rates_are_stored_as_floats(self):
+        cfg = TrainConfig(learning_rate=1, l2_lambda=0, epochs=np.int64(3))
+        assert type(cfg.learning_rate) is float and cfg.learning_rate == 1.0
+        assert type(cfg.l2_lambda) is float and type(cfg.epochs) is int
+
     def test_round_trip(self):
         cfg = TrainConfig(learning_rate=1e-3, epochs=7)
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
@@ -521,19 +535,21 @@ class TestFastPathBits:
         probs, _ = predict(net, x)
         assert np.array_equal(probs, forward(net, x, mode="infer")[0])
 
-    def test_network_leaves_caller_arrays_unchanged(self):
+    def test_network_adopts_c_contiguous_float64_arrays(self):
         spec = NetworkSpec(3, (dense(4, "sigmoid"), dense(1, "sigmoid")))
         g = np.random.default_rng(1)
         weights = [g.normal(size=(3, 4)), g.normal(size=(4, 1))]
         biases = [np.zeros((1, 4)), np.zeros((1, 1))]
-        before = [a.copy() for a in weights + biases]
         net = Network(spec, weights, biases)
-        grads = Gradients(weights=[np.ones((3, 4)), np.ones((4, 1))],
-                          biases=[np.ones((1, 4)), np.ones((1, 1))])
-        adam_step(net, grads, 0.1)
-        assert not np.array_equal(net.weights[0], before[0])
-        for caller, original in zip(weights + biases, before):
-            assert np.array_equal(caller, original)
+        for held, given in zip(net.weights + net.biases, weights + biases):
+            assert held is given
+        # Other dtypes and layouts are converted, which copies them.
+        w32, wf = weights[0].astype(np.float32), np.asfortranarray(weights[0])
+        for given in (w32, wf):
+            held = Network(spec, [given, weights[1]], biases).weights[0]
+            assert held is not given and held.flags.c_contiguous
+            assert held.dtype == np.float64
+            assert np.array_equal(held, given)
 
     def test_predict_holds_one_layer_at_a_time(self):
         import tracemalloc

@@ -319,6 +319,8 @@ class TestMalformedModel:
         lambda d: d.update(format=["deeplda.two-phase/2"]),
         lambda d: d.update(seed=True),
         lambda d: d.update(format="deeplda.two-phase/1"),
+        lambda d: d["config1"].update(epochs=2.7),
+        lambda d: d["config2"].update(batch_size=True),
     ])
     def test_bad_manifest_is_data_error(self, copy, edit):
         _edit_manifest(copy, edit)

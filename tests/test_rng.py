@@ -95,14 +95,7 @@ def test_empty_interval_rejected():
     with pytest.raises(ValueError):
         rng.uniforms(1, 1.0, 1.0)
     with pytest.raises(ValueError):
-        rng.next_uniform(2.0, -2.0)
-
-
-def test_next_uniform_advances_one_draw():
-    rng = SplitMix64(5)
-    v = rng.next_uniform()
-    assert rng.counter == 1
-    assert v == SplitMix64(5).uniforms(1)[0]
+        rng.uniforms(1, 2.0, -2.0)
 
 
 def test_uniform_matrix_is_row_major_block():
