@@ -177,7 +177,8 @@ def cmd_train(data, schema, config, seed, val_fraction, lr, epochs, batch_size, 
     )
     model.seed = seed
 
-    probs, labels = predict_two_phase(model, val_ds.x, config2.threshold)
+    # Phase 2's last validation pass scored the validation rows end to end.
+    labels = history2.val_probs[:, 0] >= config2.threshold
     report = _evaluation_report(labels, val_ds.y)
 
     os.makedirs(out, exist_ok=True)

@@ -156,9 +156,11 @@ class EpochRecord:
 
 @dataclass
 class TrainingHistory:
-    """Per-epoch records with contiguous epoch indices 1..E."""
+    """Per-epoch records with contiguous epoch indices 1..E, and the last
+    validation pass's probabilities (None when no epoch ran)."""
 
     records: list[EpochRecord] = field(default_factory=list)
+    val_probs: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for i, rec in enumerate(self.records, start=1):

@@ -121,7 +121,8 @@ def train_two_phase(
     Draw order: phase-1 init, phase-1 fit, phase-2 init, phase-2 fit.
     Phase 1 learns on the given features; its infer-mode outputs on the
     train and validation rows become the datasets phase 2 trains on, so
-    phase-2 history rows are measured on transformed validation data.
+    phase-2 history rows are measured on transformed validation data, and
+    ``history2.val_probs`` are the model's validation probabilities.
     The datasets are used as given (standardize beforehand if desired);
     ``standardizer`` is only recorded on the returned model. A loss that
     goes non-finite raises :class:`NumericalError` naming the phase.
@@ -135,7 +136,8 @@ def train_two_phase(
 
     model_stub = TwoPhaseModel(phase1=phase1, phase2=init_network(build_phase2_spec(), rng))
     z_train = transform_phase1(model_stub, train.x)
-    z_val = transform_phase1(model_stub, val.x)
+    # fit's last validation pass already scored val.x with the final weights.
+    z_val = history1.val_probs if len(history1) else transform_phase1(model_stub, val.x)
     train2 = Dataset(x=z_train, y=train.y, feature_names=("phase1_prob",))
     val2 = Dataset(x=z_val, y=val.y, feature_names=("phase1_prob",))
     phase2, history2 = _fit_phase(2, model_stub.phase2, train2, val2, config2, rng)

@@ -14,6 +14,8 @@ threads; everything else in the package is pure and shareable.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Elementwise passes, here and in the network, walk their arrays in blocks
@@ -95,6 +97,19 @@ class SplitMix64:
             ob *= hi - lo
             ob += lo
             np.minimum(ob, top, out=ob)
+        return out
+
+    def keep_mask(self, n: int, rate: float) -> np.ndarray:
+        """``(uniforms(n) >= rate) / (1 - rate)``, the scaled dropout mask, with
+        the same bits and draws. ``u = (w >> 11) * 2**-53`` is exact, so
+        ``u >= rate`` exactly when ``w >= ceil(rate * 2**53) << 11``."""
+        if not 0.0 <= rate < 1.0:
+            raise ValueError(f"dropout rate must lie in [0, 1), got {rate!r}")
+        out = np.empty(n)
+        cut = np.uint64(math.ceil(rate * (1 << 53)) << 11)
+        for off, words in self._word_blocks(n):
+            ob = np.greater_equal(words, cut, out=out[off : off + words.size])
+            ob /= 1.0 - rate
         return out
 
     def uniform_matrix(self, rows: int, cols: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:

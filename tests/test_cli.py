@@ -38,6 +38,28 @@ class TestTrainCommand:
             "manifest.json", "phase1.npz", "phase2.npz",
         ]
 
+    def test_phase1_scores_no_row_twice_per_pass(self, toy_csv, tmp_path, capsys,
+                                                   monkeypatch):
+        # Phase 1 scores the validation rows once per epoch and the training
+        # rows once; phase 2's validation input and the report reuse passes.
+        import deeplda.network
+        import deeplda.pipeline
+
+        rows = []
+        real = deeplda.network.predict
+
+        def counting(net, x, *args, **kwargs):
+            if net.spec.input_dim != 1:
+                rows.append(len(x))
+            return real(net, x, *args, **kwargs)
+
+        monkeypatch.setattr(deeplda.network, "predict", counting)
+        monkeypatch.setattr(deeplda.pipeline, "predict", counting)
+        out = tmp_path / "run"
+        assert _run(capsys, *_train_args(toy_csv, out, *FAST))[0] == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sum(rows) == 3 * manifest["n_val"] + manifest["n_train"]
+
     def test_same_seed_byte_identical_outputs(self, toy_csv, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         assert _run(capsys, *_train_args(toy_csv, a, "--seed", "7", *FAST))[0] == 0

@@ -51,7 +51,7 @@ def test_zero_epochs_is_a_no_op():
     before = [w.copy() for w in net.weights]
     cfg = TrainConfig(learning_rate=1e-3, epochs=0)
     out_net, history = fit(net, train, val, cfg, rng)
-    assert len(history) == 0
+    assert len(history) == 0 and history.val_probs is None
     assert all(np.array_equal(a, b) for a, b in zip(out_net.weights, before))
     assert rng.counter == counter_after_init
 

@@ -46,8 +46,10 @@ from deeplda.network import (
     ROWS,
     _activation_gradient,
     _add_scaled,
+    _matmul,
     _sigmoid,
     _sum_squares,
+    _transposed,
 )
 from deeplda.rng import SplitMix64
 
@@ -588,6 +590,83 @@ class TestFastPathBits:
                               text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 512])
+    def test_outer_products_keep_the_matmul_bits(self, n):
+        # Both uses: phase 2's fan-in-1 layer, (n, 1) @ (1, 100), and the
+        # backward product of a one-unit layer, (n, 1) @ (1, 1024). Zero rows
+        # times negative weights are where a bare multiply gives -0.0.
+        g = np.random.default_rng(n)
+        a = g.normal(size=(n, 1))
+        a[::2] = 0.0
+        for b in (g.normal(size=(1, 100)), g.normal(size=(1, 1024))):
+            want = np.matmul(a, b).view(np.uint64)
+            assert np.array_equal(_matmul(a, b).view(np.uint64), want)
+            out = np.empty((n, b.shape[1]))
+            assert _matmul(a, b, out) is out and np.array_equal(out.view(np.uint64), want)
+        net = init_network(HEAD_SPEC, SplitMix64(n))
+        net.biases[0][0, ::3] = g.normal(size=34)
+        (_, _, _, a_out), *_ = forward(net, a, mode="infer")[1].records
+        want = np.maximum(np.matmul(a, net.weights[0]) + net.biases[0], 0.0)
+        assert np.array_equal(a_out.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (1, 1024), (63, 100), (64, 41),
+                                       (65, 1024), (512, 1024), (513, 100)])
+    def test_transposed_copy_matches_ascontiguousarray(self, shape):
+        a = np.random.default_rng(shape[0]).normal(size=shape)
+        got, want = _transposed(a), np.ascontiguousarray(a.T)
+        assert got.flags.c_contiguous and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_backward_keeps_the_copy_everything_bits(self):
+        # backward multiplies on the transposed view where dz has several
+        # columns, copies a_in.T in row tiles for the one-column output layer,
+        # and skips the first layer's input gradient. The reference copies
+        # every a_in.T, runs every product through matmul and makes every
+        # input gradient. One BLAS thread, where the bits are promised.
+        code = textwrap.dedent("""
+            import numpy as np
+            from deeplda import (backward, bce_loss, build_phase1_spec, build_phase2_spec,
+                                 forward, init_network)
+            from deeplda.network import _activation_gradient, _add_scaled
+            from deeplda.rng import SplitMix64
+
+            def reference(net, cache, delta):
+                layers = net.dense_layers()
+                dws, dbs = [None] * len(layers), [None] * len(layers)
+                for rec in reversed(cache.records):
+                    if rec[0] == "dense":
+                        _, k, a_in, a_out = rec
+                        dz = _activation_gradient(layers[k].activation, a_out, delta)
+                        dws[k] = np.ascontiguousarray(a_in.T) @ dz
+                        if layers[k].l2_lambda > 0.0:
+                            _add_scaled(dws[k], 2.0 * layers[k].l2_lambda, net.weights[k])
+                        dbs[k] = dz.sum(axis=0, keepdims=True)
+                        delta = dz @ net.weights[k].T
+                    elif rec[1] is not None:
+                        delta = delta * rec[1]
+                return dws + dbs
+
+            for spec in (build_phase1_spec(), build_phase2_spec()):
+                net = init_network(spec, SplitMix64(3))
+                for n in (1, 2, 63, 64, 512, 513):
+                    g = np.random.default_rng(n)
+                    x = g.normal(size=(n, spec.input_dim))
+                    x[::3] = 0.0
+                    out, cache = forward(net, x, mode="train", rng=SplitMix64(n))
+                    grad = bce_loss(out, (g.uniform(size=(n, 1)) < 0.5) * 1.0)[1]
+                    grad[::4] = 0.0
+                    got = backward(net, cache, grad)
+                    for k, (a, b) in enumerate(zip(got.weights + got.biases,
+                                                   reference(net, cache, grad))):
+                        assert a.shape == b.shape, (spec.input_dim, n, k)
+                        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (
+                            spec.input_dim, n, k)
+        """)
+        env = child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+
     def test_predict_memory_does_not_grow_with_rows(self):
         import tracemalloc
 
@@ -617,6 +696,15 @@ def _rewrite_npz(src, dst, drop=(), **replace):
     entries.update(replace)
     with open(dst, "wb") as fh:
         np.savez(fh, **entries)
+
+
+def _head_header(layer=None, **edits):
+    """A ``header`` entry for HEAD_SPEC with ``edits`` applied to the spec,
+    or to its layer number ``layer``."""
+    spec = HEAD_SPEC.to_dict()
+    (spec if layer is None else spec["layers"][layer]).update(edits)
+    return {"header": np.array(json.dumps({"format": "deeplda.network/2", "spec": spec,
+                                           "metadata": {}}))}
 
 
 class TestSerialization:
@@ -757,6 +845,11 @@ class TestSerialization:
         {"header": np.array('["deeplda.network/2"]')},
         {"header": np.array(["a", "b"])},
         {"header": np.array(3)},
+        # Ill-typed spec values that int() or float() would turn into valid ones.
+        _head_header(input_dim=1.9),
+        _head_header(0, l2_lambda="0.5"),
+        _head_header(1, rate=False),
+        _head_header(2, units=True),
         {"w2": np.zeros((1, 1))},
         {"w0": np.zeros((1, 100), dtype=np.float32)},
         {"w0": np.zeros((2, 100))},

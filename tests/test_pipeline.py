@@ -139,6 +139,21 @@ class TestTrainTwoPhase:
         acc = float(np.mean((probs[:, 0] >= 0.5) == (val.y >= 0.5)))
         assert abs(h2[-1].val_accuracy - acc) < 1e-12
 
+    def test_histories_keep_the_final_validation_probabilities(self):
+        train, val = self._sets(seed=3)
+        model, h1, h2 = train_two_phase(train, val, FAST, FAST, SplitMix64(6))
+        assert np.array_equal(h1.val_probs, transform_phase1(model, val.x))
+        assert np.array_equal(h2.val_probs, predict_two_phase(model, val.x)[0])
+
+    def test_zero_epoch_phase1_still_trains_phase2(self):
+        # With no phase-1 epoch there is no validation pass to reuse.
+        train, val = self._sets(seed=3)
+        cfg0 = TrainConfig(learning_rate=1e-3, epochs=0, batch_size=64)
+        model, h1, h2 = train_two_phase(train, val, cfg0, FAST, SplitMix64(6))
+        assert len(h1) == 0 and h1.val_probs is None
+        assert len(h2) == FAST.epochs
+        assert np.array_equal(h2.val_probs, predict_two_phase(model, val.x)[0])
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_names_phase_epoch_and_batch(self):
         train, val = self._sets(seed=4)

@@ -1,11 +1,13 @@
 """Deterministic stream: reference words, ranges, state advancement."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deeplda.rng import SplitMix64
+from deeplda.rng import BLOCK, SplitMix64
 
 # Oracle: pure-integer reference implementation of the same mixing
 # function (matches the generator's published seed-0 word sequence).
@@ -175,3 +177,37 @@ def test_uniforms_peak_memory_is_near_its_output():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 1.5 * n * 8
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK + 1, 51200])
+@pytest.mark.parametrize("rate", [0.0, 1e-300, 0.1, 0.5, 0.999])
+@pytest.mark.parametrize("seed", [0, _M])
+def test_keep_mask_matches_thresholded_uniforms(seed, rate, n):
+    got_rng, want_rng = SplitMix64(seed, 16383), SplitMix64(seed, 16383)
+    got = got_rng.keep_mask(n, rate)
+    want = (want_rng.uniforms(n) >= rate) / (1.0 - rate)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert got_rng.counter == want_rng.counter == 16383 + n
+
+
+@pytest.mark.parametrize("rate", [0.0, 1e-300, 0.1, 0.5, 0.999, 1.0 - 2.0**-53])
+def test_keep_mask_threshold_is_exact_next_to_the_cut(rate, monkeypatch):
+    # Random draws almost never land beside the threshold, so feed words that
+    # do: the top 53 bits one below, at and one above ceil(rate * 2**53),
+    # with the low 11 bits all clear or all set.
+    cut = math.ceil(rate * 2**53)
+    words = np.array([(k << 11) | low for k in (cut - 1, cut, cut + 1) if 0 <= k < 2**53
+                      for low in (0, 2**11 - 1)], dtype=np.uint64)
+    monkeypatch.setattr(SplitMix64, "_word_blocks", lambda self, n: iter([(0, words.copy())]))
+    got = SplitMix64(0).keep_mask(words.size, rate)
+    want = ((words >> np.uint64(11)).astype(np.float64) * 2.0**-53 >= rate) / (1.0 - rate)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("rate", [-0.1, 1.0, float("nan")])
+def test_keep_mask_rejects_rates_outside_unit_interval_without_advancing(rate):
+    rng = SplitMix64(1, 7)
+    with pytest.raises(ValueError, match="rate"):
+        rng.keep_mask(10, rate)
+    assert rng.counter == 7
