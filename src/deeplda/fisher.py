@@ -11,6 +11,7 @@ is divided by max(n - 2, 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ def fit_fisher(train: Dataset, ridge: float = 1e-6) -> LdaModel:
 
     Priors come from training frequencies. Requires both classes present.
     """
-    if ridge < 0:
-        raise ValueError(f"ridge must be >= 0, got {ridge}")
+    if not 0 <= ridge < math.inf:
+        raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
     mask1 = train.y == 1.0
     x0 = train.x[~mask1]
     x1 = train.x[mask1]

@@ -12,13 +12,10 @@ significant digits.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .exceptions import DataError
 
 
 class DegenerateMetricWarning(UserWarning):
@@ -202,19 +199,3 @@ def history_to_csv(history: TrainingHistory, path) -> None:
                 f"{r.epoch},{_fmt(r.accuracy)},{_fmt(r.loss)},"
                 f"{_fmt(r.val_accuracy)},{_fmt(r.val_loss)}\n"
             )
-
-
-def read_history_csv(path) -> TrainingHistory:
-    """Parse a curve CSV written by :func:`history_to_csv`."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != CURVE_HEADER:
-        raise DataError(f"{path} is not a curve CSV (expected header {','.join(CURVE_HEADER)})")
-    history = TrainingHistory()
-    for row in rows[1:]:
-        if len(row) != 5:
-            raise DataError(f"{path}: malformed curve row {row!r}")
-        history.append(
-            EpochRecord(int(row[0]), float(row[1]), float(row[2]), float(row[3]), float(row[4]))
-        )
-    return history

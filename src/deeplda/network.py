@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 import zipfile
 from dataclasses import asdict, dataclass, field
 
@@ -100,13 +101,16 @@ def _activation_gradient(name: str, a_out: np.ndarray, delta: np.ndarray) -> np.
 def _type_fields(obj, ints: tuple[str, ...], reals: tuple[str, ...]) -> None:
     """Type the named fields of a frozen dataclass: ``ints`` must be
     integers and are stored as int, ``reals`` numbers stored as float; a
-    bool or any other type raises TypeError."""
+    bool or any other type raises TypeError, and a NaN or infinite real
+    raises ValueError."""
     for names, kind, what, cast in ((ints, numbers.Integral, "an integer", int),
                                     (reals, numbers.Real, "a number", float)):
         for name in names:
             value = getattr(obj, name)
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise TypeError(f"{name} must be {what}, got {value!r}")
+            if cast is float and not abs(value) <= sys.float_info.max:  # NaN, inf, 10**400
+                raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(obj, name, cast(value))
 
 
@@ -347,55 +351,21 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
     return out
 
 
-def _run_layers(
-    net: Network,
-    x: np.ndarray,
-    mode: str,
-    rng: SplitMix64 | None,
-    dropout_masks: list[np.ndarray] | None,
-    records: list[tuple] | None,
-    scratch: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """The layer loop of :func:`forward` and :func:`predict`; each layer's
-    input and output are appended to ``records`` unless it is None. Dense
-    outputs alternate between two flat ``scratch`` arrays if given."""
+def _checked_input(net: Network, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.spec.input_dim:
         raise ShapeError(
             f"input has shape {x.shape}, network expects (n, {net.spec.input_dim})"
         )
-    a = x
-    dense_i = 0
-    mask_i = 0
-    for layer in net.spec.layers:
-        if layer.kind == "dense":
-            w = net.weights[dense_i]
-            out = scratch and scratch[dense_i % 2][: len(a) * w.shape[1]].reshape(len(a), -1)
-            z = _matmul(a, w, out)
-            z += net.biases[dense_i]
-            a_out = _activate(layer.activation, z)
-            if records is not None:
-                records.append(("dense", dense_i, a, a_out))
-            a = a_out
-            dense_i += 1
-        elif mode == "train":
-            if dropout_masks is not None:
-                mask = np.asarray(dropout_masks[mask_i], dtype=np.float64)
-                if mask.shape != a.shape:
-                    raise ShapeError(
-                        f"dropout mask {mask_i} has shape {mask.shape}, activations {a.shape}"
-                    )
-                mask_i += 1
-            else:
-                if rng is None:
-                    raise ValueError("train-mode forward through dropout needs an rng")
-                mask = rng.keep_mask(a.size, layer.rate).reshape(a.shape)
-            a = a * mask
-            if records is not None:
-                records.append(("dropout", mask))
-        elif records is not None:
-            records.append(("dropout", None))
-    return a
+    return x
+
+
+def _dense(layer: LayerSpec, a: np.ndarray, w: np.ndarray, b: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """``act(a @ W + b)``, written into ``out`` if given."""
+    z = _matmul(a, w, out)
+    z += b
+    return _activate(layer.activation, z)
 
 
 def forward(
@@ -414,10 +384,32 @@ def forward(
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
+    a = _checked_input(net, x)
     cache = ForwardCache(version=net.version)
-    out = _run_layers(net, x, mode, rng, dropout_masks, cache.records)
-    cache.output_shape = out.shape
-    return out, cache
+    k = mask_i = 0
+    for layer in net.spec.layers:
+        if layer.kind == "dense":
+            a_out = _dense(layer, a, net.weights[k], net.biases[k])
+            cache.records.append(("dense", k, a, a_out))
+            a, k = a_out, k + 1
+            continue
+        mask = None
+        if mode == "train":
+            if dropout_masks is not None:
+                mask = np.asarray(dropout_masks[mask_i], dtype=np.float64)
+                if mask.shape != a.shape:
+                    raise ShapeError(
+                        f"dropout mask {mask_i} has shape {mask.shape}, activations {a.shape}"
+                    )
+                mask_i += 1
+            elif rng is None:
+                raise ValueError("train-mode forward through dropout needs an rng")
+            else:
+                mask = rng.keep_mask(a.size, layer.rate).reshape(a.shape)
+            a = a * mask
+        cache.records.append(("dropout", mask))
+    cache.output_shape = a.shape
+    return a, cache
 
 
 def bce_loss(pred: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -598,29 +590,30 @@ def predict(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Infer-mode probabilities and hard labels (prob >= threshold -> 1).
 
-    The rows run through the layers in blocks of :data:`ROWS`, holding one
-    layer's input and output for one block at a time, so activation memory
-    does not grow with the row count. The blocks share two buffers: fresh
-    ones cost 48,800 minor page faults in a 10,000-row ``evaluate``, against
-    9,200. The bits equal the whole-matrix :func:`forward`: blocks start at
+    Only the dense layers run, since dropout is the identity at inference.
+    The rows go through them in blocks of :data:`ROWS`, holding one layer's
+    input and output for one block at a time, so activation memory does not
+    grow with the row count. The blocks share two buffers: fresh ones cost
+    48,800 minor page faults in a 10,000-row ``evaluate``, against 9,200.
+    The bits equal the whole-matrix :func:`forward`: blocks start at
     multiples of ``ROWS`` and a trailing one-row block joins the block
     before it (see :data:`ROWS`).
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] <= ROWS:
-        probs = _run_layers(net, x, "infer", None, None, None)
-    else:
-        n = x.shape[0]
-        starts = list(range(0, n, ROWS))
-        if n - starts[-1] == 1:
-            starts.pop()
-        widths = [units for _, units in net.spec.dense_shapes()]
-        probs = np.empty((n, widths[-1]))
-        size = (ROWS + 1) * max(widths)
-        scratch = (np.empty(size), np.empty(size))
-        for start, stop in zip(starts, starts[1:] + [n]):
-            probs[start:stop] = _run_layers(net, x[start:stop], "infer", None, None, None,
-                                            scratch)
+    x = _checked_input(net, x)
+    n = x.shape[0]
+    starts = list(range(0, n, ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    layers = net.dense_layers()
+    probs = np.empty((n, layers[-1].units))
+    size = min(n, ROWS + 1) * max(layer.units for layer in layers)
+    scratch = (np.empty(size), np.empty(size))
+    for start, stop in zip(starts, starts[1:] + [n]):
+        a = x[start:stop]
+        for k, (layer, w, b) in enumerate(zip(layers, net.weights, net.biases)):
+            out = scratch[k % 2][: len(a) * w.shape[1]].reshape(len(a), -1)
+            a = _dense(layer, a, w, b, out)
+        probs[start:stop] = a
     labels = (probs[:, 0] >= threshold).astype(np.int64)
     return probs, labels
 

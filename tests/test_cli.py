@@ -185,6 +185,7 @@ class TestTrainCommand:
         {"data": 5}, {"schema": ["s.json"]}, {"out": 5},
         {"epochs": 2.7}, {"batch_size": True}, {"seed": 1.9}, {"lr": "1e-3"},
         {"val_fraction": "0.2"}, {"phase1": {"threshold": False}},
+        {"lr": float("nan")}, {"l2": float("inf")}, {"phase2": {"lr": -float("inf")}},
     ], ids=repr)
     def test_ill_typed_config_value_is_usage_error_before_any_work(self, tmp_path, capsys,
                                                                    cfg):
@@ -200,6 +201,19 @@ class TestTrainCommand:
         assert code == 1
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--lr", "inf"),
+                                            ("--l2", "nan"), ("--l2", "inf")])
+    def test_non_finite_rate_flag_is_usage_error_before_any_work(self, tmp_path, capsys,
+                                                                 flag, value):
+        out = tmp_path / "run"
+        # The data file does not exist: reading it would be a data error (2).
+        code, _, err = _run(capsys, "train", "--data", str(tmp_path / "missing.csv"),
+                            "--schema", str(tmp_path / "s.json"), "--out", str(out),
+                            flag, value)
+        assert code == 1
+        assert "must be finite" in err
+        assert not out.exists()
 
     def test_integer_learning_rate_is_recorded_as_float(self, toy_csv, tmp_path, capsys):
         (tmp_path / "run.json").write_text(json.dumps({"lr": 1}))
@@ -409,6 +423,15 @@ class TestBaselineCommand:
                             "--schema", str(schema_path), "--ridge", "0")
         assert code == 3
         assert "numerical" in err
+
+    @pytest.mark.parametrize("ridge", ["nan", "inf"])
+    def test_non_finite_ridge_is_usage_error(self, toy_csv, capsys, ridge):
+        csv_path, schema_path = toy_csv
+        code, stdout, err = _run(capsys, "baseline", "--data", str(csv_path),
+                                 "--schema", str(schema_path), "--ridge", ridge)
+        assert code == 1
+        assert "ridge must be finite and >= 0" in err
+        assert "confusion matrix" not in stdout
 
 
 class TestExitCodes:

@@ -45,6 +45,11 @@ class TestFitFisher:
         _, labels = predict_lda(model, HAND_X)
         assert labels.tolist() == [0, 0, 0, 1, 1, 1]
 
+    @pytest.mark.parametrize("ridge", [-1e-6, float("nan"), float("inf")])
+    def test_negative_or_non_finite_ridge_refused(self, ridge):
+        with pytest.raises(ValueError, match="ridge must be finite and >= 0"):
+            fit_fisher(_hand_dataset(), ridge=ridge)
+
     def test_default_ridge_barely_moves_hand_solution(self):
         model = fit_fisher(_hand_dataset())
         assert np.allclose(model.w, [4.0, 3.5], atol=1e-5)

@@ -1,4 +1,4 @@
-"""Confusion metrics, report formats, curve CSV round trips."""
+"""Confusion metrics, report formats, the curve CSV format."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from deeplda import (
     ConfusionMatrix,
-    DataError,
     EpochRecord,
     TrainingHistory,
     accuracy,
@@ -16,7 +15,6 @@ from deeplda import (
     format_report,
     history_to_csv,
     precision,
-    read_history_csv,
     recall,
     report_dict,
 )
@@ -177,25 +175,9 @@ class TestHistory:
         assert lines[1] == "1,0.5,0.693147,0.25,1"
         assert text.endswith("\n")
 
-    def test_csv_round_trip(self, tmp_path):
-        path = tmp_path / "curve.csv"
-        h = self._history(5)
-        history_to_csv(h, path)
-        back = read_history_csv(path)
-        assert len(back) == 5
-        for a, b in zip(h, back):
-            assert a.epoch == b.epoch
-            assert abs(a.loss - b.loss) < 1e-6
-
     def test_empty_history_refused(self, tmp_path):
         with pytest.raises(ValueError):
             history_to_csv(TrainingHistory(), tmp_path / "x.csv")
-
-    def test_read_rejects_wrong_header(self, tmp_path):
-        p = tmp_path / "bad.csv"
-        p.write_text("epoch,acc\n1,0.5\n")
-        with pytest.raises(DataError):
-            read_history_csv(p)
 
     def test_curve_header_constant(self):
         assert CURVE_HEADER == ("Epochs", "accuracy", "loss", "val_accuracy", "val_loss")

@@ -65,6 +65,10 @@ class TestSpecs:
             dense(4, "softplus")
         with pytest.raises(ValueError):
             dense(4, "relu", -0.1)
+        with pytest.raises(ValueError, match="l2_lambda must be finite"):
+            dense(4, "relu", float("nan"))
+        with pytest.raises(ValueError, match="rate must be finite"):
+            dropout(float("inf"))
         with pytest.raises(ValueError):
             dropout(1.0)
         with pytest.raises(ValueError):
@@ -118,6 +122,12 @@ class TestTrainConfig:
     ])
     def test_ill_typed_field_is_type_error(self, field, value):
         with pytest.raises(TypeError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["learning_rate", "l2_lambda", "threshold"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400])
+    def test_non_finite_rate_is_value_error(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
             TrainConfig(**{field: value})
 
     def test_integer_rates_are_stored_as_floats(self):
@@ -224,6 +234,12 @@ class TestForward:
         net = init_network(HEAD_SPEC, SplitMix64(0))
         with pytest.raises(ValueError):
             forward(net, np.ones((2, 1)), mode="train")
+
+    def test_replayed_mask_of_wrong_shape_is_shape_error(self):
+        net = init_network(HEAD_SPEC, SplitMix64(0))
+        with pytest.raises(ShapeError, match=r"dropout mask 0 has shape \(3, 100\), "
+                                             r"activations \(2, 100\)"):
+            forward(net, np.ones((2, 1)), mode="train", dropout_masks=[np.ones((3, 100))])
 
     def test_train_mode_scales_survivors(self):
         spec = NetworkSpec(1, (dense(50, "none"), dropout(0.5), dense(1, "sigmoid")))
@@ -363,6 +379,16 @@ class TestPredictAndCache:
         probs, labels = predict(net, logits)
         assert np.allclose(probs[:, 0], [0.2, 0.7, 0.5])
         assert labels.tolist() == [0, 1, 1]
+
+    @pytest.mark.parametrize("rows", [1, ROWS + 2])
+    @pytest.mark.parametrize("kind", ["1-D", "3-D", "wrong width"])
+    def test_predict_rejects_a_bad_input_shape(self, kind, rows):
+        net = init_network(HEAD_SPEC, SplitMix64(0))
+        x = {"1-D": np.ones(rows), "3-D": np.ones((rows, 1, 1)),
+             "wrong width": np.ones((rows, 2))}[kind]
+        with pytest.raises(ShapeError) as info:
+            predict(net, x)
+        assert str(info.value) == f"input has shape {x.shape}, network expects (n, 1)"
 
     def test_predict_is_pure(self):
         net = init_network(HEAD_SPEC, SplitMix64(2))
@@ -853,6 +879,7 @@ class TestSerialization:
         {"w2": np.zeros((1, 1))},
         {"w0": np.zeros((1, 100), dtype=np.float32)},
         {"w0": np.zeros((2, 100))},
+        _head_header(0, l2_lambda=float("nan")),  # well-typed, but not finite
     ])
     def test_bad_header_or_arrays_rejected(self, tmp_path, replace):
         save_network(init_network(HEAD_SPEC, SplitMix64(18)), tmp_path / "net.npz")

@@ -336,6 +336,7 @@ class TestMalformedModel:
         lambda d: d.update(format="deeplda.two-phase/1"),
         lambda d: d["config1"].update(epochs=2.7),
         lambda d: d["config2"].update(batch_size=True),
+        lambda d: d["config1"].update(l2_lambda=float("nan")),
     ])
     def test_bad_manifest_is_data_error(self, copy, edit):
         _edit_manifest(copy, edit)
