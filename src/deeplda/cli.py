@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import warnings
@@ -270,6 +271,8 @@ def cmd_baseline(data, schema, config, seed, val_fraction, ridge):
     )
     _require(data, "--data")
     _require(schema, "--schema")
+    if not 0 <= ridge < math.inf:  # fit_fisher checks too, but only after the data is read
+        raise click.UsageError(f"ridge must be finite and >= 0, got {ridge}")
     rng = SplitMix64(seed)
     train_ds, val_ds, _ = _load_split(data, schema, val_fraction, rng)
     model = fit_fisher(train_ds, ridge)

@@ -20,7 +20,7 @@ import math
 import numbers
 import sys
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -385,6 +385,11 @@ def forward(
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be 'train' or 'infer', got {mode!r}")
     a = _checked_input(net, x)
+    if mode == "train" and dropout_masks is not None:
+        n_dropout = sum(layer.kind == "dropout" for layer in net.spec.layers)
+        if len(dropout_masks) != n_dropout:
+            raise ShapeError(f"got {len(dropout_masks)} dropout masks for "
+                             f"{n_dropout} dropout layers")
     cache = ForwardCache(version=net.version)
     k = mask_i = 0
     for layer in net.spec.layers:
@@ -495,12 +500,15 @@ def _transposed(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def backward(net: Network, cache: ForwardCache, loss_grad: np.ndarray) -> Gradients:
-    """Reverse-mode gradients of loss plus the per-layer L2 penalties.
+def _backward_walk(net: Network, cache: ForwardCache, loss_grad: np.ndarray):
+    """Reverse-mode gradients of loss plus the per-layer L2 penalties, one
+    dense layer at a time: yields ``(k, dw, db)`` top-down.
 
-    The cache must come from a forward pass against the network's current
-    parameters; dropout layers reuse the exact mask and scaling recorded
-    there.
+    Layer k's pair is yielded once its input gradient has been made from
+    the not-yet-updated ``W_k``, so the consumer may update layer k at
+    once. The walk pops ``cache.records`` as it reads them and keeps no
+    reference to a pair it has yielded, so a consumer that drops each pair
+    holds one layer's gradient and the activations still to be read.
     """
     if cache.version != net.version:
         raise ContractError(
@@ -513,30 +521,81 @@ def backward(net: Network, cache: ForwardCache, loss_grad: np.ndarray) -> Gradie
             f"loss gradient has shape {loss_grad.shape}, forward output was {cache.output_shape}"
         )
     dense_specs = net.dense_layers()
+    records = cache.records
+    delta = loss_grad
+    while delta is not None and records:
+        rec = records.pop()
+        if rec[0] == "dropout":
+            if rec[1] is not None:
+                delta = delta * rec[1]
+            continue
+        _, k, a_in, a_out = rec
+        del rec
+        w = net.weights[k]
+        dz = _activation_gradient(dense_specs[k].activation, a_out, delta)
+        del a_out, delta
+        # A one-column dz makes a gemv, whose bits depend on the operand
+        # layout, so a_in.T is copied; a gemm has the same bits on the view.
+        dw = (_transposed(a_in) if dz.shape[1] == 1 else a_in.T) @ dz
+        del a_in
+        lam = dense_specs[k].l2_lambda
+        if lam > 0.0:
+            _add_scaled(dw, 2.0 * lam, w)
+        db = dz.sum(axis=0, keepdims=True)
+        # Nothing reads the first layer's input gradient.
+        delta = _matmul(dz, w.T) if k > 0 else None
+        del dz
+        yield k, dw, db
+        del dw, db
+
+
+def backward(net: Network, cache: ForwardCache, loss_grad: np.ndarray) -> Gradients:
+    """Reverse-mode gradients of loss plus the per-layer L2 penalties.
+
+    The cache must come from a forward pass against the network's current
+    parameters; dropout layers reuse the exact mask and scaling recorded
+    there. The cache is left as it was.
+    """
     d_weights: list[np.ndarray] = [None] * len(net.weights)  # type: ignore[list-item]
     d_biases: list[np.ndarray] = [None] * len(net.biases)  # type: ignore[list-item]
-    delta = loss_grad
-    for rec in reversed(cache.records):
-        if rec[0] == "dense":
-            _, k, a_in, a_out = rec
-            w = net.weights[k]
-            dz = _activation_gradient(dense_specs[k].activation, a_out, delta)
-            # A one-column dz makes a gemv, whose bits depend on the operand
-            # layout, so a_in.T is copied; a gemm has the same bits on the view.
-            dw = (_transposed(a_in) if dz.shape[1] == 1 else a_in.T) @ dz
-            lam = dense_specs[k].l2_lambda
-            if lam > 0.0:
-                _add_scaled(dw, 2.0 * lam, w)
-            d_weights[k] = dw
-            d_biases[k] = dz.sum(axis=0, keepdims=True)
-            if k == 0:
-                break  # nothing reads the input gradient
-            delta = _matmul(dz, w.T)
-        else:
-            mask = rec[1]
-            if mask is not None:
-                delta = delta * mask
+    for k, dw, db in _backward_walk(net, replace(cache, records=list(cache.records)), loss_grad):
+        d_weights[k], d_biases[k] = dw, db
     return Gradients(weights=d_weights, biases=d_biases)
+
+
+def _moments(net: Network) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The network's Adam moments, made as zeros on first use."""
+    if net.moments is None:
+        net.moments = [(np.zeros(p.shape), np.zeros(p.shape)) for p in net.weights + net.biases]
+    return net.moments
+
+
+def _adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
+                 learning_rate: float, scratch: np.ndarray) -> None:
+    """Adam step ``t`` of one parameter array and its moments, in place, in
+    blocks of :data:`BLOCK` values through ``scratch`` (shape (2, BLOCK)),
+    in the textbook operation order, so the bits equal the whole-array form.
+    """
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+    # Views, not copies: parameters and moments are C-contiguous.
+    flat = (p.reshape(-1), np.ravel(g), m.reshape(-1), v.reshape(-1))
+    for start in range(0, p.size, BLOCK):
+        pb, gb, mb, vb = (a[start : start + BLOCK] for a in flat)
+        s1, s2 = scratch[:, : pb.size]
+        mb *= b1  # m = b1*m + (1-b1)*g
+        mb += np.multiply(1.0 - b1, gb, out=s1)
+        vb *= b2  # v = b2*v + (1-b2)*(g*g)
+        np.multiply(gb, gb, out=s1)
+        s1 *= 1.0 - b2
+        vb += s1
+        np.divide(mb, c1, out=s1)  # lr*mhat / (sqrt(vhat) + eps)
+        s1 *= learning_rate
+        np.divide(vb, c2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += ADAM_EPSILON
+        s1 /= s2
+        pb -= s1
 
 
 def adam_step(net: Network, grads: Gradients, learning_rate: float) -> Network:
@@ -545,8 +604,7 @@ def adam_step(net: Network, grads: Gradients, learning_rate: float) -> Network:
     The step number is ``t = net.version + 1``. m and v, made as zeros by
     the first step, track the first and second gradient moments; the update
     is ``lr * mhat / (sqrt(vhat) + eps)`` with bias-corrected moments.
-    Arrays are updated in place in blocks of :data:`BLOCK` values, in the
-    textbook operation order, so the bits equal the whole-array form.
+    Every shape is checked before any array is touched.
     """
     if learning_rate <= 0:
         raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
@@ -556,31 +614,9 @@ def adam_step(net: Network, grads: Gradients, learning_rate: float) -> Network:
     for i, (p, g) in enumerate(zip(params, gs)):
         if g.shape != p.shape:
             raise ShapeError(f"gradient {i} has shape {g.shape}, parameter has {p.shape}")
-    if net.moments is None:
-        net.moments = [(np.zeros(p.shape), np.zeros(p.shape)) for p in params]
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
-    t = net.version + 1
-    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     scratch = np.empty((2, BLOCK))
-    for p, g, (m, v) in zip(params, gs, net.moments):
-        # Views, not copies: parameters and moments are C-contiguous.
-        flat = (p.reshape(-1), np.ravel(g), m.reshape(-1), v.reshape(-1))
-        for start in range(0, p.size, BLOCK):
-            pb, gb, mb, vb = (a[start : start + BLOCK] for a in flat)
-            s1, s2 = scratch[:, : pb.size]
-            mb *= b1  # m = b1*m + (1-b1)*g
-            mb += np.multiply(1.0 - b1, gb, out=s1)
-            vb *= b2  # v = b2*v + (1-b2)*(g*g)
-            np.multiply(gb, gb, out=s1)
-            s1 *= 1.0 - b2
-            vb += s1
-            np.divide(mb, c1, out=s1)  # lr*mhat / (sqrt(vhat) + eps)
-            s1 *= learning_rate
-            np.divide(vb, c2, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += ADAM_EPSILON
-            s1 /= s2
-            pb -= s1
+    for p, g, (m, v) in zip(params, gs, _moments(net)):
+        _adam_update(p, g, m, v, net.version + 1, learning_rate, scratch)
     net.version += 1
     return net
 
@@ -630,7 +666,11 @@ def fit(
     Per epoch: shuffle the training rows (one permutation draw), walk
     mini-batches of ``config.batch_size`` including the final partial one,
     and for each run forward (train mode, dropout masks drawn per batch),
-    binary cross-entropy plus L2 penalty, backward, and one Adam step.
+    binary cross-entropy plus L2 penalty, and one Adam step fused into the
+    backward walk: each dense layer is updated top-down as soon as its
+    input gradient is made, all with step ``t = version + 1``, so a step
+    holds one layer's gradient at a time. The bits equal :func:`backward`
+    followed by :func:`adam_step`.
     Train metrics are batch-size-weighted running averages computed before
     each update; validation metrics come from one full infer-mode pass
     after the epoch, whose probabilities the history keeps as
@@ -655,6 +695,7 @@ def fit(
     y_val = val.y.reshape(-1, 1)
     val_truth = val.y >= 0.5
     history = TrainingHistory()
+    scratch = np.empty((2, BLOCK))
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         xs = train.x[order]
@@ -672,7 +713,15 @@ def fit(
             loss_sum += loss * xb.shape[0]
             pred_pos = out[:, 0] >= config.threshold
             correct += int(np.sum(pred_pos == (yb[:, 0] >= 0.5)))
-            adam_step(net, backward(net, cache, grad), config.learning_rate)
+            # The walk consumes this step's records, and each layer is
+            # updated as soon as the walk leaves it.
+            t, moments, n_dense = net.version + 1, _moments(net), len(net.weights)
+            for k, dw, db in _backward_walk(net, cache, grad):
+                _adam_update(net.weights[k], dw, *moments[k], t, config.learning_rate, scratch)
+                _adam_update(net.biases[k], db, *moments[n_dense + k], t,
+                             config.learning_rate, scratch)
+                del dw, db  # freed before the walk makes the next layer's
+            net.version = t
         val_out, val_labels = predict(net, val.x, config.threshold)
         history.val_probs = val_out
         val_bce, _ = bce_loss(val_out, y_val)

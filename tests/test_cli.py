@@ -424,14 +424,18 @@ class TestBaselineCommand:
         assert code == 3
         assert "numerical" in err
 
-    @pytest.mark.parametrize("ridge", ["nan", "inf"])
-    def test_non_finite_ridge_is_usage_error(self, toy_csv, capsys, ridge):
+    @pytest.mark.parametrize("ridge", ["nan", "inf", "-1"])
+    def test_non_finite_ridge_is_usage_error(self, toy_csv, tmp_path, capsys, ridge):
+        # The ridge is checked before any data is read, so a missing data
+        # file does not turn the usage error into a data error.
         csv_path, schema_path = toy_csv
-        code, stdout, err = _run(capsys, "baseline", "--data", str(csv_path),
-                                 "--schema", str(schema_path), "--ridge", ridge)
-        assert code == 1
-        assert "ridge must be finite and >= 0" in err
-        assert "confusion matrix" not in stdout
+        for data in (csv_path, tmp_path / "missing.csv"):
+            code, stdout, err = _run(capsys, "baseline", "--data", str(data),
+                                     "--schema", str(schema_path), "--ridge", ridge)
+            assert code == 1, (data, err)
+            assert "ridge must be finite and >= 0" in err
+            assert "Traceback" not in err
+            assert "confusion matrix" not in stdout
 
 
 class TestExitCodes:

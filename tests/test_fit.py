@@ -11,6 +11,7 @@ from deeplda import (
     adam_step,
     backward,
     bce_loss,
+    build_phase2_spec,
     dense,
     fit,
     forward,
@@ -108,6 +109,70 @@ def test_first_epoch_metrics_match_manual_single_batch_replay():
     assert rec.val_loss == val_loss
     assert rec.val_accuracy == val_acc
     assert all(np.array_equal(a, b) for a, b in zip(fit_net.weights, mirror.weights))
+
+
+def _sets(width, n_train, n_val, seed):
+    g = np.random.default_rng(seed)
+    names = tuple(f"f{i}" for i in range(width))
+
+    def one(n):
+        y = np.arange(n) % 2 * 1.0
+        return Dataset(x=g.normal(0, 1, (n, width)) + y[:, None], y=y, feature_names=names)
+
+    return one(n_train), one(n_val)
+
+
+@pytest.mark.parametrize("spec", [
+    build_phase2_spec(),
+    NetworkSpec(4, (dense(16, "sigmoid", 0.01), dense(8, "sigmoid", 0.02), dense(1, "sigmoid"))),
+], ids=["phase2-dropout", "sigmoid-l2"])
+def test_fit_matches_forward_backward_adam_by_hand(spec):
+    # fit updates each layer inside the backward walk; by hand, backward
+    # builds every gradient and adam_step applies them. 10 rows at batch 4
+    # over 2 epochs: 6 steps, each epoch ending in a partial batch of 2.
+    train, val = _sets(spec.input_dim, 10, 6, seed=11)
+    cfg = TrainConfig(learning_rate=1e-2, epochs=2, batch_size=4)
+    rng = SplitMix64(21)
+    fit_net, _ = fit(init_network(spec, rng), train, val, cfg, rng)
+
+    rng = SplitMix64(21)
+    net = init_network(spec, rng)
+    y = train.y.reshape(-1, 1)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(train.n_rows)
+        xs, ys = train.x[order], y[order]
+        for start in range(0, train.n_rows, cfg.batch_size):
+            out, cache = forward(net, xs[start : start + cfg.batch_size], mode="train", rng=rng)
+            grad = bce_loss(out, ys[start : start + cfg.batch_size])[1]
+            adam_step(net, backward(net, cache, grad), cfg.learning_rate)
+
+    assert fit_net.version == net.version == 6
+    for got, want in zip(fit_net.weights + fit_net.biases, net.weights + net.biases):
+        assert np.array_equal(got, want)
+    assert len(fit_net.moments) == len(net.moments) == 2 * len(net.weights)
+    for (m, v), (want_m, want_v) in zip(fit_net.moments, net.moments):
+        assert np.array_equal(m, want_m)
+        assert np.array_equal(v, want_v)
+
+
+def test_a_step_holds_one_layer_gradient_at_a_time():
+    import tracemalloc
+
+    spec = NetworkSpec(8, (dense(1024, "sigmoid", 0.01),) * 3 + (dense(1, "sigmoid"),))
+    train, val = _sets(8, 4, 2, seed=12)
+    cfg = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=4)
+    rng = SplitMix64(13)
+    net = init_network(spec, rng)
+    fit(net, train, val, cfg, rng)  # makes the Adam moments
+    weight_bytes = 1024 * 1024 * 8
+    tracemalloc.start()
+    fit(net, train, val, cfg, rng)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    # Above the parameters, moments and (4-row) activations: one 1024x1024
+    # weight gradient plus block scratch. backward followed by adam_step
+    # holds two such gradients when it makes the third.
+    assert peak < 1.25 * weight_bytes
 
 
 def test_reported_loss_includes_l2_penalty():

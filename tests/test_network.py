@@ -241,6 +241,13 @@ class TestForward:
                                              r"activations \(2, 100\)"):
             forward(net, np.ones((2, 1)), mode="train", dropout_masks=[np.ones((3, 100))])
 
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_replayed_mask_count_must_match_the_dropout_layers(self, count):
+        net = init_network(HEAD_SPEC, SplitMix64(0))
+        masks = [np.ones((2, 100))] * count
+        with pytest.raises(ShapeError, match=f"got {count} dropout masks for 1 dropout layers"):
+            forward(net, np.ones((2, 1)), mode="train", dropout_masks=masks)
+
     def test_train_mode_scales_survivors(self):
         spec = NetworkSpec(1, (dense(50, "none"), dropout(0.5), dense(1, "sigmoid")))
         weights = [np.ones((1, 50)), np.ones((50, 1))]
@@ -407,6 +414,19 @@ class TestPredictAndCache:
         adam_step(net, grads, 0.01)
         with pytest.raises(ContractError):
             backward(net, cache, grad)
+
+    def test_backward_leaves_the_cache_intact(self):
+        # The gradient check replays cache.dropout_masks() after backward.
+        net = init_network(HEAD_SPEC, SplitMix64(4))
+        out, cache = forward(net, np.linspace(-1.0, 1.0, 6).reshape(6, 1), mode="train",
+                             rng=SplitMix64(5))
+        records = list(cache.records)  # tuples, so the same records hold the same arrays
+        masks = [m.copy() for m in cache.dropout_masks()]
+        backward(net, cache, bce_loss(out, np.array([[1.0], [0.0]] * 3))[1])
+        assert len(cache.records) == len(records)
+        assert all(a is b for a, b in zip(cache.records, records))
+        assert len(cache.dropout_masks()) == len(masks) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(cache.dropout_masks(), masks))
 
 
 def _two_branch_sigmoid(z):
