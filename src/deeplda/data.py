@@ -271,6 +271,8 @@ class Standardizer:
         std = np.asarray(std, dtype=np.float64).reshape(-1)
         if mean.shape != std.shape:
             raise ShapeError(f"mean shape {mean.shape} differs from std shape {std.shape}")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
+            raise DataError("standardizer means and standard deviations must be finite")
         if not np.all(std > 0):
             raise DataError("standard deviations must be positive")
         self.mean = mean

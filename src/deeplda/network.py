@@ -51,6 +51,18 @@ ADAM_EPSILON = 1e-7
 # can also split rows at a point that depends on the row count.)
 ROWS = 256
 
+# Rows per block of a dense layer's weight gradient in the backward walk.
+# A 1024-unit layer's gradient is made and consumed 256 rows (2 MB) at a
+# time in one reused buffer, not as a fresh 8 MB array per layer per step.
+# Fewer rows cost time: one 1024x1024 layer's product, L2 term and Adam at
+# batch 512 took 28.3 ms in 256-row blocks against 27.2 ms whole (one
+# OpenBLAS 0.3.31 thread, 2-vCPU AVX-512 host). With one BLAS thread the
+# row blocks keep the whole product's bits at the phase-1 and phase-2
+# shapes (tested), but not at every width: OpenBLAS picks its kernel and
+# tiles by operand size, and a 600-row into 300-unit product differed in
+# the last bits of the rows and columns at tile edges.
+GRAD_ROWS = 256
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function, computed in place in the C-contiguous ``z``.
@@ -502,13 +514,18 @@ def _transposed(a: np.ndarray) -> np.ndarray:
 
 def _backward_walk(net: Network, cache: ForwardCache, loss_grad: np.ndarray):
     """Reverse-mode gradients of loss plus the per-layer L2 penalties, one
-    dense layer at a time: yields ``(k, dw, db)`` top-down.
+    dense layer at a time, top-down. Yields ``(i, start, g)``: ``g`` is the
+    gradient of rows ``start : start + len(g)`` of parameter ``i`` of
+    ``net.weights + net.biases``.
 
-    Layer k's pair is yielded once its input gradient has been made from
-    the not-yet-updated ``W_k``, so the consumer may update layer k at
-    once. The walk pops ``cache.records`` as it reads them and keeps no
-    reference to a pair it has yielded, so a consumer that drops each pair
-    holds one layer's gradient and the activations still to be read.
+    Layer k's bias gradient and then its weight gradient, in blocks of
+    :data:`GRAD_ROWS` rows, are yielded once its input gradient has been
+    made from the not-yet-updated ``W_k``, and a block's L2 term reads only
+    its own rows of ``W_k``, so the consumer may update each block at once.
+    The weight blocks share one buffer, which the next block overwrites.
+    The walk pops ``cache.records`` as it reads them, so a consumer that
+    drops each block holds one block of one layer's weight gradient and
+    the activations still to be read.
     """
     if cache.version != net.version:
         raise ContractError(
@@ -521,6 +538,8 @@ def _backward_walk(net: Network, cache: ForwardCache, loss_grad: np.ndarray):
             f"loss gradient has shape {loss_grad.shape}, forward output was {cache.output_shape}"
         )
     dense_specs = net.dense_layers()
+    n_dense = len(net.weights)
+    block = None
     records = cache.records
     delta = loss_grad
     while delta is not None and records:
@@ -534,19 +553,33 @@ def _backward_walk(net: Network, cache: ForwardCache, loss_grad: np.ndarray):
         w = net.weights[k]
         dz = _activation_gradient(dense_specs[k].activation, a_out, delta)
         del a_out, delta
-        # A one-column dz makes a gemv, whose bits depend on the operand
-        # layout, so a_in.T is copied; a gemm has the same bits on the view.
-        dw = (_transposed(a_in) if dz.shape[1] == 1 else a_in.T) @ dz
-        del a_in
-        lam = dense_specs[k].l2_lambda
-        if lam > 0.0:
-            _add_scaled(dw, 2.0 * lam, w)
-        db = dz.sum(axis=0, keepdims=True)
         # Nothing reads the first layer's input gradient.
         delta = _matmul(dz, w.T) if k > 0 else None
-        del dz
-        yield k, dw, db
-        del dw, db
+        yield n_dense + k, 0, dz.sum(axis=0, keepdims=True)
+        lam = dense_specs[k].l2_lambda
+        units = dz.shape[1]
+        if units > 1 and block is None:
+            # Made after the first such layer's dz and delta, once the
+            # activations above them are freed. Made before the walk, it
+            # was alive at a batch-512 step's peak and train_bulk's peak
+            # RSS read 2 MB higher.
+            block = np.empty(max(min(fan_in, GRAD_ROWS) * n
+                                 for fan_in, n in net.spec.dense_shapes()))
+        # A one-column dz makes a gemv, whose bits depend on the operand
+        # layout, so a_in.T is copied and multiplied whole; a gemm is made
+        # on the transposed view in row blocks (see GRAD_ROWS for its bits).
+        step = GRAD_ROWS if units > 1 else len(w)
+        for start in range(0, len(w), step):
+            a = a_in[:, start : start + step]
+            if units == 1:
+                dw = _transposed(a) @ dz
+            else:
+                dw = np.matmul(a.T, dz, out=block[: a.shape[1] * units].reshape(-1, units))
+            if lam > 0.0:
+                _add_scaled(dw, 2.0 * lam, w[start : start + step])
+            yield k, start, dw
+            del a, dw
+        del a_in, dz
 
 
 def backward(net: Network, cache: ForwardCache, loss_grad: np.ndarray) -> Gradients:
@@ -556,11 +589,14 @@ def backward(net: Network, cache: ForwardCache, loss_grad: np.ndarray) -> Gradie
     parameters; dropout layers reuse the exact mask and scaling recorded
     there. The cache is left as it was.
     """
-    d_weights: list[np.ndarray] = [None] * len(net.weights)  # type: ignore[list-item]
-    d_biases: list[np.ndarray] = [None] * len(net.biases)  # type: ignore[list-item]
-    for k, dw, db in _backward_walk(net, replace(cache, records=list(cache.records)), loss_grad):
-        d_weights[k], d_biases[k] = dw, db
-    return Gradients(weights=d_weights, biases=d_biases)
+    params = net.weights + net.biases
+    grads: list[np.ndarray] = [None] * len(params)  # type: ignore[list-item]
+    for i, start, g in _backward_walk(net, replace(cache, records=list(cache.records)), loss_grad):
+        if start == 0:
+            grads[i] = np.empty(params[i].shape)
+        grads[i][start : start + len(g)] = g
+    n_dense = len(net.weights)
+    return Gradients(weights=grads[:n_dense], biases=grads[n_dense:])
 
 
 def _moments(net: Network) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -667,10 +703,11 @@ def fit(
     mini-batches of ``config.batch_size`` including the final partial one,
     and for each run forward (train mode, dropout masks drawn per batch),
     binary cross-entropy plus L2 penalty, and one Adam step fused into the
-    backward walk: each dense layer is updated top-down as soon as its
+    backward walk: each dense layer's bias and then its weights, a block of
+    :data:`GRAD_ROWS` rows at a time, are updated top-down as soon as its
     input gradient is made, all with step ``t = version + 1``, so a step
-    holds one layer's gradient at a time. The bits equal :func:`backward`
-    followed by :func:`adam_step`.
+    holds one block of one layer's weight gradient at a time. The bits
+    equal :func:`backward` followed by :func:`adam_step`.
     Train metrics are batch-size-weighted running averages computed before
     each update; validation metrics come from one full infer-mode pass
     after the epoch, whose probabilities the history keeps as
@@ -713,14 +750,15 @@ def fit(
             loss_sum += loss * xb.shape[0]
             pred_pos = out[:, 0] >= config.threshold
             correct += int(np.sum(pred_pos == (yb[:, 0] >= 0.5)))
-            # The walk consumes this step's records, and each layer is
-            # updated as soon as the walk leaves it.
-            t, moments, n_dense = net.version + 1, _moments(net), len(net.weights)
-            for k, dw, db in _backward_walk(net, cache, grad):
-                _adam_update(net.weights[k], dw, *moments[k], t, config.learning_rate, scratch)
-                _adam_update(net.biases[k], db, *moments[n_dense + k], t,
-                             config.learning_rate, scratch)
-                del dw, db  # freed before the walk makes the next layer's
+            # The walk consumes this step's records, and each block of rows
+            # is updated as soon as the walk yields it.
+            t, moments, params = net.version + 1, _moments(net), net.weights + net.biases
+            for i, start, g in _backward_walk(net, cache, grad):
+                rows = slice(start, start + len(g))
+                m, v = moments[i]
+                _adam_update(params[i][rows], g, m[rows], v[rows], t, config.learning_rate,
+                             scratch)
+                del g  # freed before the walk makes the next block
             net.version = t
         val_out, val_labels = predict(net, val.x, config.threshold)
         history.val_probs = val_out
@@ -761,8 +799,14 @@ def save_network(net: Network, path, metadata: dict | None = None) -> None:
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
         arrays[f"w{k}"] = w
         arrays[f"b{k}"] = b
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    # The bytes of np.savez(fh, **arrays), which writes a bytes copy of each
+    # array; here each is written from its own buffer.
+    with open(path, "wb") as fh, zipfile.ZipFile(fh, "w", allowZip64=True) as archive:
+        for name, a in arrays.items():
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as entry:
+                np.lib.format.write_array_header_1_0(
+                    entry, np.lib.format.header_data_from_array_1_0(a))
+                entry.write(memoryview(a).cast("B"))
 
 
 def load_network(path) -> Network:

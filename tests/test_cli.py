@@ -298,6 +298,8 @@ class TestEvaluateCommand:
         "manifest_without_config1",
         "manifest_config_ill_typed",
         "manifest_feature_names_ill_typed",
+        "manifest_std_infinite",
+        "manifest_mean_nan",
         "phase1_truncated",
         "phase1_not_zip",
         "phase1_missing_w1",
@@ -327,6 +329,10 @@ class TestEvaluateCommand:
             manifest["config2"]["threshold"] = "half"
         elif damage == "manifest_feature_names_ill_typed":
             manifest["feature_names"] = 5
+        elif damage == "manifest_std_infinite":
+            manifest["standardizer"]["std"][0] = float("inf")  # written as Infinity
+        elif damage == "manifest_mean_nan":
+            manifest["standardizer"]["mean"][0] = float("nan")  # written as NaN
         elif damage == "phase1_truncated":
             blob = (model / "phase1.npz").read_bytes()
             (model / "phase1.npz").write_bytes(blob[: len(blob) // 3])
@@ -358,6 +364,8 @@ class TestEvaluateCommand:
         assert "Traceback" not in err
         if damage == "format_1_directory":
             assert "'deeplda.two-phase/1'" in err and "'deeplda.two-phase/2'" in err
+        if damage.startswith("manifest_"):
+            assert str(model / "manifest.json") in err
 
     def test_missing_model_dir(self, toy_csv, tmp_path, capsys):
         csv_path, schema_path = toy_csv

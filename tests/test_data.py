@@ -372,8 +372,13 @@ class TestStandardizer:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_rejects_nonpositive_std(self):
-        with pytest.raises(DataError):
-            Standardizer(mean=np.zeros(2), std=np.array([1.0, 0.0]))
+        # A non-finite statistic is refused too: an infinite std would zero
+        # its feature and a NaN mean would blame the scored data.
+        for mean, std in (([0.0, 0.0], [1.0, 0.0]), ([0.0, 0.0], [1.0, -2.0]),
+                          ([0.0, 0.0], [1.0, np.inf]), ([0.0, 0.0], [np.nan, 1.0]),
+                          ([np.nan, 0.0], [1.0, 1.0]), ([0.0, -np.inf], [1.0, 1.0])):
+            with pytest.raises(DataError):
+                Standardizer(mean=np.array(mean), std=np.array(std))
 
 
 def _balanced_dataset(n0, n1, seed=0):

@@ -13,6 +13,7 @@ from deeplda import (
     bce_loss,
     build_phase2_spec,
     dense,
+    dropout,
     fit,
     forward,
     init_network,
@@ -125,10 +126,13 @@ def _sets(width, n_train, n_val, seed):
 @pytest.mark.parametrize("spec", [
     build_phase2_spec(),
     NetworkSpec(4, (dense(16, "sigmoid", 0.01), dense(8, "sigmoid", 0.02), dense(1, "sigmoid"))),
-], ids=["phase2-dropout", "sigmoid-l2"])
+    NetworkSpec(300, (dense(1024, "sigmoid", 0.01), dense(512, "relu", 0.02), dropout(0.25),
+                      dense(1, "sigmoid"))),
+], ids=["phase2-dropout", "sigmoid-l2", "fan-in-300"])
 def test_fit_matches_forward_backward_adam_by_hand(spec):
-    # fit updates each layer inside the backward walk; by hand, backward
-    # builds every gradient and adam_step applies them. 10 rows at batch 4
+    # fit updates each block of rows inside the backward walk; by hand,
+    # backward builds every gradient and adam_step applies them. A fan-in
+    # of 300 ends in a partial block of GRAD_ROWS rows. 10 rows at batch 4
     # over 2 epochs: 6 steps, each epoch ending in a partial batch of 2.
     train, val = _sets(spec.input_dim, 10, 6, seed=11)
     cfg = TrainConfig(learning_rate=1e-2, epochs=2, batch_size=4)
@@ -155,7 +159,9 @@ def test_fit_matches_forward_backward_adam_by_hand(spec):
         assert np.array_equal(v, want_v)
 
 
-def test_a_step_holds_one_layer_gradient_at_a_time():
+def _second_fit_peak():
+    """tracemalloc peak of a one-step fit on a 1024-wide stack whose Adam
+    moments exist, and the bytes of one 1024x1024 weight gradient."""
     import tracemalloc
 
     spec = NetworkSpec(8, (dense(1024, "sigmoid", 0.01),) * 3 + (dense(1, "sigmoid"),))
@@ -164,15 +170,26 @@ def test_a_step_holds_one_layer_gradient_at_a_time():
     rng = SplitMix64(13)
     net = init_network(spec, rng)
     fit(net, train, val, cfg, rng)  # makes the Adam moments
-    weight_bytes = 1024 * 1024 * 8
     tracemalloc.start()
     fit(net, train, val, cfg, rng)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
+    return peak, 1024 * 1024 * 8
+
+
+def test_a_step_holds_one_layer_gradient_at_a_time():
+    peak, weight_bytes = _second_fit_peak()
     # Above the parameters, moments and (4-row) activations: one 1024x1024
     # weight gradient plus block scratch. backward followed by adam_step
     # holds two such gradients when it makes the third.
     assert peak < 1.25 * weight_bytes
+
+
+def test_a_step_holds_one_row_block_of_a_weight_gradient():
+    peak, weight_bytes = _second_fit_peak()
+    # The weight gradient is made GRAD_ROWS = 256 rows at a time in one
+    # 2 MB buffer: a whole 1024x1024 gradient would be 8 MB.
+    assert peak < 0.5 * weight_bytes
 
 
 def test_reported_loss_includes_l2_penalty():

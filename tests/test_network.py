@@ -665,15 +665,17 @@ class TestFastPathBits:
 
     def test_backward_keeps_the_copy_everything_bits(self):
         # backward multiplies on the transposed view where dz has several
-        # columns, copies a_in.T in row tiles for the one-column output layer,
-        # and skips the first layer's input gradient. The reference copies
-        # every a_in.T, runs every product through matmul and makes every
-        # input gradient. One BLAS thread, where the bits are promised.
+        # columns, in blocks of GRAD_ROWS weight rows, copies a_in.T in row
+        # tiles for the one-column output layer, and skips the first layer's
+        # input gradient. The reference copies every a_in.T, runs every
+        # product whole through matmul and makes every input gradient. The
+        # third spec has a fan-in of 300, which ends in a partial block. One
+        # BLAS thread, where the bits are promised.
         code = textwrap.dedent("""
             import numpy as np
-            from deeplda import (backward, bce_loss, build_phase1_spec, build_phase2_spec,
-                                 forward, init_network)
-            from deeplda.network import _activation_gradient, _add_scaled
+            from deeplda import (NetworkSpec, backward, bce_loss, build_phase1_spec,
+                                 build_phase2_spec, dense, dropout, forward, init_network)
+            from deeplda.network import GRAD_ROWS, _activation_gradient, _add_scaled
             from deeplda.rng import SplitMix64
 
             def reference(net, cache, delta):
@@ -692,7 +694,10 @@ class TestFastPathBits:
                         delta = delta * rec[1]
                 return dws + dbs
 
-            for spec in (build_phase1_spec(), build_phase2_spec()):
+            assert 300 % GRAD_ROWS and 300 > GRAD_ROWS
+            fan_in_300 = NetworkSpec(300, (dense(1024, "sigmoid", 0.01), dense(512, "relu", 0.02),
+                                           dropout(0.25), dense(1, "sigmoid")))
+            for spec in (build_phase1_spec(), build_phase2_spec(), fan_in_300):
                 net = init_network(spec, SplitMix64(3))
                 for n in (1, 2, 63, 64, 512, 513):
                     g = np.random.default_rng(n)
@@ -785,6 +790,30 @@ class TestSerialization:
         # No Adam moments: only the file's arrays.
         assert back.moments is None
         assert peak < 1.25 * array_bytes
+
+    @pytest.mark.parametrize("spec", [HEAD_SPEC, WIDE_SPEC], ids=["head", "wide"])
+    def test_file_bytes_equal_np_savez(self, tmp_path, spec):
+        net = init_network(spec, SplitMix64(14))
+        save_network(net, tmp_path / "net.npz", {"phase": 1})
+        header = {"format": "deeplda.network/2", "spec": spec.to_dict(), "metadata": {"phase": 1}}
+        entries = {"header": np.array(json.dumps(header, sort_keys=True))}
+        for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+            entries[f"w{k}"], entries[f"b{k}"] = w, b
+        with open(tmp_path / "ref.npz", "wb") as fh:
+            np.savez(fh, **entries)
+        assert (tmp_path / "net.npz").read_bytes() == (tmp_path / "ref.npz").read_bytes()
+
+    def test_save_copies_no_array(self, tmp_path):
+        import tracemalloc
+
+        net = init_network(WIDE_SPEC, SplitMix64(0))
+        largest = max(a.nbytes for a in net.weights)
+        tracemalloc.start()
+        save_network(net, tmp_path / "wide.npz")
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # np.savez writes a bytes copy of each array, 8 MB for a 1024x1024 weight.
+        assert peak < largest / 16
 
     def test_file_layout(self, tmp_path):
         net = init_network(HEAD_SPEC, SplitMix64(12))
