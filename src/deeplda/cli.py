@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -18,7 +17,8 @@ import warnings
 
 import click
 
-from .data import apply_standardizer, fit_standardizer, load_dataset, load_schema, stratified_split
+from .data import (apply_standardizer, fit_standardizer, load_dataset, load_schema, read_json,
+                   stratified_split, write_json)
 from .exceptions import ContractError, DataError, NumericalError, ShapeError
 from .fisher import fit_fisher, predict_lda
 from .metrics import confusion, format_report, history_to_csv
@@ -28,12 +28,14 @@ from .pipeline import (
     build_phase2_spec,
     load_two_phase,
     predict_two_phase,
+    replacing,
     save_two_phase,
     train_two_phase,
 )
 from .rng import SplitMix64
 
 RUN_FORMAT = "deeplda.run/1"
+RUN_FILES = {"model", "lda.csv", "svm.csv", "metrics.txt", "manifest.json"}
 
 DEFAULT_SEED = 0
 DEFAULT_VAL_FRACTION = 0.2
@@ -54,13 +56,7 @@ _TOP_KEYS = set(_PHASE_FIELDS) | set(_SCALAR_TYPES) | {"phase1", "phase2"}
 def _load_run_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise click.UsageError(f"config file {path} is not valid JSON: {exc}") from None
+    doc = read_json(path, "config file")
     if not isinstance(doc, dict):
         raise click.UsageError(f"config file {path} must hold a JSON object")
     unknown = set(doc) - _TOP_KEYS
@@ -170,6 +166,10 @@ def cmd_train(data, schema, config, seed, val_fraction, lr, epochs, batch_size, 
     if min(config1.epochs, config2.epochs) < 1:
         raise click.UsageError(f"epochs must be at least 1 in each phase, got "
                                f"{config1.epochs} and {config2.epochs}")
+    target = os.path.abspath(out)  # the path replacing() swaps: "" or "x/../run" included
+    if os.path.lexists(target) and not (
+            os.path.isdir(target) and set(os.listdir(target)) <= RUN_FILES):
+        raise DataError(f"--out {out} is not absent, an empty directory or a previous run")
 
     rng = SplitMix64(seed)
     train_ds, val_ds, std = _load_split(data, schema, val_fraction, rng)
@@ -182,27 +182,24 @@ def cmd_train(data, schema, config, seed, val_fraction, lr, epochs, batch_size, 
     labels = history2.val_probs[:, 0] >= config2.threshold
     report = _evaluation_report(labels, val_ds.y)
 
-    os.makedirs(out, exist_ok=True)
-    save_two_phase(model, os.path.join(out, "model"))
-    history_to_csv(history1, os.path.join(out, "lda.csv"))
-    history_to_csv(history2, os.path.join(out, "svm.csv"))
-    with open(os.path.join(out, "metrics.txt"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(report + "\n")
-    manifest = {
-        "format": RUN_FORMAT,
-        "data": data,
-        "schema": schema,
-        "seed": seed,
-        "val_fraction": val_fraction,
-        "phase1": config1.to_dict(),
-        "phase2": config2.to_dict(),
-        "n_train": train_ds.n_rows,
-        "n_val": val_ds.n_rows,
-        "n_features": train_ds.n_features,
-    }
-    with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8", newline="") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+    with replacing(out) as tmp:
+        save_two_phase(model, os.path.join(tmp, "model"))
+        history_to_csv(history1, os.path.join(tmp, "lda.csv"))
+        history_to_csv(history2, os.path.join(tmp, "svm.csv"))
+        with open(os.path.join(tmp, "metrics.txt"), "w", encoding="utf-8", newline="") as fh:
+            fh.write(report + "\n")
+        write_json({
+            "format": RUN_FORMAT,
+            "data": data,
+            "schema": schema,
+            "seed": seed,
+            "val_fraction": val_fraction,
+            "phase1": config1.to_dict(),
+            "phase2": config2.to_dict(),
+            "n_train": train_ds.n_rows,
+            "n_val": val_ds.n_rows,
+            "n_features": train_ds.n_features,
+        }, os.path.join(tmp, "manifest.json"))
 
     click.echo(f"run directory: {out}")
     click.echo(f"trained {config1.epochs}+{config2.epochs} epochs "

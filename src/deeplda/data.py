@@ -40,16 +40,29 @@ class DataSchema:
             raise DataError(f"target column {self.target!r} is also listed in drop")
 
 
-def load_schema(path) -> DataSchema:
-    """Read a schema JSON file (keys: target, drop, positive_label)."""
+def read_json(path, what: str):
+    """The document in JSON file ``path``; one that is missing, not UTF-8, not
+    JSON or nested too deeply raises :class:`DataError` naming ``what``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise DataError(f"schema file not found: {path}") from None
+        raise DataError(f"{what} not found: {path}") from None
     except (ValueError, RecursionError) as exc:
         # JSONDecodeError and UnicodeDecodeError are both ValueErrors.
-        raise DataError(f"schema file {path} is not valid UTF-8 JSON: {exc}") from None
+        raise DataError(f"{what} {path} is not valid UTF-8 JSON: {exc}") from None
+
+
+def write_json(doc, path) -> None:
+    """Write ``doc`` as strict JSON: sorted keys, indented, newline-terminated."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")
+
+
+def load_schema(path) -> DataSchema:
+    """Read a schema JSON file (keys: target, drop, positive_label)."""
+    raw = read_json(path, "schema file")
     if not isinstance(raw, dict) or "target" not in raw:
         raise DataError(f"schema file {path} must be an object with a 'target' key")
     unknown = set(raw) - {"target", "drop", "positive_label"}

@@ -848,5 +848,5 @@ def load_network(path) -> Network:
     except FileNotFoundError:
         raise DataError(f"model file not found: {path}") from None
     except (OSError, EOFError, NotImplementedError, zipfile.BadZipFile,
-            KeyError, TypeError, ValueError) as exc:
+            KeyError, TypeError, ValueError, RecursionError) as exc:
         raise DataError(f"model file {path} is not a valid network file: {exc}") from None

@@ -8,14 +8,14 @@ independently, in sequence, from one shared random stream.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Standardizer
+from .data import Dataset, Standardizer, read_json, write_json
 from .exceptions import DataError, NumericalError, ShapeError
 from .metrics import TrainingHistory
 from .network import (
@@ -164,15 +164,35 @@ PHASE_FILES = ("phase1.npz", "phase2.npz")
 MANIFEST_FILE = "manifest.json"
 
 
+@contextmanager
+def replacing(directory):
+    """Yield a new sibling of ``directory`` that replaces it, and any directory there,
+    when the block ends; if the block raises, the sibling goes and ``directory`` stays."""
+    target = os.path.abspath(directory)
+    os.makedirs(os.path.dirname(target), exist_ok=True)
+    tmp = f"{target}.tmp-{os.getpid()}"
+    stale = f"{tmp}.old"
+    os.mkdir(tmp)
+    try:
+        yield tmp
+        # os.replace cannot overwrite a non-empty directory, so an existing
+        # one is moved aside first and deleted once the new one is in place.
+        if os.path.isdir(target):
+            os.replace(target, stale)
+        os.replace(tmp, target)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    shutil.rmtree(stale, ignore_errors=True)
+
+
 def save_two_phase(model: TwoPhaseModel, directory) -> None:
     """Write a model directory: both network files plus a manifest.
 
     The manifest records the per-phase configs, the seed, the feature
     names, and the standardizer, so a saved run can be reloaded and
-    applied to fresh raw data. The files are written into a temporary
-    sibling directory that then replaces ``directory`` and any model
-    directory already there; a save that fails leaves neither a partial
-    model nor the temporary directory behind.
+    applied to fresh raw data. The directory lands through :func:`replacing`,
+    so a save that fails leaves no partial model.
     """
     manifest = {
         "format": TWO_PHASE_FORMAT,
@@ -187,26 +207,10 @@ def save_two_phase(model: TwoPhaseModel, directory) -> None:
             "std": model.standardizer.std.tolist(),
         },
     }
-    target = os.path.abspath(directory)
-    os.makedirs(os.path.dirname(target), exist_ok=True)
-    tmp = f"{target}.tmp-{os.getpid()}"
-    stale = f"{tmp}.old"
-    os.mkdir(tmp)
-    try:
+    with replacing(directory) as tmp:
         save_network(model.phase1, os.path.join(tmp, PHASE_FILES[0]), {"phase": 1})
         save_network(model.phase2, os.path.join(tmp, PHASE_FILES[1]), {"phase": 2})
-        with open(os.path.join(tmp, MANIFEST_FILE), "w", encoding="utf-8", newline="") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2, allow_nan=False)
-            fh.write("\n")
-        # os.replace cannot overwrite a non-empty directory, so an existing
-        # model is moved aside first and deleted once the new one is in place.
-        if os.path.isdir(target):
-            os.replace(target, stale)
-        os.replace(tmp, target)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    shutil.rmtree(stale, ignore_errors=True)
+        write_json(manifest, os.path.join(tmp, MANIFEST_FILE))
 
 
 def load_two_phase(directory) -> TwoPhaseModel:
@@ -216,13 +220,7 @@ def load_two_phase(directory) -> TwoPhaseModel:
     another format, raises :class:`DataError`.
     """
     path = os.path.join(directory, MANIFEST_FILE)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"model manifest not found: {path}") from None
-    except ValueError as exc:
-        raise DataError(f"model manifest {path} is not valid JSON: {exc}") from None
+    manifest = read_json(path, "model manifest")
     found = manifest.get("format") if isinstance(manifest, dict) else type(manifest).__name__
     if found != TWO_PHASE_FORMAT:
         raise DataError(f"{path} is not a two-phase model manifest "

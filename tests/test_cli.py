@@ -3,11 +3,17 @@
 import contextlib
 import io
 import json
+import os
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import deeplda.cli
 from deeplda.cli import main
 
 
@@ -15,6 +21,25 @@ def _run(capsys, *args):
     code = main(list(args))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _tree(path):
+    """The bytes of every file under ``path`` by relative name, the bytes of
+    ``path`` itself if it is a file, its target if it is a link, or None if
+    nothing is there."""
+    path = Path(path)
+    if not os.path.lexists(path):
+        return None
+    if path.is_symlink():
+        return os.readlink(path)
+    if not path.is_dir():
+        return path.read_bytes()
+    return {str(p.relative_to(path)): p.read_bytes() if p.is_file() else None
+            for p in sorted(path.rglob("*"))}
+
+
+RUN_FILES = ["lda.csv", "manifest.json", "metrics.txt", "model", "svm.csv"]
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
 
 
 def _train_args(toy_csv, out_dir, *extra):
@@ -88,6 +113,61 @@ class TestTrainCommand:
         ]
         for name in ("phase1.npz", "phase2.npz", "manifest.json"):
             assert (a / "model" / name).read_bytes() == (b / "model" / name).read_bytes()
+
+    def test_empty_out_directory_is_replaced_by_the_run(self, toy_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        assert _run(capsys, *_train_args(toy_csv, out, *FAST))[0] == 0
+        assert sorted(p.name for p in out.iterdir()) == RUN_FILES
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+
+    @pytest.mark.parametrize("kind", ["file", "directory with a foreign file",
+                                      "previous run with a foreign file",
+                                      "foreign directory named through a missing one",
+                                      "working directory named by an empty string"])
+    def test_out_that_is_not_a_run_is_refused_before_any_work(self, toy_csv, tmp_path,
+                                                               capsys, monkeypatch, kind):
+        out = tmp_path / "run"
+        arg = {"foreign directory named through a missing one": str(tmp_path / "no" / ".." / "run"),
+               "working directory named by an empty string": ""}.get(kind, str(out))
+        monkeypatch.chdir(out.parent)
+        if kind == "file":
+            out.write_text("not a run")
+        else:
+            if kind.startswith("previous run"):
+                assert _run(capsys, *_train_args(toy_csv, out, *FAST))[0] == 0
+            else:
+                out.mkdir()
+            (out / "notes.txt").write_text("kept")
+        before = _tree(tmp_path)
+        # The data file does not exist: reading it first would be another data error.
+        code, _, err = _run(capsys, "train", "--data", str(tmp_path / "missing.csv"),
+                            "--schema", str(toy_csv[1]), "--out", arg)
+        assert code == 2
+        assert f"--out {arg} is not absent" in err
+        assert "missing.csv" not in err
+        assert _tree(tmp_path) == before
+
+    @pytest.mark.parametrize("previous", [False, True])
+    def test_failed_write_leaves_no_partial_run(self, toy_csv, tmp_path, capsys, monkeypatch,
+                                                previous):
+        out = tmp_path / "run"
+        if previous:
+            assert _run(capsys, *_train_args(toy_csv, out, "--seed", "1", *FAST))[0] == 0
+        before = _tree(out)
+        calls = []
+
+        def fail_after_model_save(history, path):
+            calls.append(os.listdir(os.path.join(os.path.dirname(path), "model")))
+            raise OSError("disk full")
+
+        monkeypatch.setattr(deeplda.cli, "history_to_csv", fail_after_model_save)
+        code, _, err = _run(capsys, *_train_args(toy_csv, out, "--seed", "2", *FAST))
+        assert code == 2
+        assert "disk full" in err
+        assert sorted(calls[0]) == ["manifest.json", "phase1.npz", "phase2.npz"]
+        assert _tree(out) == before  # None for a fresh --out
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["run"] if previous else [])
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_is_numerical_error(self, toy_csv, tmp_path, capsys):
@@ -499,6 +579,52 @@ class TestExitCodes:
         assert "data error" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("content", [b"{not json", b'{"seed": "\xe9"}'],
+                             ids=["not JSON", "not UTF-8"])
+    def test_unreadable_config_is_data_error(self, toy_csv, tmp_path, capsys, content):
+        config = tmp_path / "run.json"
+        config.write_bytes(content)
+        code, _, err = _run(capsys, *_train_args(toy_csv, tmp_path / "run", "--config",
+                                                 str(config)))
+        assert code == 2
+        assert f"config file {config} is not valid UTF-8 JSON" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+    @pytest.mark.parametrize("where", ["config", "schema", "model manifest", "network header"])
+    def test_json_nested_too_deeply_is_data_error_naming_the_file(
+            self, toy_csv, overfit_run, tmp_path, capsys, where):
+        csv_path, schema_path = toy_csv
+        model = tmp_path / "model"
+        model.mkdir()
+        for p in (overfit_run / "model").iterdir():
+            (model / p.name).write_bytes(p.read_bytes())
+        deep = tmp_path / "deep.json"
+        deep.write_text(DEEP_JSON)
+        if where == "config":
+            args, named = ["baseline", "--data", str(csv_path), "--config", str(deep),
+                           "--schema", str(schema_path)], deep
+        elif where == "schema":
+            args, named = ["baseline", "--data", str(csv_path), "--schema", str(deep)], deep
+        else:
+            if where == "model manifest":
+                named = model / "manifest.json"
+                named.write_text(DEEP_JSON)
+            else:
+                named = model / "phase2.npz"
+                with np.load(named, allow_pickle=False) as npz:
+                    entries = {k: npz[k] for k in npz.files}
+                entries["header"] = np.array(DEEP_JSON)
+                with open(named, "wb") as fh:
+                    np.savez(fh, **entries)
+            args = ["evaluate", "--model", str(model), "--data", str(csv_path),
+                    "--schema", str(schema_path)]
+        code, stdout, err = _run(capsys, *args)
+        assert code == 2
+        assert "data error" in err
+        assert str(named) in err
+        assert "Traceback" not in stdout + err
+
     def test_help_exits_zero(self, capsys):
         code, stdout, _ = _run(capsys, "--help")
         assert code == 0
@@ -544,3 +670,151 @@ class TestWarnings:
         assert "deeplda: warning: overflow encountered" in err
         assert "network.py" not in err
         assert all(line.startswith("deeplda: ") for line in err.splitlines())
+
+
+# The process-boundary property: every input to `train` maps to a documented
+# exit code, never a traceback, and a failed run leaves --out as it was.
+# Each example breaks a drawn set of its five inputs; the others are drawn
+# from valid values, so a share of the examples trains (1 epoch, at most 20
+# rows). --epochs is always given, and never above 1, so no drawn config
+# value makes a run long.
+_INPUTS = ("flags", "config", "schema", "csv", "out")
+# Valid values include huge rates, which pass the checks and then diverge (exit 3).
+_VALID_FLAGS = {"--lr": ["0.001", "1e-5", "0.1", "1e300"], "--l2": ["0", "0.01", "1e308"],
+                "--batch-size": ["8", "64", "9" * 30], "--seed": ["0", "7", "9" * 30],
+                "--val-fraction": ["0.25", "0.5"]}
+_HOSTILE_FLAGS = {"--lr": ["0", "-1", "nan", "inf", "-inf", "1e400", "x"],
+                  "--l2": ["-1", "nan", "inf", "1e308", "1e400", "x"],
+                  "--batch-size": ["0", "-1", "-" + "9" * 30, "1.5", "x"],
+                  "--seed": ["-1", "1.5", "x"],
+                  "--val-fraction": ["0", "1", "-0.5", "nan", "inf", "1e308", "0.999"]}
+_HOSTILE_EPOCHS = ["0", "-1", "-" + "9" * 30, "1.5", "nan", "x"]
+_PHASE_KEYS = ("lr", "epochs", "batch_size", "l2", "threshold")
+_VALID_CONFIG = {"lr": "0.001", "epochs": "3", "batch_size": "8", "l2": "0",
+                 "threshold": "0.5", "data": '"d.csv"', "schema": '"s.json"', "out": '"o"',
+                 "seed": "3", "val_fraction": "0.25"}
+_any_json = st.one_of(
+    st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                 max_leaves=6).map(json.dumps),  # NaN and Infinity included
+    st.sampled_from([DEEP_JSON, "[" * 900 + "]" * 900]),
+)
+# What --out holds before the run: the kinds train may replace, and the others.
+_RUN_OUT = ["absent", "empty directory", "previous run",
+            "previous run, named through a missing one"]
+_FOREIGN_OUT = ["file", "dangling link", "foreign directory", "previous run with a foreign file",
+                "foreign directory, named through a missing one"]
+_CELLS = ["0.5", "-1.25", "3", "7e-3", "", " 2 "]
+_JUNK_CELLS = ["x", "nan", "1e999", '"', "\x00", "a,b"]
+
+
+def _object(members: dict) -> bytes:
+    return ("{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in members.items()) + "}").encode()
+
+
+def _config(value, keys):
+    """A run config mapping some of ``keys`` to texts drawn from ``value(key)``;
+    a phase section may instead be an object of phase keys."""
+    phase = st.fixed_dictionaries({}, optional={k: value(k) for k in _PHASE_KEYS}).map(_object)
+    return st.fixed_dictionaries({}, optional={
+        k: phase.map(bytes.decode) | value(k) if k.startswith("phase") else value(k)
+        for k in keys}).map(_object)
+
+
+def _csv(rows) -> bytes:
+    return ("id,a,b,label\n"
+            + "".join(f"{i},{a},{b},{y}\n" for i, (a, b, y) in enumerate(rows))).encode()
+
+
+@st.composite
+def _train_inputs(draw):
+    broken = draw(st.sets(st.sampled_from(_INPUTS)))
+    pools = [_VALID_FLAGS] + ([_HOSTILE_FLAGS] if "flags" in broken else [])
+    flags = draw(st.fixed_dictionaries({}, optional={
+        flag: st.one_of(*[st.sampled_from(pool[flag]) for pool in pools])
+        for flag in _VALID_FLAGS}))
+    flags["--epochs"] = draw(st.sampled_from(["1"] + _HOSTILE_EPOCHS if "flags" in broken
+                                             else ["1"]))
+    known = list(_VALID_CONFIG) + ["phase1", "phase2"]
+    if "config" in broken:
+        config = draw(_config(lambda key: _any_json | st.just(_VALID_CONFIG.get(key, "1")),
+                              known + ["other"])
+                      | _any_json.map(str.encode) | st.binary(max_size=16))
+    else:
+        config = draw(st.none() | _config(lambda key: st.just(_VALID_CONFIG.get(key, "{}")),
+                                          known))
+    if "schema" in broken:
+        schema = draw(st.binary(max_size=24) | st.sampled_from([
+            b'{"target": "zz"}', b'{"target": "label", "drop": ["label"]}',
+            b'{"target": "label", "other": 1}', b"[]", DEEP_JSON.encode()]))
+    else:
+        schema = draw(st.sampled_from([
+            b'{"target": "label"}', b'{"target": "label", "drop": ["id"], "positive_label": "1"}']))
+    if "csv" in broken:
+        cell = st.sampled_from(_CELLS + _JUNK_CELLS)
+        row = st.tuples(cell, cell, st.sampled_from(["0", "1", "2", "x", ""]))
+        csv = draw(st.binary(max_size=64) | st.lists(row, max_size=20).map(_csv))
+    else:
+        cell = st.sampled_from(_CELLS)
+        row = st.tuples(cell, cell, st.sampled_from("01"))
+        both_classes = [("1", "2", "0"), ("3", "-1", "1"), ("0", "5", "0"), ("2", "2", "1")]
+        csv = _csv(both_classes + draw(st.lists(row, max_size=16)))
+    out = draw(st.sampled_from(_FOREIGN_OUT if "out" in broken else _RUN_OUT))
+    return flags, config, schema, csv, out
+
+
+def _stand_in_run(path):
+    """A previous run's names, with small contents: the CLI never reads a
+    previous run, so this shows as well as a real one whether it is kept."""
+    os.makedirs(os.path.join(path, "model"))
+    for name in ["lda.csv", "svm.csv", "metrics.txt", "manifest.json",
+                 "model/phase1.npz", "model/phase2.npz", "model/manifest.json"]:
+        with open(os.path.join(path, name), "w") as fh:
+            fh.write(f"previous {name}\n")
+
+
+@pytest.mark.filterwarnings("default::RuntimeWarning")  # as outside the test suite
+@given(inputs=_train_inputs())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_train_keeps_the_exit_code_contract_on_any_input(inputs):
+    flags, config, schema, csv, out_kind = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name) for name in ("d.csv", "s.json", "c.json", "run")}
+        for name, blob in (("d.csv", csv), ("s.json", schema), ("c.json", config)):
+            if blob is not None:
+                with open(paths[name], "wb") as fh:
+                    fh.write(blob)
+        out = paths["run"]
+        if out_kind == "file":
+            with open(out, "w") as fh:
+                fh.write("not a run\n")
+        elif out_kind == "dangling link":
+            os.symlink(os.path.join(tmp, "nowhere"), out)
+        elif out_kind == "empty directory" or out_kind.startswith("foreign directory"):
+            os.mkdir(out)
+        elif out_kind.startswith("previous run"):
+            _stand_in_run(out)
+        if "foreign" in out_kind:
+            with open(os.path.join(out, "notes.txt"), "w") as fh:
+                fh.write("kept\n")
+        before = _tree(out)
+        if out_kind.endswith("named through a missing one"):
+            out_arg = os.path.join(tmp, "no", "..", "run")  # the same path once normalized
+        else:
+            out_arg = out
+        argv = ["train", "--data", paths["d.csv"], "--schema", paths["s.json"], "--out", out_arg,
+                *(["--config", paths["c.json"]] if config is not None else []),
+                *[x for item in flags.items() for x in item]]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        output = stdout.getvalue() + stderr.getvalue()
+        assert code in (0, 1, 2, 3), output
+        assert "Traceback" not in output
+        assert not [name for name in os.listdir(tmp) if ".tmp-" in name]
+        if code == 0:
+            assert out_kind in _RUN_OUT
+            assert sorted(os.listdir(out)) == RUN_FILES
+        else:
+            assert _tree(out) == before, output

@@ -929,6 +929,7 @@ class TestSerialization:
         {"w0": np.zeros((1, 100), dtype=np.float32)},
         {"w0": np.zeros((2, 100))},
         _head_header(0, l2_lambda=float("nan")),  # well-typed, but not finite
+        {"header": np.array("[" * 200_000 + "]" * 200_000)},  # too deep for json.loads
     ])
     def test_bad_header_or_arrays_rejected(self, tmp_path, replace):
         save_network(init_network(HEAD_SPEC, SplitMix64(18)), tmp_path / "net.npz")

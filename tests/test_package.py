@@ -31,3 +31,42 @@ def test_every_name_the_benchmark_imports_exists():
     missing = [f"{module}.{name}" for module, name in wanted
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+GUARDED = {("json", "load"), ("json", "dump"), ("os", "replace")}
+
+
+class _GuardedCalls(ast.NodeVisitor):
+    """Each call of a GUARDED function, as (module, enclosing function, name)."""
+
+    def __init__(self, module: str):
+        self.module, self.where, self.found = module, ["<module>"], set()
+
+    def visit_FunctionDef(self, node):
+        self.where.append(node.name)
+        self.generic_visit(node)
+        self.where.pop()
+
+    def visit_ImportFrom(self, node):
+        for alias in node.names:
+            if (node.module, alias.name) in GUARDED:
+                self.found.add((self.module, "<import>", f"{node.module}.{alias.name}"))
+
+    def visit_Call(self, node):
+        f = node.func
+        if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                and (f.value.id, f.attr) in GUARDED):
+            self.found.add((self.module, self.where[-1], f"{f.value.id}.{f.attr}"))
+        self.generic_visit(node)
+
+
+def test_json_files_and_directory_swaps_each_have_one_implementation():
+    # Copies of these drifted apart in their error handling before; network
+    # headers are parsed in memory with json.loads, which is not guarded.
+    found = set()
+    for path in sorted(Path(deeplda.__file__).resolve().parent.glob("*.py")):
+        visitor = _GuardedCalls(path.stem)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found |= visitor.found
+    assert found == {("data", "read_json", "json.load"), ("data", "write_json", "json.dump"),
+                     ("pipeline", "replacing", "os.replace")}
