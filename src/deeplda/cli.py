@@ -84,7 +84,7 @@ def _resolve_phase(cfg: dict, section: str, flags: dict) -> TrainConfig:
     try:
         return TrainConfig(**{_PHASE_FIELDS[k]: v for k, v in merged.items()})
     except (TypeError, ValueError) as exc:
-        raise click.UsageError(str(exc)) from None
+        raise click.UsageError(f"{section}: {exc}") from None
 
 
 def _given(flag, cfg: dict, key: str, default=None):
@@ -163,9 +163,6 @@ def cmd_train(data, schema, config, seed, val_fraction, lr, epochs, batch_size, 
     flags = {"lr": lr, "epochs": epochs, "batch_size": batch_size, "l2": l2}
     config1 = _resolve_phase(cfg, "phase1", flags)
     config2 = _resolve_phase(cfg, "phase2", flags)
-    if min(config1.epochs, config2.epochs) < 1:
-        raise click.UsageError(f"epochs must be at least 1 in each phase, got "
-                               f"{config1.epochs} and {config2.epochs}")
     target = os.path.abspath(out)  # the path replacing() swaps: "" or "x/../run" included
     if os.path.lexists(target) and not (
             os.path.isdir(target) and set(os.listdir(target)) <= RUN_FILES):

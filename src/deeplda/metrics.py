@@ -154,7 +154,7 @@ class EpochRecord:
 @dataclass
 class TrainingHistory:
     """Per-epoch records with contiguous epoch indices 1..E, and the last
-    validation pass's probabilities (None when no epoch ran)."""
+    validation pass's probabilities (set by ``fit``, None before)."""
 
     records: list[EpochRecord] = field(default_factory=list)
     val_probs: np.ndarray | None = field(default=None, compare=False, repr=False)

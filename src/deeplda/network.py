@@ -249,9 +249,9 @@ class TrainConfig:
 
     Defaults follow the reference experiment: learning rate 1e-5, 100
     epochs, batches of 64, L2 coefficient 0.01 on regularized kernels.
-    ``epochs=0`` is allowed and makes ``fit`` a no-op. The counts must be
-    integers and the rates numbers, never bools (TypeError otherwise);
-    the rates are stored as floats.
+    At least one epoch is required. The counts must be integers and the
+    rates numbers, never bools (TypeError otherwise); the rates are
+    stored as floats.
     """
 
     learning_rate: float = 1e-5
@@ -264,8 +264,8 @@ class TrainConfig:
         _type_fields(self, ("epochs", "batch_size"), ("learning_rate", "l2_lambda", "threshold"))
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.l2_lambda < 0:
@@ -291,7 +291,7 @@ class Network:
     steps; forward caches remember the version they were computed against
     so a stale cache cannot silently feed a backward pass. ``moments`` holds
     one Adam ``(m, v)`` pair per array of ``weights + biases``; it is None
-    until the first :func:`adam_step`, so a network only scored holds none.
+    until the first Adam step, so a network only scored holds none.
     """
 
     def __init__(self, spec: NetworkSpec, weights: list[np.ndarray], biases: list[np.ndarray]):
@@ -599,11 +599,19 @@ def backward(net: Network, cache: ForwardCache, loss_grad: np.ndarray) -> Gradie
     return Gradients(weights=grads[:n_dense], biases=grads[n_dense:])
 
 
-def _moments(net: Network) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The network's Adam moments, made as zeros on first use."""
+def _adam_apply(net: Network, blocks, learning_rate: float, scratch: np.ndarray) -> None:
+    """Adam step ``t = net.version + 1`` of each ``(i, start, g)`` row block
+    that ``blocks`` yields (see :func:`_backward_walk`), as it arrives. The
+    moments are made as zeros on first use; the version is bumped at the end."""
     if net.moments is None:
         net.moments = [(np.zeros(p.shape), np.zeros(p.shape)) for p in net.weights + net.biases]
-    return net.moments
+    t, params = net.version + 1, net.weights + net.biases
+    for i, start, g in blocks:
+        rows = slice(start, start + len(g))
+        m, v = net.moments[i]
+        _adam_update(params[i][rows], g, m[rows], v[rows], t, learning_rate, scratch)
+        del g  # freed before the walk makes the next block
+    net.version = t
 
 
 def _adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
@@ -650,10 +658,7 @@ def adam_step(net: Network, grads: Gradients, learning_rate: float) -> Network:
     for i, (p, g) in enumerate(zip(params, gs)):
         if g.shape != p.shape:
             raise ShapeError(f"gradient {i} has shape {g.shape}, parameter has {p.shape}")
-    scratch = np.empty((2, BLOCK))
-    for p, g, (m, v) in zip(params, gs, _moments(net)):
-        _adam_update(p, g, m, v, net.version + 1, learning_rate, scratch)
-    net.version += 1
+    _adam_apply(net, ((i, 0, g) for i, g in enumerate(gs)), learning_rate, np.empty((2, BLOCK)))
     return net
 
 
@@ -706,7 +711,8 @@ def fit(
     backward walk: each dense layer's bias and then its weights, a block of
     :data:`GRAD_ROWS` rows at a time, are updated top-down as soon as its
     input gradient is made, all with step ``t = version + 1``, so a step
-    holds one block of one layer's weight gradient at a time. The bits
+    holds one block of one layer's weight gradient at a time. Adam is
+    elementwise and :func:`adam_step` applies the same update, so the bits
     equal :func:`backward` followed by :func:`adam_step`.
     Train metrics are batch-size-weighted running averages computed before
     each update; validation metrics come from one full infer-mode pass
@@ -750,16 +756,7 @@ def fit(
             loss_sum += loss * xb.shape[0]
             pred_pos = out[:, 0] >= config.threshold
             correct += int(np.sum(pred_pos == (yb[:, 0] >= 0.5)))
-            # The walk consumes this step's records, and each block of rows
-            # is updated as soon as the walk yields it.
-            t, moments, params = net.version + 1, _moments(net), net.weights + net.biases
-            for i, start, g in _backward_walk(net, cache, grad):
-                rows = slice(start, start + len(g))
-                m, v = moments[i]
-                _adam_update(params[i][rows], g, m[rows], v[rows], t, config.learning_rate,
-                             scratch)
-                del g  # freed before the walk makes the next block
-            net.version = t
+            _adam_apply(net, _backward_walk(net, cache, grad), config.learning_rate, scratch)
         val_out, val_labels = predict(net, val.x, config.threshold)
         history.val_probs = val_out
         val_bce, _ = bce_loss(val_out, y_val)

@@ -133,23 +133,14 @@ def train_two_phase(
         )
     phase1 = init_network(build_phase1_spec(train.n_features, config1.l2_lambda), rng)
     phase1, history1 = _fit_phase(1, phase1, train, val, config1, rng)
-
-    model_stub = TwoPhaseModel(phase1=phase1, phase2=init_network(build_phase2_spec(), rng))
-    z_train = transform_phase1(model_stub, train.x)
+    model = TwoPhaseModel(phase1=phase1, phase2=init_network(build_phase2_spec(), rng),
+                          config1=config1, config2=config2, standardizer=standardizer,
+                          feature_names=train.feature_names)
     # fit's last validation pass already scored val.x with the final weights.
-    z_val = history1.val_probs if len(history1) else transform_phase1(model_stub, val.x)
-    train2 = Dataset(x=z_train, y=train.y, feature_names=("phase1_prob",))
-    val2 = Dataset(x=z_val, y=val.y, feature_names=("phase1_prob",))
-    phase2, history2 = _fit_phase(2, model_stub.phase2, train2, val2, config2, rng)
-
-    model = TwoPhaseModel(
-        phase1=phase1,
-        phase2=phase2,
-        config1=config1,
-        config2=config2,
-        standardizer=standardizer,
-        feature_names=train.feature_names,
-    )
+    train2 = Dataset(x=transform_phase1(model, train.x), y=train.y,
+                     feature_names=("phase1_prob",))
+    val2 = Dataset(x=history1.val_probs, y=val.y, feature_names=("phase1_prob",))
+    _, history2 = _fit_phase(2, model.phase2, train2, val2, config2, rng)
     return model, history1, history2
 
 
@@ -183,7 +174,10 @@ def replacing(directory):
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
-    shutil.rmtree(stale, ignore_errors=True)
+    if os.path.islink(stale):  # a link to a directory: the link goes, its target stays
+        os.unlink(stale)
+    else:
+        shutil.rmtree(stale, ignore_errors=True)
 
 
 def save_two_phase(model: TwoPhaseModel, directory) -> None:
@@ -228,19 +222,28 @@ def load_two_phase(directory) -> TwoPhaseModel:
     try:
         config1 = TrainConfig.from_dict(manifest["config1"])
         config2 = TrainConfig.from_dict(manifest["config2"])
-        std = manifest["standardizer"]
-        standardizer = None if std is None else Standardizer(std["mean"], std["std"])
         names = manifest["feature_names"]
         if names is not None and not (
             isinstance(names, list) and all(isinstance(n, str) for n in names)
         ):
             raise TypeError(f"feature_names must be a list of strings or null, got {names!r}")
+        std = manifest["standardizer"]
+        standardizer = None
+        if std is not None:
+            mean, dev = std["mean"], std["std"]
+            if not all(isinstance(s, list) and all(type(v) in (int, float) for v in s)
+                       for s in (mean, dev)):
+                raise TypeError("standardizer mean and std must be flat lists of JSON numbers")
+            if not len(mean) == len(dev) == len(names or mean):
+                raise ValueError(f"standardizer has {len(mean)} means and {len(dev)} "
+                                 f"deviations for {len(names or mean)} features")
+            standardizer = Standardizer(mean, dev)  # which refuses NaN and infinities
         seed = manifest["seed"]
         if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
             raise TypeError(f"seed must be an integer or null, got {seed!r}")
     except KeyError as exc:
         raise DataError(f"model manifest {path} lacks the key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: 10**400
         raise DataError(f"model manifest {path} is malformed: {exc}") from None
     return TwoPhaseModel(
         phase1=load_network(os.path.join(directory, PHASE_FILES[0])),

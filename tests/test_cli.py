@@ -6,6 +6,7 @@ import json
 import os
 import re
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -702,7 +703,8 @@ _any_json = st.one_of(
 )
 # What --out holds before the run: the kinds train may replace, and the others.
 _RUN_OUT = ["absent", "empty directory", "previous run",
-            "previous run, named through a missing one"]
+            "previous run, named through a missing one",
+            "link to an empty directory", "link to a previous run"]
 _FOREIGN_OUT = ["file", "dangling link", "foreign directory", "previous run with a foreign file",
                 "foreign directory, named through a missing one"]
 _CELLS = ["0.5", "-1.25", "3", "7e-3", "", " 2 "]
@@ -727,15 +729,20 @@ def _csv(rows) -> bytes:
             + "".join(f"{i},{a},{b},{y}\n" for i, (a, b, y) in enumerate(rows))).encode()
 
 
+_BOTH_CLASSES = [("1", "2", "0"), ("3", "-1", "1"), ("0", "5", "0"), ("2", "2", "1")]
+
+
 @st.composite
-def _train_inputs(draw):
-    broken = draw(st.sets(st.sampled_from(_INPUTS)))
-    pools = [_VALID_FLAGS] + ([_HOSTILE_FLAGS] if "flags" in broken else [])
-    flags = draw(st.fixed_dictionaries({}, optional={
-        flag: st.one_of(*[st.sampled_from(pool[flag]) for pool in pools])
-        for flag in _VALID_FLAGS}))
-    flags["--epochs"] = draw(st.sampled_from(["1"] + _HOSTILE_EPOCHS if "flags" in broken
-                                             else ["1"]))
+def _flags(draw, broken, valid, hostile):
+    pools = [valid] + ([hostile] if broken else [])
+    return draw(st.fixed_dictionaries({}, optional={
+        flag: st.one_of(*[st.sampled_from(pool[flag]) for pool in pools]) for flag in valid}))
+
+
+@st.composite
+def _data_files(draw, broken):
+    """Run-config, schema and CSV bytes, each valid unless named in ``broken``
+    (no config file is None)."""
     known = list(_VALID_CONFIG) + ["phase1", "phase2"]
     if "config" in broken:
         config = draw(_config(lambda key: _any_json | st.just(_VALID_CONFIG.get(key, "1")),
@@ -758,10 +765,44 @@ def _train_inputs(draw):
     else:
         cell = st.sampled_from(_CELLS)
         row = st.tuples(cell, cell, st.sampled_from("01"))
-        both_classes = [("1", "2", "0"), ("3", "-1", "1"), ("0", "5", "0"), ("2", "2", "1")]
-        csv = _csv(both_classes + draw(st.lists(row, max_size=16)))
+        csv = _csv(_BOTH_CLASSES + draw(st.lists(row, max_size=16)))
+    return config, schema, csv
+
+
+@st.composite
+def _train_inputs(draw):
+    broken = draw(st.sets(st.sampled_from(_INPUTS)))
+    flags = draw(_flags("flags" in broken, _VALID_FLAGS, _HOSTILE_FLAGS))
+    flags["--epochs"] = draw(st.sampled_from(["1"] + _HOSTILE_EPOCHS if "flags" in broken
+                                             else ["1"]))
+    config, schema, csv = draw(_data_files(broken))
     out = draw(st.sampled_from(_FOREIGN_OUT if "out" in broken else _RUN_OUT))
     return flags, config, schema, csv, out
+
+
+def _write_inputs(tmp, config, schema, csv) -> list[str]:
+    """Write the drawn files into ``tmp``; the flags that name them."""
+    args = []
+    for flag, name, blob in (("--data", "d.csv", csv), ("--schema", "s.json", schema),
+                             ("--config", "c.json", config)):
+        if blob is not None:  # only the config is ever absent
+            path = os.path.join(tmp, name)
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            args += [flag, path]
+    return args
+
+
+def _main_in_process(argv) -> tuple[int, str]:
+    """``cli.main(argv)``'s exit code and output, which keep the contract:
+    a documented exit code and no traceback."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    output = stdout.getvalue() + stderr.getvalue()
+    assert code in (0, 1, 2, 3), output
+    assert "Traceback" not in output
+    return code, output
 
 
 def _stand_in_run(path):
@@ -780,13 +821,15 @@ def _stand_in_run(path):
 def test_train_keeps_the_exit_code_contract_on_any_input(inputs):
     flags, config, schema, csv, out_kind = inputs
     with tempfile.TemporaryDirectory() as tmp:
-        paths = {name: os.path.join(tmp, name) for name in ("d.csv", "s.json", "c.json", "run")}
-        for name, blob in (("d.csv", csv), ("s.json", schema), ("c.json", config)):
-            if blob is not None:
-                with open(paths[name], "wb") as fh:
-                    fh.write(blob)
-        out = paths["run"]
-        if out_kind == "file":
+        files = _write_inputs(tmp, config, schema, csv)
+        out, real = os.path.join(tmp, "run"), os.path.join(tmp, "real")
+        if out_kind.startswith("link to"):
+            if out_kind.endswith("previous run"):
+                _stand_in_run(real)
+            else:
+                os.mkdir(real)
+            os.symlink(real, out)
+        elif out_kind == "file":
             with open(out, "w") as fh:
                 fh.write("not a run\n")
         elif out_kind == "dangling link":
@@ -798,23 +841,106 @@ def test_train_keeps_the_exit_code_contract_on_any_input(inputs):
         if "foreign" in out_kind:
             with open(os.path.join(out, "notes.txt"), "w") as fh:
                 fh.write("kept\n")
-        before = _tree(out)
+        before, real_before = _tree(out), _tree(real)
         if out_kind.endswith("named through a missing one"):
             out_arg = os.path.join(tmp, "no", "..", "run")  # the same path once normalized
         else:
             out_arg = out
-        argv = ["train", "--data", paths["d.csv"], "--schema", paths["s.json"], "--out", out_arg,
-                *(["--config", paths["c.json"]] if config is not None else []),
-                *[x for item in flags.items() for x in item]]
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(argv)
-        output = stdout.getvalue() + stderr.getvalue()
-        assert code in (0, 1, 2, 3), output
-        assert "Traceback" not in output
+        code, output = _main_in_process(["train", *files, "--out", out_arg,
+                                         *[x for item in flags.items() for x in item]])
         assert not [name for name in os.listdir(tmp) if ".tmp-" in name]
+        assert _tree(real) == real_before  # never written or deleted through a link
         if code == 0:
             assert out_kind in _RUN_OUT
             assert sorted(os.listdir(out)) == RUN_FILES
         else:
             assert _tree(out) == before, output
+
+
+# The same property for `evaluate` and `baseline`. `evaluate` scores copies
+# of one model trained here, some with one byte flipped or one file removed,
+# and must leave the model directory as it found it.
+_BASELINE_FLAGS = {"--ridge": ["0", "1e-6", "1e-3", "1e300"], "--seed": ["0", "7", "9" * 30],
+                   "--val-fraction": ["0.25", "0.5"]}
+_HOSTILE_BASELINE_FLAGS = {"--ridge": ["-1", "-1e-300", "nan", "inf", "-inf", "1e400", "x"],
+                           "--seed": _HOSTILE_FLAGS["--seed"],
+                           "--val-fraction": _HOSTILE_FLAGS["--val-fraction"]}
+_MODEL_FILES = ("manifest.json", "phase1.npz", "phase2.npz")
+_MODEL_SCHEMA = b'{"target": "label", "drop": ["id"], "positive_label": "1"}'
+
+
+@pytest.fixture(scope="module")
+def trained_model(tmp_path_factory):
+    """A model's file bytes by name, and for each file the byte ranges worth
+    flipping: all of the manifest, and each archive's entry headers (zip and
+    .npy) and its central directory with the end record."""
+    tmp = tmp_path_factory.mktemp("evaluated")
+    (tmp / "d.csv").write_bytes(_csv(_BOTH_CLASSES * 3))
+    (tmp / "s.json").write_bytes(_MODEL_SCHEMA)
+    assert main(["train", "--data", str(tmp / "d.csv"), "--schema", str(tmp / "s.json"),
+                 "--out", str(tmp / "run"), "--epochs", "1", "--lr", "1e-3"]) == 0
+    blobs = {name: (tmp / "run" / "model" / name).read_bytes() for name in _MODEL_FILES}
+    ranges = {"manifest.json": [(0, len(blobs["manifest.json"]) - 1)]}
+    for name in _MODEL_FILES[1:]:
+        with zipfile.ZipFile(io.BytesIO(blobs[name])) as archive:
+            ranges[name] = [(info.header_offset, info.header_offset + 200)
+                            for info in archive.infolist()]
+            ranges[name].append((archive.start_dir, len(blobs[name]) - 1))
+    return blobs, ranges
+
+
+@st.composite
+def _damaged(draw, blobs, ranges):
+    """The model's files, intact or with one removed or one byte flipped;
+    and whether they are intact."""
+    kind = draw(st.sampled_from(["intact", "removed", "flipped", "flipped"]))
+    if kind == "intact":
+        return dict(blobs), True
+    name = draw(st.sampled_from(_MODEL_FILES))
+    files = {n: blob for n, blob in blobs.items() if n != name}
+    if kind == "flipped":
+        blob = bytearray(blobs[name])
+        low, high = draw(st.sampled_from(ranges[name]))
+        blob[draw(st.integers(low, high))] ^= draw(st.integers(1, 255))
+        files[name] = bytes(blob)
+    return files, False
+
+
+@pytest.mark.filterwarnings("default::RuntimeWarning")  # as outside the test suite
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_evaluate_keeps_the_exit_code_contract_and_the_model(trained_model, data):
+    broken = data.draw(st.sets(st.sampled_from(["config", "schema", "csv"])))
+    config, schema, csv = data.draw(_data_files(broken))
+    files, intact = data.draw(_damaged(*trained_model))
+    with tempfile.TemporaryDirectory() as tmp:
+        model = os.path.join(tmp, "model")
+        os.mkdir(model)
+        for name, blob in files.items():
+            with open(os.path.join(model, name), "wb") as fh:
+                fh.write(blob)
+        code, output = _main_in_process(["evaluate", "--model", model,
+                                         *_write_inputs(tmp, config, schema, csv)])
+        assert _tree(model) == files, output
+        if intact and not broken and schema == _MODEL_SCHEMA:
+            assert code == 0, output
+
+
+@st.composite
+def _baseline_inputs(draw):
+    broken = draw(st.sets(st.sampled_from(["flags", "config", "schema", "csv"])))
+    flags = draw(_flags("flags" in broken, _BASELINE_FLAGS, _HOSTILE_BASELINE_FLAGS))
+    return flags, *draw(_data_files(broken))
+
+
+@pytest.mark.filterwarnings("default::RuntimeWarning")  # as outside the test suite
+@given(inputs=_baseline_inputs())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_baseline_keeps_the_exit_code_contract_on_any_input(inputs):
+    flags, config, schema, csv = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["baseline", *_write_inputs(tmp, config, schema, csv),
+                *[x for item in flags.items() for x in item]]
+        written = sorted(os.listdir(tmp))
+        _main_in_process(argv)
+        assert sorted(os.listdir(tmp)) == written  # baseline writes nothing

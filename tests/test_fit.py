@@ -45,19 +45,6 @@ def test_history_row_count_equals_epochs():
     assert [r.epoch for r in history] == list(range(1, 8))
 
 
-def test_zero_epochs_is_a_no_op():
-    train, val = _toy_sets()
-    rng = SplitMix64(2)
-    net = init_network(SPEC, rng)
-    counter_after_init = rng.counter
-    before = [w.copy() for w in net.weights]
-    cfg = TrainConfig(learning_rate=1e-3, epochs=0)
-    out_net, history = fit(net, train, val, cfg, rng)
-    assert len(history) == 0 and history.val_probs is None
-    assert all(np.array_equal(a, b) for a, b in zip(out_net.weights, before))
-    assert rng.counter == counter_after_init
-
-
 def test_same_seed_bitwise_identical_histories():
     train, val = _toy_sets(seed=3)
     cfg = TrainConfig(learning_rate=1e-3, epochs=5, batch_size=4)

@@ -108,8 +108,9 @@ class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(epochs=-1)
+        for epochs in (0, -1):
+            with pytest.raises(ValueError, match=f"epochs must be at least 1, got {epochs}"):
+                TrainConfig(epochs=epochs)
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):

@@ -33,7 +33,7 @@ def test_every_name_the_benchmark_imports_exists():
     assert missing == []
 
 
-GUARDED = {("json", "load"), ("json", "dump"), ("os", "replace")}
+GUARDED = {"json.load", "json.dump", "os.replace", "_adam_update"}
 
 
 class _GuardedCalls(ast.NodeVisitor):
@@ -49,24 +49,42 @@ class _GuardedCalls(ast.NodeVisitor):
 
     def visit_ImportFrom(self, node):
         for alias in node.names:
-            if (node.module, alias.name) in GUARDED:
-                self.found.add((self.module, "<import>", f"{node.module}.{alias.name}"))
+            for name in (f"{node.module}.{alias.name}", alias.name):
+                if name in GUARDED:
+                    self.found.add((self.module, "<import>", name))
 
     def visit_Call(self, node):
         f = node.func
-        if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
-                and (f.value.id, f.attr) in GUARDED):
-            self.found.add((self.module, self.where[-1], f"{f.value.id}.{f.attr}"))
+        if isinstance(f, ast.Attribute):
+            names = {f.attr} | ({f"{f.value.id}.{f.attr}"} if isinstance(f.value, ast.Name)
+                                else set())
+        else:
+            names = {getattr(f, "id", None)}
+        for name in names & GUARDED:
+            self.found.add((self.module, self.where[-1], name))
         self.generic_visit(node)
 
 
-def test_json_files_and_directory_swaps_each_have_one_implementation():
-    # Copies of these drifted apart in their error handling before; network
-    # headers are parsed in memory with json.loads, which is not guarded.
+def _guarded_calls():
     found = set()
     for path in sorted(Path(deeplda.__file__).resolve().parent.glob("*.py")):
         visitor = _GuardedCalls(path.stem)
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
         found |= visitor.found
+    return found
+
+
+def test_json_files_and_directory_swaps_each_have_one_implementation():
+    # Copies of these drifted apart in their error handling before; network
+    # headers are parsed in memory with json.loads, which is not guarded.
+    found = {call for call in _guarded_calls() if call[2] != "_adam_update"}
     assert found == {("data", "read_json", "json.load"), ("data", "write_json", "json.dump"),
                      ("pipeline", "replacing", "os.replace")}
+
+
+def test_adam_is_applied_in_one_place():
+    # fit and adam_step both update through _adam_apply, which keeps the step
+    # number, the moments and the version bump; a second loop over
+    # _adam_update would be a second copy of those rules.
+    assert {call for call in _guarded_calls() if call[2] == "_adam_update"} == {
+        ("network", "_adam_apply", "_adam_update")}

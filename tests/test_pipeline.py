@@ -145,15 +145,6 @@ class TestTrainTwoPhase:
         assert np.array_equal(h1.val_probs, transform_phase1(model, val.x))
         assert np.array_equal(h2.val_probs, predict_two_phase(model, val.x)[0])
 
-    def test_zero_epoch_phase1_still_trains_phase2(self):
-        # With no phase-1 epoch there is no validation pass to reuse.
-        train, val = self._sets(seed=3)
-        cfg0 = TrainConfig(learning_rate=1e-3, epochs=0, batch_size=64)
-        model, h1, h2 = train_two_phase(train, val, cfg0, FAST, SplitMix64(6))
-        assert len(h1) == 0 and h1.val_probs is None
-        assert len(h2) == FAST.epochs
-        assert np.array_equal(h2.val_probs, predict_two_phase(model, val.x)[0])
-
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_names_phase_epoch_and_batch(self):
         train, val = self._sets(seed=4)
@@ -266,6 +257,20 @@ class TestSaveLoad:
         back = load_two_phase(out)
         assert np.array_equal(back.phase1.weights[0], replacement.phase1.weights[0])
 
+    def test_save_onto_a_link_replaces_the_link_and_keeps_its_target(self, tmp_path):
+        real = tmp_path / "real"
+        save_two_phase(_model(seed=11), real)
+        before = {p.name: p.read_bytes() for p in real.iterdir()}
+        out = tmp_path / "model"
+        out.symlink_to(real, target_is_directory=True)
+        replacement = _model(seed=12)
+        save_two_phase(replacement, out)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model", "real"]
+        assert not out.is_symlink()
+        assert {p.name: p.read_bytes() for p in real.iterdir()} == before
+        back = load_two_phase(out)
+        assert np.array_equal(back.phase1.weights[0], replacement.phase1.weights[0])
+
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_save_leaves_nothing_partial(self, tmp_path, monkeypatch, existing):
         out = tmp_path / "model"
@@ -337,11 +342,22 @@ class TestMalformedModel:
         lambda d: d["config1"].update(epochs=2.7),
         lambda d: d["config2"].update(batch_size=True),
         lambda d: d["config1"].update(l2_lambda=float("nan")),
+        lambda d: d["config2"].update(epochs=0),
+        lambda d: d["standardizer"].update(mean=["0.5"] * 5),
+        lambda d: d["standardizer"].update(std=[True] * 5),
+        lambda d: d["standardizer"].update(mean=[[0.0] * 5]),
+        lambda d: d["standardizer"].update(mean=10**400),
+        lambda d: d["standardizer"].update(mean=[10**400] * 5),
+        lambda d: d["standardizer"].update(std=[1.0] * 4),
+        lambda d: d.update(standardizer={"mean": [0.0] * 4, "std": [1.0] * 4},
+                           feature_names=list("abcde")),
+        lambda d: d.update(feature_names=list("abcdef")),
     ])
     def test_bad_manifest_is_data_error(self, copy, edit):
         _edit_manifest(copy, edit)
         with pytest.raises(DataError) as info:
             load_two_phase(copy)
+        assert str(copy / "manifest.json") in str(info.value)
         found = json.loads((copy / "manifest.json").read_text())["format"]
         if found != TWO_PHASE_FORMAT:
             assert repr(found) in str(info.value)
