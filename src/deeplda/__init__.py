@@ -8,6 +8,8 @@ evaluation metrics and curve files, a classical Fisher discriminant
 baseline, and a command-line tool tying them into reproducible runs.
 """
 
+from types import ModuleType as _ModuleType
+
 from .data import (
     DataSchema,
     Dataset,
@@ -77,65 +79,6 @@ from .rng import SplitMix64
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConfusionMatrix",
-    "ContractError",
-    "DataError",
-    "DataSchema",
-    "Dataset",
-    "DeepLdaError",
-    "EpochRecord",
-    "Gradients",
-    "LayerSpec",
-    "LdaModel",
-    "Network",
-    "NetworkSpec",
-    "NumericalError",
-    "RawTable",
-    "ShapeError",
-    "SplitMix64",
-    "Standardizer",
-    "TrainConfig",
-    "TrainingHistory",
-    "TwoPhaseModel",
-    "accuracy",
-    "adam_step",
-    "apply_standardizer",
-    "backward",
-    "bce_loss",
-    "build_phase1_spec",
-    "build_phase2_spec",
-    "clean",
-    "confusion",
-    "dense",
-    "dropout",
-    "f_score",
-    "fisher_ratio",
-    "fit",
-    "fit_fisher",
-    "fit_standardizer",
-    "format_report",
-    "forward",
-    "history_to_csv",
-    "init_network",
-    "l2_penalty",
-    "layer_param_counts",
-    "load_csv",
-    "load_dataset",
-    "load_network",
-    "load_schema",
-    "load_two_phase",
-    "param_count",
-    "precision",
-    "predict",
-    "predict_lda",
-    "predict_two_phase",
-    "recall",
-    "report_dict",
-    "save_network",
-    "save_two_phase",
-    "stratified_split",
-    "train_two_phase",
-    "transform_phase1",
-    "__version__",
-]
+# Every public name imported above, without the submodules those imports bind.
+__all__ = [name for name, value in globals().items()
+           if not (name.startswith("_") or isinstance(value, _ModuleType))] + ["__version__"]

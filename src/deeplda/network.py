@@ -63,6 +63,18 @@ ROWS = 256
 # the last bits of the rows and columns at tile edges.
 GRAD_ROWS = 256
 
+# Columns per block of a dense layer's input gradient ``dz @ W.T`` in the
+# backward walk: 2 MB at batch 512, against 4 MB whole. At (512, 1024) @
+# (1024, 1024) it took 26.2 ms in 512-column blocks, 23.9 ms whole and
+# 29.0 ms in 256-column blocks. With one OpenBLAS 0.3.31 thread (AVX-512)
+# the blocks keep the whole product's bits when the input width is a
+# multiple of 512 and a block has over 100**3 multiply-adds (2,499 shapes
+# checked); smaller products run through small-matrix kernels that sum in
+# another order, and a partial block ends in edge tiles. Elsewhere the
+# product is made whole, except an outer product (one-column dz), which is
+# elementwise.
+DELTA_COLS = 512
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function, computed in place in the C-contiguous ``z``.
@@ -95,19 +107,21 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _activation_gradient(name: str, a_out: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """``delta * act'(z)``, with act' expressed through the activation
-    output, as one new array (``delta`` itself for no activation)."""
+def _activation_gradient(name: str, a: np.ndarray, delta: np.ndarray,
+                         scratch: np.ndarray) -> np.ndarray:
+    """Overwrite the activation output ``a`` with ``delta * act'(z)``, act'
+    expressed through ``a``, and return it. The bits equal the product form
+    ``((1 - a) * a) * delta`` (sigmoid) or ``[a > 0] * delta`` (relu); the
+    sigmoid's ``1 - a`` goes through ``scratch``, an array of ``a``'s shape."""
     if name == "none":
-        return delta
+        np.copyto(a, delta)
+        return a
     if name == "sigmoid":
-        g = np.subtract(1.0, a_out)
-        g *= a_out
+        a *= np.subtract(1.0, a, out=scratch)
     else:
-        # relu; subgradient 0 at z == 0.
-        g = np.greater(a_out, 0.0, out=np.empty_like(a_out))
-    g *= delta
-    return g
+        np.greater(a, 0.0, out=a)  # relu; subgradient 0 at z == 0
+    a *= delta
+    return a
 
 
 def _type_fields(obj, ints: tuple[str, ...], reals: tuple[str, ...]) -> None:
@@ -502,14 +516,21 @@ def _add_scaled(dst: np.ndarray, alpha: float, src: np.ndarray) -> None:
         db += np.multiply(alpha, s[start : start + BLOCK], out=scratch[: db.size])
 
 
-def _transposed(a: np.ndarray) -> np.ndarray:
-    """``np.ascontiguousarray(a.T)`` in tiles of 64 rows of ``a``. Whole, a
-    (512, 1024) copy stores down columns 4 KiB apart, which alias in the L1
-    cache: 5.3-8.0 ms against 1.1-1.5 ms in tiles (one core, numpy 2.4.6)."""
-    out = np.empty(a.shape[::-1])
+def _transposed(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.ascontiguousarray(a.T)``, written into ``out`` in tiles of 64
+    rows of ``a``. Whole, a (512, 1024) copy stores down columns 4 KiB
+    apart, which alias in the L1 cache: 5.3-8.0 ms against 1.1-1.5 ms in
+    tiles (one core, numpy 2.4.6)."""
     for start in range(0, a.shape[0], 64):
         out[:, start : start + 64] = a[start : start + 64].T
     return out
+
+
+def _delta_cols(n: int, units: int, fan_in: int) -> int:
+    """Columns per block of the input gradient made from an (n, units) dz."""
+    if units == 1 or (fan_in % DELTA_COLS == 0 and n * units * DELTA_COLS > 100**3):
+        return DELTA_COLS
+    return fan_in
 
 
 def _backward_walk(net: Network, cache: ForwardCache, loss_grad: np.ndarray):
@@ -518,14 +539,17 @@ def _backward_walk(net: Network, cache: ForwardCache, loss_grad: np.ndarray):
     gradient of rows ``start : start + len(g)`` of parameter ``i`` of
     ``net.weights + net.biases``.
 
-    Layer k's bias gradient and then its weight gradient, in blocks of
-    :data:`GRAD_ROWS` rows, are yielded once its input gradient has been
-    made from the not-yet-updated ``W_k``, and a block's L2 term reads only
-    its own rows of ``W_k``, so the consumer may update each block at once.
-    The weight blocks share one buffer, which the next block overwrites.
-    The walk pops ``cache.records`` as it reads them, so a consumer that
-    drops each block holds one block of one layer's weight gradient and
-    the activations still to be read.
+    The walk consumes the cache: it empties ``cache.records`` and writes
+    each dense layer's activation gradient ``dz`` over its cached output.
+    It yields layer k's bias gradient, then visits ``W_k`` in blocks of
+    rows R (see :data:`DELTA_COLS`), the columns R of the layer's input:
+    it makes the input gradient ``dz @ W_k[R].T`` from rows not yet
+    updated, yields the weight gradient of rows R in blocks of
+    :data:`GRAD_ROWS` rows, whose L2 term reads only their own rows, so the
+    consumer may update each block at once, and then writes the layer
+    below's ``dz`` over that layer's output columns R, which nothing reads
+    again. Both kinds of block go through one buffer each, so a consumer
+    that drops each block holds the activations not yet read and the two.
     """
     if cache.version != net.version:
         raise ContractError(
@@ -537,49 +561,60 @@ def _backward_walk(net: Network, cache: ForwardCache, loss_grad: np.ndarray):
         raise ShapeError(
             f"loss gradient has shape {loss_grad.shape}, forward output was {cache.output_shape}"
         )
-    dense_specs = net.dense_layers()
-    n_dense = len(net.weights)
-    block = None
-    records = cache.records
-    delta = loss_grad
-    while delta is not None and records:
-        rec = records.pop()
-        if rec[0] == "dropout":
-            if rec[1] is not None:
-                delta = delta * rec[1]
-            continue
-        _, k, a_in, a_out = rec
-        del rec
-        w = net.weights[k]
-        dz = _activation_gradient(dense_specs[k].activation, a_out, delta)
-        del a_out, delta
-        # Nothing reads the first layer's input gradient.
-        delta = _matmul(dz, w.T) if k > 0 else None
+    specs, n_dense, n = net.dense_layers(), len(net.weights), len(loss_grad)
+    # (k, a_in, a_out, the dropout masks on a_out) per dense layer, bottom-up;
+    # nothing reads a gradient through masks on the input.
+    stack = []
+    for rec in cache.records:
+        if rec[0] == "dense":
+            stack.append((*rec[1:], []))
+        elif rec[1] is not None and stack:
+            stack[-1][3].append(rec[1])
+    cache.records.clear()
+    shapes = net.spec.dense_shapes()
+    widths = [min(_delta_cols(n, units, fan_in), fan_in) for fan_in, units in shapes]
+    # For the weight-gradient blocks, the a_in.T tiles and the sigmoid's 1 - a.
+    block = np.empty(max(max(min(fan_in, GRAD_ROWS) * units, n * width)
+                         for (fan_in, units), width in zip(shapes, widths)))
+    deltas = np.empty(n * max(widths[1:], default=0))
+    k, a_in, a_out, masks = stack.pop()
+    for mask in reversed(masks):
+        loss_grad = loss_grad * mask
+    dz = _activation_gradient(specs[k].activation, a_out, loss_grad, np.empty(a_out.shape))
+    del a_out, masks
+    while True:
+        w, lam, width = net.weights[k], specs[k].l2_lambda, widths[k]
+        units = w.shape[1]
         yield n_dense + k, 0, dz.sum(axis=0, keepdims=True)
-        lam = dense_specs[k].l2_lambda
-        units = dz.shape[1]
-        if units > 1 and block is None:
-            # Made after the first such layer's dz and delta, once the
-            # activations above them are freed. Made before the walk, it
-            # was alive at a batch-512 step's peak and train_bulk's peak
-            # RSS read 2 MB higher.
-            block = np.empty(max(min(fan_in, GRAD_ROWS) * n
-                                 for fan_in, n in net.spec.dense_shapes()))
-        # A one-column dz makes a gemv, whose bits depend on the operand
-        # layout, so a_in.T is copied and multiplied whole; a gemm is made
-        # on the transposed view in row blocks (see GRAD_ROWS for its bits).
-        step = GRAD_ROWS if units > 1 else len(w)
-        for start in range(0, len(w), step):
-            a = a_in[:, start : start + step]
-            if units == 1:
-                dw = _transposed(a) @ dz
-            else:
-                dw = np.matmul(a.T, dz, out=block[: a.shape[1] * units].reshape(-1, units))
-            if lam > 0.0:
-                _add_scaled(dw, 2.0 * lam, w[start : start + step])
-            yield k, start, dw
-            del a, dw
-        del a_in, dz
+        below = stack.pop() if stack else None  # its output becomes the next dz
+        for start in range(0, len(w), width):
+            rows = slice(start, start + width)
+            if below:
+                cols = len(w[rows])
+                delta = _matmul(dz, w[rows].T, deltas[: n * cols].reshape(n, cols))
+            # A one-column dz makes a gemv, whose bits depend on the operand
+            # layout, so a_in.T is copied a block at a time; a gemm is made on
+            # the transposed view in row blocks (see GRAD_ROWS for its bits).
+            step = GRAD_ROWS if units > 1 else width
+            for sub in range(start, start + width, step):
+                a = a_in[:, sub : sub + step]
+                if units == 1:
+                    dw = _transposed(a, block[: a.size].reshape(a.shape[::-1])) @ dz
+                else:
+                    dw = np.matmul(a.T, dz, out=block[: a.shape[1] * units].reshape(-1, units))
+                if lam > 0.0:
+                    _add_scaled(dw, 2.0 * lam, w[sub : sub + step])
+                yield k, sub, dw
+                del a, dw
+            if below:
+                for mask in reversed(below[3]):
+                    delta *= mask[:, rows]
+                _activation_gradient(specs[k - 1].activation, below[2][:, rows], delta,
+                                     block[: delta.size].reshape(delta.shape))
+        if below is None:
+            return
+        k, a_in, dz, _ = below
+        del below
 
 
 def backward(net: Network, cache: ForwardCache, loss_grad: np.ndarray) -> Gradients:
@@ -587,11 +622,13 @@ def backward(net: Network, cache: ForwardCache, loss_grad: np.ndarray) -> Gradie
 
     The cache must come from a forward pass against the network's current
     parameters; dropout layers reuse the exact mask and scaling recorded
-    there. The cache is left as it was.
+    there. The cache is left as it was: the walk, which overwrites the
+    activation outputs, runs on copies of them.
     """
     params = net.weights + net.biases
     grads: list[np.ndarray] = [None] * len(params)  # type: ignore[list-item]
-    for i, start, g in _backward_walk(net, replace(cache, records=list(cache.records)), loss_grad):
+    records = [rec if rec[0] == "dropout" else (*rec[:3], rec[3].copy()) for rec in cache.records]
+    for i, start, g in _backward_walk(net, replace(cache, records=records), loss_grad):
         if start == 0:
             grads[i] = np.empty(params[i].shape)
         grads[i][start : start + len(g)] = g
@@ -709,11 +746,14 @@ def fit(
     and for each run forward (train mode, dropout masks drawn per batch),
     binary cross-entropy plus L2 penalty, and one Adam step fused into the
     backward walk: each dense layer's bias and then its weights, a block of
-    :data:`GRAD_ROWS` rows at a time, are updated top-down as soon as its
-    input gradient is made, all with step ``t = version + 1``, so a step
-    holds one block of one layer's weight gradient at a time. Adam is
-    elementwise and :func:`adam_step` applies the same update, so the bits
-    equal :func:`backward` followed by :func:`adam_step`.
+    :data:`GRAD_ROWS` rows at a time, are updated top-down as soon as the
+    rows' part of its input gradient is made, all with step
+    ``t = version + 1``. The walk consumes the batch's forward cache,
+    writing each activation gradient over the activations it has read, so
+    a step holds its activations plus one block of an input gradient and
+    one of a weight gradient. Adam is elementwise and :func:`adam_step`
+    applies the same update, so the bits equal :func:`backward` followed
+    by :func:`adam_step`.
     Train metrics are batch-size-weighted running averages computed before
     each update; validation metrics come from one full infer-mode pass
     after the epoch, whose probabilities the history keeps as
@@ -756,6 +796,7 @@ def fit(
             loss_sum += loss * xb.shape[0]
             pred_pos = out[:, 0] >= config.threshold
             correct += int(np.sum(pred_pos == (yb[:, 0] >= 0.5)))
+            # The cache is fit's own, so the walk may overwrite it.
             _adam_apply(net, _backward_walk(net, cache, grad), config.learning_rate, scratch)
         val_out, val_labels = predict(net, val.x, config.threshold)
         history.val_probs = val_out

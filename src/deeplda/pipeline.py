@@ -123,6 +123,8 @@ def train_two_phase(
     train and validation rows become the datasets phase 2 trains on, so
     phase-2 history rows are measured on transformed validation data, and
     ``history2.val_probs`` are the model's validation probabilities.
+    Phase 1 is returned without its Adam moments, as :func:`load_two_phase`
+    gives it back, so phase 2 and the caller do not hold them.
     The datasets are used as given (standardize beforehand if desired);
     ``standardizer`` is only recorded on the returned model. A loss that
     goes non-finite raises :class:`NumericalError` naming the phase.
@@ -133,6 +135,7 @@ def train_two_phase(
         )
     phase1 = init_network(build_phase1_spec(train.n_features, config1.l2_lambda), rng)
     phase1, history1 = _fit_phase(1, phase1, train, val, config1, rng)
+    phase1.moments = None  # twice phase 1's parameters, never read again
     model = TwoPhaseModel(phase1=phase1, phase2=init_network(build_phase2_spec(), rng),
                           config1=config1, config2=config2, standardizer=standardizer,
                           feature_names=train.feature_names)
@@ -164,14 +167,18 @@ def replacing(directory):
     tmp = f"{target}.tmp-{os.getpid()}"
     stale = f"{tmp}.old"
     os.mkdir(tmp)
+    moved = False
     try:
         yield tmp
         # os.replace cannot overwrite a non-empty directory, so an existing
         # one is moved aside first and deleted once the new one is in place.
         if os.path.isdir(target):
             os.replace(target, stale)
+            moved = True
         os.replace(tmp, target)
     except BaseException:
+        if moved:  # the new directory did not land: put the old one back
+            os.replace(stale, target)
         shutil.rmtree(tmp, ignore_errors=True)
         raise
     if os.path.islink(stale):  # a link to a directory: the link goes, its target stays

@@ -107,9 +107,10 @@ class SplitMix64:
             raise ValueError(f"dropout rate must lie in [0, 1), got {rate!r}")
         out = np.empty(n)
         cut = np.uint64(math.ceil(rate * (1 << 53)) << 11)
+        scale = 1.0 / (1.0 - rate)  # 0/(1-r) and 1/(1-r) are exactly 0 and scale
         for off, words in self._word_blocks(n):
             ob = np.greater_equal(words, cut, out=out[off : off + words.size])
-            ob /= 1.0 - rate
+            ob *= scale
         return out
 
     def uniform_matrix(self, rows: int, cols: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:

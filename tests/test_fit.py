@@ -11,6 +11,7 @@ from deeplda import (
     adam_step,
     backward,
     bce_loss,
+    build_phase1_spec,
     build_phase2_spec,
     dense,
     dropout,
@@ -177,6 +178,26 @@ def test_a_step_holds_one_row_block_of_a_weight_gradient():
     # The weight gradient is made GRAD_ROWS = 256 rows at a time in one
     # 2 MB buffer: a whole 1024x1024 gradient would be 8 MB.
     assert peak < 0.5 * weight_bytes
+
+
+def test_a_batch_512_step_holds_its_activations_and_two_blocks():
+    import tracemalloc
+
+    # The walk writes each activation gradient over the activations it has
+    # read and makes the input gradient in 2 MiB column blocks. A whole
+    # input gradient and a whole copy of the output layer's a_in.T, 4 MiB
+    # each, put the peak 8.4 MiB above the activations.
+    train, val = _sets(41, 512, 2, seed=14)
+    cfg = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=512)
+    rng = SplitMix64(15)
+    net = init_network(build_phase1_spec(), rng)  # 41 -> 3 x 1024 sigmoid -> 1
+    fit(net, train, val, cfg, rng)  # makes the Adam moments
+    tracemalloc.start()
+    fit(net, train, val, cfg, rng)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    activations = 3 * 512 * 1024 * 8
+    assert peak < activations + 5 * 2**20
 
 
 def test_reported_loss_includes_l2_penalty():

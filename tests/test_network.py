@@ -417,17 +417,25 @@ class TestPredictAndCache:
             backward(net, cache, grad)
 
     def test_backward_leaves_the_cache_intact(self):
-        # The gradient check replays cache.dropout_masks() after backward.
-        net = init_network(HEAD_SPEC, SplitMix64(4))
-        out, cache = forward(net, np.linspace(-1.0, 1.0, 6).reshape(6, 1), mode="train",
-                             rng=SplitMix64(5))
-        records = list(cache.records)  # tuples, so the same records hold the same arrays
-        masks = [m.copy() for m in cache.dropout_masks()]
-        backward(net, cache, bce_loss(out, np.array([[1.0], [0.0]] * 3))[1])
-        assert len(cache.records) == len(records)
-        assert all(a is b for a, b in zip(cache.records, records))
-        assert len(cache.dropout_masks()) == len(masks) == 1
-        assert all(np.array_equal(a, b) for a, b in zip(cache.dropout_masks(), masks))
+        # The gradient check replays cache.dropout_masks() after backward, and
+        # the walk that backward runs writes over the activations it has read.
+        sigmoid = NetworkSpec(1, (dense(8, "sigmoid"),) * 2 + (dense(1, "sigmoid"),))
+        for spec, n_masks in ((HEAD_SPEC, 1), (sigmoid, 0)):
+            net = init_network(spec, SplitMix64(4))
+            out, cache = forward(net, np.linspace(-1.0, 1.0, 6).reshape(6, 1), mode="train",
+                                 rng=SplitMix64(5))
+            records = list(cache.records)  # tuples: the same records hold the same arrays
+            masks = [m.copy() for m in cache.dropout_masks()]
+            arrays = [a.copy() for rec in records if rec[0] == "dense" for a in rec[2:]]
+            backward(net, cache, bce_loss(out, np.array([[1.0], [0.0]] * 3))[1])
+            assert len(cache.records) == len(records)
+            assert all(a is b for a, b in zip(cache.records, records))
+            assert len(cache.dropout_masks()) == len(masks) == n_masks
+            assert all(np.array_equal(a, b) for a, b in zip(cache.dropout_masks(), masks))
+            after = [a for rec in cache.records if rec[0] == "dense" for a in rec[2:]]
+            assert len(after) == len(arrays) == 2 * len(net.weights)
+            assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                       for a, b in zip(after, arrays))
 
 
 def _two_branch_sigmoid(z):
@@ -488,10 +496,12 @@ class TestFastPathBits:
         for name, a, dact in (("sigmoid", sig, sig * (1.0 - sig)),
                               ("relu", relu, (relu > 0.0).astype(np.float64)),
                               ("none", sig, np.ones_like(sig))):
-            before = (a.copy(), delta.copy())
-            got = _activation_gradient(name, a, delta)
-            assert np.array_equal(got.view(np.uint64), (delta * dact).view(np.uint64)), name
-            assert np.array_equal(a, before[0]) and np.array_equal(delta, before[1])
+            # The walk writes over a column block of the layer's output.
+            want, before = (delta * dact).view(np.uint64), delta.copy()
+            for out in (a.copy(), np.hstack([a, a])[:, 67:]):
+                got = _activation_gradient(name, out, delta, np.empty(shape))
+                assert got is out and np.array_equal(got.view(np.uint64), want), name
+                assert np.array_equal(delta, before)
 
     def test_train_dropout_mask_matches_threshold_form(self):
         net = init_network(HEAD_SPEC, SplitMix64(20))
@@ -660,24 +670,31 @@ class TestFastPathBits:
                                        (65, 1024), (512, 1024), (513, 100)])
     def test_transposed_copy_matches_ascontiguousarray(self, shape):
         a = np.random.default_rng(shape[0]).normal(size=shape)
-        got, want = _transposed(a), np.ascontiguousarray(a.T)
+        got, want = _transposed(a, np.empty(shape[::-1])), np.ascontiguousarray(a.T)
         assert got.flags.c_contiguous and got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_backward_keeps_the_copy_everything_bits(self):
         # backward multiplies on the transposed view where dz has several
         # columns, in blocks of GRAD_ROWS weight rows, copies a_in.T in row
-        # tiles for the one-column output layer, and skips the first layer's
-        # input gradient. The reference copies every a_in.T, runs every
-        # product whole through matmul and makes every input gradient. The
-        # third spec has a fan-in of 300, which ends in a partial block. One
-        # BLAS thread, where the bits are promised.
+        # tiles for the one-column output layer, makes the input gradient in
+        # blocks of DELTA_COLS columns where _delta_cols allows, writes each
+        # activation gradient over the activations, and skips the first
+        # layer's input gradient. The reference copies every a_in.T, runs
+        # every product whole through matmul and makes every input gradient
+        # and activation gradient as a new array. The third spec has a fan-in
+        # of 300, which ends in a partial block, and a 1024-wide input
+        # gradient of a 512-unit layer, which 2 rows make whole. Rows 3-8
+        # reach OpenBLAS's small-matrix kernels and 49 is the clinical
+        # shape's trailing batch. One BLAS thread, where the bits are promised.
         code = textwrap.dedent("""
             import numpy as np
             from deeplda import (NetworkSpec, backward, bce_loss, build_phase1_spec,
                                  build_phase2_spec, dense, dropout, forward, init_network)
-            from deeplda.network import GRAD_ROWS, _activation_gradient, _add_scaled
+            from deeplda.network import GRAD_ROWS, _add_scaled
             from deeplda.rng import SplitMix64
+
+            DACT = {"sigmoid": lambda a: (1.0 - a) * a, "relu": lambda a: (a > 0.0) * 1.0}
 
             def reference(net, cache, delta):
                 layers = net.dense_layers()
@@ -685,7 +702,7 @@ class TestFastPathBits:
                 for rec in reversed(cache.records):
                     if rec[0] == "dense":
                         _, k, a_in, a_out = rec
-                        dz = _activation_gradient(layers[k].activation, a_out, delta)
+                        dz = DACT[layers[k].activation](a_out) * delta
                         dws[k] = np.ascontiguousarray(a_in.T) @ dz
                         if layers[k].l2_lambda > 0.0:
                             _add_scaled(dws[k], 2.0 * layers[k].l2_lambda, net.weights[k])
@@ -700,7 +717,7 @@ class TestFastPathBits:
                                            dropout(0.25), dense(1, "sigmoid")))
             for spec in (build_phase1_spec(), build_phase2_spec(), fan_in_300):
                 net = init_network(spec, SplitMix64(3))
-                for n in (1, 2, 63, 64, 512, 513):
+                for n in (1, 2, 3, 4, 5, 8, 49, 63, 64, 512, 513):
                     g = np.random.default_rng(n)
                     x = g.normal(size=(n, spec.input_dim))
                     x[::3] = 0.0

@@ -1,6 +1,8 @@
 """Two-phase composition: specs, transform, training, serialization."""
 
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from deeplda import (
     transform_phase1,
 )
 from deeplda.network import NetworkSpec
-from deeplda.pipeline import TWO_PHASE_FORMAT
+from deeplda.pipeline import TWO_PHASE_FORMAT, replacing
 from deeplda.rng import SplitMix64
 
 FAST = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=64)
@@ -144,6 +146,16 @@ class TestTrainTwoPhase:
         model, h1, h2 = train_two_phase(train, val, FAST, FAST, SplitMix64(6))
         assert np.array_equal(h1.val_probs, transform_phase1(model, val.x))
         assert np.array_equal(h2.val_probs, predict_two_phase(model, val.x)[0])
+
+    def test_phase1_is_returned_without_adam_moments(self, tmp_path):
+        # As load_two_phase gives it back; phase 2 keeps its moments.
+        train, val = self._sets(seed=5)
+        model, h1, h2 = train_two_phase(train, val, FAST, FAST, SplitMix64(7))
+        assert model.phase1.moments is None and model.phase2.moments is not None
+        save_two_phase(model, tmp_path / "m")
+        back = load_two_phase(tmp_path / "m")
+        assert back.phase1.moments is None
+        assert np.array_equal(predict_two_phase(back, val.x)[0], h2.val_probs)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_names_phase_epoch_and_batch(self):
@@ -295,6 +307,71 @@ class TestSaveLoad:
             assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         else:
             assert list(tmp_path.iterdir()) == []
+
+
+class TestReplacing:
+    """``replacing`` with a fault injected at each file-system call it makes."""
+
+    CALLS = ((os, "mkdir"), (os, "replace"), (os, "unlink"), (shutil, "rmtree"))
+
+    @staticmethod
+    def _prepare(root, kind):
+        """``root/out`` as a fresh path, a previous run, or a link to one."""
+        root.mkdir()
+        out = root / "out"
+        if kind != "fresh":
+            previous = root / ("real" if kind == "link" else "out")
+            previous.mkdir()
+            (previous / "old.txt").write_text("previous run")
+            if kind == "link":
+                out.symlink_to(previous, target_is_directory=True)
+        return out
+
+    def _land(self, out, monkeypatch, fail_at):
+        """Land a one-file run at ``out``; call number ``fail_at`` of
+        ``CALLS`` raises OSError. Returns the number of calls made."""
+        count = [0]
+
+        def faulty(real):
+            def call(*args, **kwargs):
+                count[0] += 1
+                if count[0] == fail_at:
+                    raise OSError("injected fault")
+                return real(*args, **kwargs)
+            return call
+
+        with monkeypatch.context() as patch:
+            for module, name in self.CALLS:
+                patch.setattr(module, name, faulty(getattr(module, name)))
+            try:
+                with replacing(out) as tmp:
+                    with open(os.path.join(tmp, "new.txt"), "w") as fh:
+                        fh.write("new run")
+            except OSError as exc:
+                assert str(exc) == "injected fault"
+        return count[0]
+
+    @pytest.mark.parametrize("kind", ["fresh", "previous", "link"])
+    def test_out_holds_the_previous_or_the_new_run_whatever_call_fails(
+            self, tmp_path, monkeypatch, kind):
+        calls = self._land(self._prepare(tmp_path / "0", kind), monkeypatch, fail_at=0)
+        assert calls >= 3
+        for fail_at in range(1, calls + 1):
+            root = tmp_path / str(fail_at)
+            out = self._prepare(root, kind)
+            self._land(out, monkeypatch, fail_at)
+            files = ({p.name: p.read_text() for p in out.iterdir()}
+                     if os.path.isdir(out) else None)
+            new = not out.is_symlink() and files == {"new.txt": "new run"}
+            if kind == "fresh":
+                previous = not os.path.lexists(out)
+            else:
+                previous = files == {"old.txt": "previous run"} and (
+                    os.readlink(out) == str(root / "real") if kind == "link"
+                    else not out.is_symlink())
+            assert new or previous, (fail_at, files)
+            if kind == "link":
+                assert (root / "real" / "old.txt").read_text() == "previous run"
 
 
 def _edit_manifest(directory, edit):
