@@ -51,16 +51,14 @@ ADAM_EPSILON = 1e-7
 # can also split rows at a point that depends on the row count.)
 ROWS = 256
 
-# Rows per block of a dense layer's weight gradient in the backward walk.
-# A 1024-unit layer's gradient is made and consumed 256 rows (2 MB) at a
-# time in one reused buffer, not as a fresh 8 MB array per layer per step.
-# Fewer rows cost time: one 1024x1024 layer's product, L2 term and Adam at
-# batch 512 took 28.3 ms in 256-row blocks against 27.2 ms whole (one
-# OpenBLAS 0.3.31 thread, 2-vCPU AVX-512 host). With one BLAS thread the
-# row blocks keep the whole product's bits at the phase-1 and phase-2
-# shapes (tested), but not at every width: OpenBLAS picks its kernel and
-# tiles by operand size, and a 600-row into 300-unit product differed in
-# the last bits of the rows and columns at tile edges.
+# Most rows per block of a dense layer's weight gradient, which the backward
+# walk makes and consumes a block at a time in one buffer. A batch takes its
+# row count rounded up to a multiple of 64 (see _grad_rows): at batch 64 a
+# block of a 1024-unit layer holds 64 rows (0.5 MB), not 8 MB. Batch 512
+# stops at 256, as the buffer holds its 512 x 512 sigmoid scratch too. With
+# one OpenBLAS 0.3.31 thread the blocks keep the whole product's bits at the
+# phase-1 and phase-2 shapes (tested), not at every size: n-row blocks did
+# not at 2 to 8 and 33 rows, nor a 600-row into 300-unit product at tile edges.
 GRAD_ROWS = 256
 
 # Columns per block of a dense layer's input gradient ``dz @ W.T`` in the
@@ -533,6 +531,11 @@ def _delta_cols(n: int, units: int, fan_in: int) -> int:
     return fan_in
 
 
+def _grad_rows(n: int) -> int:
+    """Rows per block of the weight gradient made from an n-row batch."""
+    return min(GRAD_ROWS, -(-n // 64) * 64)
+
+
 def _backward_walk(net: Network, cache: ForwardCache, loss_grad: np.ndarray):
     """Reverse-mode gradients of loss plus the per-layer L2 penalties, one
     dense layer at a time, top-down. Yields ``(i, start, g)``: ``g`` is the
@@ -545,7 +548,7 @@ def _backward_walk(net: Network, cache: ForwardCache, loss_grad: np.ndarray):
     rows R (see :data:`DELTA_COLS`), the columns R of the layer's input:
     it makes the input gradient ``dz @ W_k[R].T`` from rows not yet
     updated, yields the weight gradient of rows R in blocks of
-    :data:`GRAD_ROWS` rows, whose L2 term reads only their own rows, so the
+    :func:`_grad_rows` rows, whose L2 term reads only their own rows, so the
     consumer may update each block at once, and then writes the layer
     below's ``dz`` over that layer's output columns R, which nothing reads
     again. Both kinds of block go through one buffer each, so a consumer
@@ -574,7 +577,7 @@ def _backward_walk(net: Network, cache: ForwardCache, loss_grad: np.ndarray):
     shapes = net.spec.dense_shapes()
     widths = [min(_delta_cols(n, units, fan_in), fan_in) for fan_in, units in shapes]
     # For the weight-gradient blocks, the a_in.T tiles and the sigmoid's 1 - a.
-    block = np.empty(max(max(min(fan_in, GRAD_ROWS) * units, n * width)
+    block = np.empty(max(max(min(fan_in, _grad_rows(n)) * units, n * width)
                          for (fan_in, units), width in zip(shapes, widths)))
     deltas = np.empty(n * max(widths[1:], default=0))
     k, a_in, a_out, masks = stack.pop()
@@ -595,7 +598,7 @@ def _backward_walk(net: Network, cache: ForwardCache, loss_grad: np.ndarray):
             # A one-column dz makes a gemv, whose bits depend on the operand
             # layout, so a_in.T is copied a block at a time; a gemm is made on
             # the transposed view in row blocks (see GRAD_ROWS for its bits).
-            step = GRAD_ROWS if units > 1 else width
+            step = _grad_rows(n) if units > 1 else width
             for sub in range(start, start + width, step):
                 a = a_in[:, sub : sub + step]
                 if units == 1:
@@ -741,19 +744,19 @@ def fit(
 ) -> tuple[Network, TrainingHistory]:
     """Mini-batch training loop.
 
-    Per epoch: shuffle the training rows (one permutation draw), walk
-    mini-batches of ``config.batch_size`` including the final partial one,
-    and for each run forward (train mode, dropout masks drawn per batch),
-    binary cross-entropy plus L2 penalty, and one Adam step fused into the
-    backward walk: each dense layer's bias and then its weights, a block of
-    :data:`GRAD_ROWS` rows at a time, are updated top-down as soon as the
-    rows' part of its input gradient is made, all with step
-    ``t = version + 1``. The walk consumes the batch's forward cache,
-    writing each activation gradient over the activations it has read, so
-    a step holds its activations plus one block of an input gradient and
-    one of a weight gradient. Adam is elementwise and :func:`adam_step`
-    applies the same update, so the bits equal :func:`backward` followed
-    by :func:`adam_step`.
+    Per epoch: draw one permutation of the training rows and gather from
+    ``train`` the mini-batches of ``config.batch_size`` rows it lists,
+    including the final partial one. For each run forward (train mode,
+    dropout masks drawn per batch), binary cross-entropy plus L2 penalty,
+    and one Adam step fused into the backward walk: each dense layer's bias
+    and then its weights, a block of :func:`_grad_rows` rows at a time, are
+    updated top-down as soon as the rows' part of its input gradient is
+    made, all with step ``t = version + 1``. The walk consumes the batch's
+    forward cache, writing each activation gradient over the activations it
+    has read, so a step holds its activations plus one block of an input
+    gradient and one of a weight gradient. Adam is elementwise and
+    :func:`adam_step` applies the same update, so the bits equal
+    :func:`backward` followed by :func:`adam_step`.
     Train metrics are batch-size-weighted running averages computed before
     each update; validation metrics come from one full infer-mode pass
     after the epoch, whose probabilities the history keeps as
@@ -781,13 +784,11 @@ def fit(
     scratch = np.empty((2, BLOCK))
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
-        xs = train.x[order]
-        ys = y_train[order]
         correct = 0
         loss_sum = 0.0
         for batch, start in enumerate(range(0, n, config.batch_size), start=1):
-            xb = xs[start : start + config.batch_size]
-            yb = ys[start : start + config.batch_size]
+            rows = order[start : start + config.batch_size]
+            xb, yb = train.x[rows], y_train[rows]
             out, cache = forward(net, xb, mode="train", rng=rng)
             bce, grad = bce_loss(out, yb)
             loss = bce + l2_penalty(net)

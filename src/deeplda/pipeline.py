@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -161,7 +162,9 @@ MANIFEST_FILE = "manifest.json"
 @contextmanager
 def replacing(directory):
     """Yield a new sibling of ``directory`` that replaces it, and any directory there,
-    when the block ends; if the block raises, the sibling goes and ``directory`` stays."""
+    when the block ends; if the block raises, the sibling goes and ``directory`` stays.
+    Once the sibling has landed nothing raises: a previous directory that cannot be
+    removed stays beside it, named in a warning."""
     target = os.path.abspath(directory)
     os.makedirs(os.path.dirname(target), exist_ok=True)
     tmp = f"{target}.tmp-{os.getpid()}"
@@ -181,10 +184,15 @@ def replacing(directory):
             os.replace(stale, target)
         shutil.rmtree(tmp, ignore_errors=True)
         raise
-    if os.path.islink(stale):  # a link to a directory: the link goes, its target stays
-        os.unlink(stale)
-    else:
-        shutil.rmtree(stale, ignore_errors=True)
+    if moved:  # the new directory has landed, so removing the old one is best effort
+        try:
+            if os.path.islink(stale):  # a link to a directory: the link goes, its target stays
+                os.unlink(stale)
+            else:
+                shutil.rmtree(stale)
+        except OSError as exc:
+            warnings.warn(f"{target} holds the new run, but the previous one is left "
+                          f"at {stale}: {exc}")
 
 
 def save_two_phase(model: TwoPhaseModel, directory) -> None:

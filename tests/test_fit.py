@@ -111,19 +111,23 @@ def _sets(width, n_train, n_val, seed):
     return one(n_train), one(n_val)
 
 
-@pytest.mark.parametrize("spec", [
-    build_phase2_spec(),
-    NetworkSpec(4, (dense(16, "sigmoid", 0.01), dense(8, "sigmoid", 0.02), dense(1, "sigmoid"))),
-    NetworkSpec(300, (dense(1024, "sigmoid", 0.01), dense(512, "relu", 0.02), dropout(0.25),
-                      dense(1, "sigmoid"))),
-], ids=["phase2-dropout", "sigmoid-l2", "fan-in-300"])
-def test_fit_matches_forward_backward_adam_by_hand(spec):
+@pytest.mark.parametrize("spec, n_train, batch_size", [
+    (build_phase2_spec(), 10, 4),
+    (NetworkSpec(4, (dense(16, "sigmoid", 0.01), dense(8, "sigmoid", 0.02),
+                     dense(1, "sigmoid"))), 10, 4),
+    (NetworkSpec(300, (dense(1024, "sigmoid", 0.01), dense(512, "relu", 0.02), dropout(0.25),
+                       dense(1, "sigmoid"))), 10, 4),
+    (NetworkSpec(41, (dense(1024, "sigmoid", 0.01),) * 2 + (dense(1, "sigmoid"),)), 113, 64),
+], ids=["phase2-dropout", "sigmoid-l2", "fan-in-300", "batch-64-blocks"])
+def test_fit_matches_forward_backward_adam_by_hand(spec, n_train, batch_size):
     # fit updates each block of rows inside the backward walk; by hand,
     # backward builds every gradient and adam_step applies them. A fan-in
-    # of 300 ends in a partial block of GRAD_ROWS rows. 10 rows at batch 4
-    # over 2 epochs: 6 steps, each epoch ending in a partial batch of 2.
-    train, val = _sets(spec.input_dim, 10, 6, seed=11)
-    cfg = TrainConfig(learning_rate=1e-2, epochs=2, batch_size=4)
+    # of 300 ends in a partial block of 44 rows after four of 64. 10 rows
+    # at batch 4 over 2 epochs: 6 steps, each epoch ending in a partial
+    # batch of 2. 113 rows at batch 64: batches of 64 and 49 rows, whose
+    # 1024-wide fan-in is split into blocks of 64 rows.
+    train, val = _sets(spec.input_dim, n_train, 6, seed=11)
+    cfg = TrainConfig(learning_rate=1e-2, epochs=2, batch_size=batch_size)
     rng = SplitMix64(21)
     fit_net, _ = fit(init_network(spec, rng), train, val, cfg, rng)
 
@@ -138,7 +142,7 @@ def test_fit_matches_forward_backward_adam_by_hand(spec):
             grad = bce_loss(out, ys[start : start + cfg.batch_size])[1]
             adam_step(net, backward(net, cache, grad), cfg.learning_rate)
 
-    assert fit_net.version == net.version == 6
+    assert fit_net.version == net.version == 2 * -(-n_train // batch_size)
     for got, want in zip(fit_net.weights + fit_net.biases, net.weights + net.biases):
         assert np.array_equal(got, want)
     assert len(fit_net.moments) == len(net.moments) == 2 * len(net.weights)
@@ -175,8 +179,8 @@ def test_a_step_holds_one_layer_gradient_at_a_time():
 
 def test_a_step_holds_one_row_block_of_a_weight_gradient():
     peak, weight_bytes = _second_fit_peak()
-    # The weight gradient is made GRAD_ROWS = 256 rows at a time in one
-    # 2 MB buffer: a whole 1024x1024 gradient would be 8 MB.
+    # The weight gradient is made in blocks of at most GRAD_ROWS = 256 rows
+    # (2 MB) in one buffer: a whole 1024x1024 gradient would be 8 MB.
     assert peak < 0.5 * weight_bytes
 
 
@@ -198,6 +202,29 @@ def test_a_batch_512_step_holds_its_activations_and_two_blocks():
     tracemalloc.stop()
     activations = 3 * 512 * 1024 * 8
     assert peak < activations + 5 * 2**20
+
+
+@pytest.mark.parametrize("n_train", [113, 20_000])
+def test_a_batch_64_step_holds_its_activations_and_small_blocks(n_train):
+    import tracemalloc
+
+    # At batch 64 the weight-gradient blocks take 64 rows (0.5 MiB) and the
+    # input-gradient blocks 0.25 MiB, and each batch is gathered from the
+    # training set by its rows of the permutation, which is the only thing
+    # fit holds per training row. 113 rows end in a partial batch. Blocks of
+    # 256 rows and a shuffled copy of the set put the peak 2.7 MiB above the
+    # activations at 113 rows and 9.2 MiB at 20,000.
+    train, val = _sets(41, n_train, 2, seed=18)
+    cfg = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=64)
+    rng = SplitMix64(17)
+    net = init_network(build_phase1_spec(), rng)  # 41 -> 3 x 1024 sigmoid -> 1
+    fit(net, *_sets(41, 64, 2, seed=16), cfg, rng)  # makes the Adam moments
+    tracemalloc.start()
+    fit(net, train, val, cfg, rng)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    activations, permutation = 3 * 64 * 1024 * 8, 8 * n_train
+    assert peak < activations + permutation + 1.25 * 2**20
 
 
 def test_reported_loss_includes_l2_penalty():

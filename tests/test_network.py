@@ -46,6 +46,7 @@ from deeplda.network import (
     ROWS,
     _activation_gradient,
     _add_scaled,
+    _grad_rows,
     _matmul,
     _sigmoid,
     _sum_squares,
@@ -730,6 +731,37 @@ class TestFastPathBits:
                         assert a.shape == b.shape, (spec.input_dim, n, k)
                         assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (
                             spec.input_dim, n, k)
+        """)
+        env = child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_gradient_row_blocks_keep_the_whole_product_bits(self):
+        # The walk makes a layer's weight gradient a_in.T @ dz in blocks of
+        # _grad_rows(n) rows: the batch's row count rounded up to a multiple
+        # of 64, at most GRAD_ROWS. Blocks of n rows lose the whole
+        # product's bits at 2 to 8 and 33 rows. Here the rule's blocks keep
+        # them at the phase-1 shapes: fan-in 41 and 1024 into 1024 units, at
+        # the batch sizes 64 and 512, a trailing 49 and odd counts. One BLAS
+        # thread, where the bits are promised.
+        assert [_grad_rows(n) for n in (1, 49, 64, 65, 113, 512, 513)] == [
+            64, 64, 64, 128, 128, 256, 256]
+        code = textwrap.dedent("""
+            import numpy as np
+            from deeplda.network import _grad_rows
+
+            for fan_in in (41, 1024):
+                for n in (1, 2, 49, 64, 113, 512):
+                    g = np.random.default_rng(n)
+                    a, dz = g.normal(size=(n, fan_in)), g.normal(size=(n, 1024))
+                    whole = np.ascontiguousarray(a.T) @ dz
+                    step = _grad_rows(n)
+                    for start in range(0, fan_in, step):
+                        got = np.matmul(a[:, start : start + step].T, dz)
+                        want = whole[start : start + step]
+                        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
+                            fan_in, n, start)
         """)
         env = child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

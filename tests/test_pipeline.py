@@ -3,6 +3,7 @@
 import json
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -329,8 +330,9 @@ class TestReplacing:
 
     def _land(self, out, monkeypatch, fail_at):
         """Land a one-file run at ``out``; call number ``fail_at`` of
-        ``CALLS`` raises OSError. Returns the number of calls made."""
-        count = [0]
+        ``CALLS`` raises OSError. Returns the number of calls made, whether
+        the block raised, and the messages of the warnings it gave."""
+        count, raised = [0], False
 
         def faulty(real):
             def call(*args, **kwargs):
@@ -344,22 +346,26 @@ class TestReplacing:
             for module, name in self.CALLS:
                 patch.setattr(module, name, faulty(getattr(module, name)))
             try:
-                with replacing(out) as tmp:
-                    with open(os.path.join(tmp, "new.txt"), "w") as fh:
-                        fh.write("new run")
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    with replacing(out) as tmp:
+                        with open(os.path.join(tmp, "new.txt"), "w") as fh:
+                            fh.write("new run")
             except OSError as exc:
                 assert str(exc) == "injected fault"
-        return count[0]
+                raised = True
+        return count[0], raised, [str(w.message) for w in caught]
 
     @pytest.mark.parametrize("kind", ["fresh", "previous", "link"])
     def test_out_holds_the_previous_or_the_new_run_whatever_call_fails(
             self, tmp_path, monkeypatch, kind):
-        calls = self._land(self._prepare(tmp_path / "0", kind), monkeypatch, fail_at=0)
-        assert calls >= 3
+        calls, raised, warned = self._land(self._prepare(tmp_path / "0", kind), monkeypatch,
+                                           fail_at=0)
+        assert calls >= 3 and not raised and not warned
         for fail_at in range(1, calls + 1):
             root = tmp_path / str(fail_at)
             out = self._prepare(root, kind)
-            self._land(out, monkeypatch, fail_at)
+            _, raised, warned = self._land(out, monkeypatch, fail_at)
             files = ({p.name: p.read_text() for p in out.iterdir()}
                      if os.path.isdir(out) else None)
             new = not out.is_symlink() and files == {"new.txt": "new run"}
@@ -370,6 +376,13 @@ class TestReplacing:
                     os.readlink(out) == str(root / "real") if kind == "link"
                     else not out.is_symlink())
             assert new or previous, (fail_at, files)
+            # Once the new run is in place the call succeeds, and a previous
+            # run it could not remove is named in a warning.
+            if new:
+                assert not raised, fail_at
+                for p in root.iterdir():
+                    if ".tmp-" in p.name:
+                        assert any(str(p) in message for message in warned), (fail_at, p)
             if kind == "link":
                 assert (root / "real" / "old.txt").read_text() == "previous run"
 
