@@ -57,8 +57,9 @@ ROWS = 256
 # block of a 1024-unit layer holds 64 rows (0.5 MB), not 8 MB. Batch 512
 # stops at 256, as the buffer holds its 512 x 512 sigmoid scratch too. With
 # one OpenBLAS 0.3.31 thread the blocks keep the whole product's bits at the
-# phase-1 and phase-2 shapes (tested), not at every size: n-row blocks did
-# not at 2 to 8 and 33 rows, nor a 600-row into 300-unit product at tile edges.
+# phase-1 and phase-2 shapes, one-unit output layers included (tested), not
+# at every size: n-row blocks did not at 2 to 8 and 33 rows, nor a 600-row
+# into 300-unit product at tile edges.
 GRAD_ROWS = 256
 
 # Columns per block of a dense layer's input gradient ``dz @ W.T`` in the
@@ -308,6 +309,8 @@ class Network:
 
     def __init__(self, spec: NetworkSpec, weights: list[np.ndarray], biases: list[np.ndarray]):
         shapes = spec.dense_shapes()
+        if not shapes:
+            raise ShapeError("spec has no dense layer")
         if len(weights) != len(shapes) or len(biases) != len(shapes):
             raise ShapeError(
                 f"spec has {len(shapes)} dense layers but got "
@@ -353,15 +356,17 @@ def init_network(spec: NetworkSpec, rng: SplitMix64) -> Network:
 
 @dataclass
 class ForwardCache:
-    """Intermediate activations and dropout masks from one forward pass."""
+    """What one forward pass keeps: per dense layer, bottom-up, a record
+    ``(a_in, a_out, masks)`` of its input, its output and the scaled dropout
+    masks applied to that output in layer order; and every mask drawn."""
 
     version: int
-    records: list[tuple] = field(default_factory=list)
-    output_shape: tuple[int, int] = (0, 0)
+    records: list[tuple[np.ndarray, np.ndarray, list[np.ndarray]]] = field(default_factory=list)
+    masks: list[np.ndarray] = field(default_factory=list)
 
     def dropout_masks(self) -> list[np.ndarray]:
         """Scaled masks in layer order (for replaying a frozen pass)."""
-        return [rec[1] for rec in self.records if rec[0] == "dropout" and rec[1] is not None]
+        return list(self.masks)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -415,29 +420,28 @@ def forward(
             raise ShapeError(f"got {len(dropout_masks)} dropout masks for "
                              f"{n_dropout} dropout layers")
     cache = ForwardCache(version=net.version)
-    k = mask_i = 0
+    k = 0
     for layer in net.spec.layers:
         if layer.kind == "dense":
             a_out = _dense(layer, a, net.weights[k], net.biases[k])
-            cache.records.append(("dense", k, a, a_out))
+            cache.records.append((a, a_out, []))
             a, k = a_out, k + 1
-            continue
-        mask = None
-        if mode == "train":
+        elif mode == "train":
+            i = len(cache.masks)
             if dropout_masks is not None:
-                mask = np.asarray(dropout_masks[mask_i], dtype=np.float64)
+                mask = np.asarray(dropout_masks[i], dtype=np.float64)
                 if mask.shape != a.shape:
                     raise ShapeError(
-                        f"dropout mask {mask_i} has shape {mask.shape}, activations {a.shape}"
+                        f"dropout mask {i} has shape {mask.shape}, activations {a.shape}"
                     )
-                mask_i += 1
             elif rng is None:
                 raise ValueError("train-mode forward through dropout needs an rng")
             else:
                 mask = rng.keep_mask(a.size, layer.rate).reshape(a.shape)
             a = a * mask
-        cache.records.append(("dropout", mask))
-    cache.output_shape = a.shape
+            cache.masks.append(mask)
+            if cache.records:  # nothing reads a gradient through masks on the input
+                cache.records[-1][2].append(mask)
     return a, cache
 
 
@@ -514,16 +518,6 @@ def _add_scaled(dst: np.ndarray, alpha: float, src: np.ndarray) -> None:
         db += np.multiply(alpha, s[start : start + BLOCK], out=scratch[: db.size])
 
 
-def _transposed(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``np.ascontiguousarray(a.T)``, written into ``out`` in tiles of 64
-    rows of ``a``. Whole, a (512, 1024) copy stores down columns 4 KiB
-    apart, which alias in the L1 cache: 5.3-8.0 ms against 1.1-1.5 ms in
-    tiles (one core, numpy 2.4.6)."""
-    for start in range(0, a.shape[0], 64):
-        out[:, start : start + 64] = a[start : start + 64].T
-    return out
-
-
 def _delta_cols(n: int, units: int, fan_in: int) -> int:
     """Columns per block of the input gradient made from an (n, units) dz."""
     if units == 1 or (fan_in % DELTA_COLS == 0 and n * units * DELTA_COLS > 100**3):
@@ -542,17 +536,18 @@ def _backward_walk(net: Network, cache: ForwardCache, loss_grad: np.ndarray):
     gradient of rows ``start : start + len(g)`` of parameter ``i`` of
     ``net.weights + net.biases``.
 
-    The walk consumes the cache: it empties ``cache.records`` and writes
-    each dense layer's activation gradient ``dz`` over its cached output.
-    It yields layer k's bias gradient, then visits ``W_k`` in blocks of
-    rows R (see :data:`DELTA_COLS`), the columns R of the layer's input:
-    it makes the input gradient ``dz @ W_k[R].T`` from rows not yet
-    updated, yields the weight gradient of rows R in blocks of
-    :func:`_grad_rows` rows, whose L2 term reads only their own rows, so the
-    consumer may update each block at once, and then writes the layer
-    below's ``dz`` over that layer's output columns R, which nothing reads
-    again. Both kinds of block go through one buffer each, so a consumer
-    that drops each block holds the activations not yet read and the two.
+    The walk consumes the cache: it pops ``cache.records`` top-down and
+    writes each dense layer's activation gradient ``dz`` over its recorded
+    output. It yields layer k's bias gradient, then visits ``W_k`` in blocks
+    of rows R (see :data:`DELTA_COLS`), the columns R of the layer's input:
+    it makes the input gradient ``dz @ W_k[R].T`` from rows not yet updated,
+    yields the weight gradient ``a_in.T @ dz`` of rows R, made on the
+    transposed view in blocks of at most :func:`_grad_rows` rows inside R
+    whose L2 term reads only their own rows, so the consumer may update each
+    block at once, and then writes the layer below's ``dz`` over that
+    layer's output columns R, which nothing reads again. Both kinds of block
+    go through one buffer each, so a consumer that drops each block holds
+    the activations not yet read and the two.
     """
     if cache.version != net.version:
         raise ContractError(
@@ -560,27 +555,19 @@ def _backward_walk(net: Network, cache: ForwardCache, loss_grad: np.ndarray):
             f"network is at version {net.version}"
         )
     loss_grad = np.asarray(loss_grad, dtype=np.float64)
-    if loss_grad.shape != cache.output_shape:
-        raise ShapeError(
-            f"loss gradient has shape {loss_grad.shape}, forward output was {cache.output_shape}"
-        )
+    records = cache.records
+    if loss_grad.shape != records[-1][1].shape:
+        raise ShapeError(f"loss gradient has shape {loss_grad.shape}, "
+                         f"forward output was {records[-1][1].shape}")
     specs, n_dense, n = net.dense_layers(), len(net.weights), len(loss_grad)
-    # (k, a_in, a_out, the dropout masks on a_out) per dense layer, bottom-up;
-    # nothing reads a gradient through masks on the input.
-    stack = []
-    for rec in cache.records:
-        if rec[0] == "dense":
-            stack.append((*rec[1:], []))
-        elif rec[1] is not None and stack:
-            stack[-1][3].append(rec[1])
-    cache.records.clear()
     shapes = net.spec.dense_shapes()
     widths = [min(_delta_cols(n, units, fan_in), fan_in) for fan_in, units in shapes]
-    # For the weight-gradient blocks, the a_in.T tiles and the sigmoid's 1 - a.
+    # For the weight-gradient blocks and the sigmoid's 1 - a.
     block = np.empty(max(max(min(fan_in, _grad_rows(n)) * units, n * width)
                          for (fan_in, units), width in zip(shapes, widths)))
     deltas = np.empty(n * max(widths[1:], default=0))
-    k, a_in, a_out, masks = stack.pop()
+    k, step = n_dense - 1, _grad_rows(n)
+    a_in, a_out, masks = records.pop()
     for mask in reversed(masks):
         loss_grad = loss_grad * mask
     dz = _activation_gradient(specs[k].activation, a_out, loss_grad, np.empty(a_out.shape))
@@ -589,34 +576,29 @@ def _backward_walk(net: Network, cache: ForwardCache, loss_grad: np.ndarray):
         w, lam, width = net.weights[k], specs[k].l2_lambda, widths[k]
         units = w.shape[1]
         yield n_dense + k, 0, dz.sum(axis=0, keepdims=True)
-        below = stack.pop() if stack else None  # its output becomes the next dz
+        below = records.pop() if records else None  # its output becomes the next dz
         for start in range(0, len(w), width):
             rows = slice(start, start + width)
             if below:
                 cols = len(w[rows])
                 delta = _matmul(dz, w[rows].T, deltas[: n * cols].reshape(n, cols))
-            # A one-column dz makes a gemv, whose bits depend on the operand
-            # layout, so a_in.T is copied a block at a time; a gemm is made on
-            # the transposed view in row blocks (see GRAD_ROWS for its bits).
-            step = _grad_rows(n) if units > 1 else width
-            for sub in range(start, start + width, step):
-                a = a_in[:, sub : sub + step]
-                if units == 1:
-                    dw = _transposed(a, block[: a.size].reshape(a.shape[::-1])) @ dz
-                else:
-                    dw = np.matmul(a.T, dz, out=block[: a.shape[1] * units].reshape(-1, units))
+            end = min(start + width, len(w))
+            for sub in range(start, end, step):
+                a = a_in[:, sub : min(sub + step, end)]
+                dw = np.matmul(a.T, dz, out=block[: a.shape[1] * units].reshape(-1, units))
                 if lam > 0.0:
-                    _add_scaled(dw, 2.0 * lam, w[sub : sub + step])
+                    _add_scaled(dw, 2.0 * lam, w[sub : sub + len(dw)])
                 yield k, sub, dw
                 del a, dw
             if below:
-                for mask in reversed(below[3]):
+                for mask in reversed(below[2]):
                     delta *= mask[:, rows]
-                _activation_gradient(specs[k - 1].activation, below[2][:, rows], delta,
+                _activation_gradient(specs[k - 1].activation, below[1][:, rows], delta,
                                      block[: delta.size].reshape(delta.shape))
         if below is None:
             return
-        k, a_in, dz, _ = below
+        a_in, dz, _ = below
+        k -= 1
         del below
 
 
@@ -630,7 +612,7 @@ def backward(net: Network, cache: ForwardCache, loss_grad: np.ndarray) -> Gradie
     """
     params = net.weights + net.biases
     grads: list[np.ndarray] = [None] * len(params)  # type: ignore[list-item]
-    records = [rec if rec[0] == "dropout" else (*rec[:3], rec[3].copy()) for rec in cache.records]
+    records = [(a_in, a_out.copy(), masks) for a_in, a_out, masks in cache.records]
     for i, start, g in _backward_walk(net, replace(cache, records=records), loss_grad):
         if start == 0:
             grads[i] = np.empty(params[i].shape)
@@ -764,8 +746,6 @@ def fit(
     validation loss that is not finite raises :class:`NumericalError`
     naming the epoch and batch.
     """
-    if train.n_rows < 1:
-        raise DataError("training set is empty")
     if train.n_features != net.spec.input_dim:
         raise ShapeError(
             f"training features have width {train.n_features}, "

@@ -89,8 +89,9 @@ class TwoPhaseModel:
     seed: int | None = None
 
     def __post_init__(self):
-        if not self.phase1.spec.has_binary_output():
-            raise ShapeError("phase 1 must end in one sigmoid unit")
+        for phase, net in ((1, self.phase1), (2, self.phase2)):
+            if not net.spec.has_binary_output():
+                raise ShapeError(f"phase {phase} must end in one sigmoid unit")
         if self.phase2.spec.input_dim != 1:
             raise ShapeError("phase 2 must consume a single column")
         if self.feature_names is not None:
@@ -159,12 +160,27 @@ PHASE_FILES = ("phase1.npz", "phase2.npz")
 MANIFEST_FILE = "manifest.json"
 
 
+def _fsync(path) -> None:
+    """Flush a file's or a directory's data and metadata to the disk."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _raise(exc: OSError) -> None:
+    raise exc
+
+
 @contextmanager
 def replacing(directory):
     """Yield a new sibling of ``directory`` that replaces it, and any directory there,
     when the block ends; if the block raises, the sibling goes and ``directory`` stays.
-    Once the sibling has landed nothing raises: a previous directory that cannot be
-    removed stays beside it, named in a warning."""
+    Every file and directory in the sibling is synced before the swap and the parent
+    directory after it, so after an OS crash ``directory`` holds no file shorter than
+    written. Once the sibling has landed nothing raises: a previous directory that
+    cannot be removed, or a parent that cannot be synced, is named in a warning."""
     target = os.path.abspath(directory)
     os.makedirs(os.path.dirname(target), exist_ok=True)
     tmp = f"{target}.tmp-{os.getpid()}"
@@ -173,6 +189,11 @@ def replacing(directory):
     moved = False
     try:
         yield tmp
+        # Each directory after its contents; a directory that cannot be listed raises.
+        for root, _, files in os.walk(tmp, topdown=False, onerror=_raise):
+            for name in files:
+                _fsync(os.path.join(root, name))
+            _fsync(root)
         # os.replace cannot overwrite a non-empty directory, so an existing
         # one is moved aside first and deleted once the new one is in place.
         if os.path.isdir(target):
@@ -184,6 +205,11 @@ def replacing(directory):
             os.replace(stale, target)
         shutil.rmtree(tmp, ignore_errors=True)
         raise
+    try:
+        _fsync(os.path.dirname(target))
+    except OSError as exc:
+        warnings.warn(f"{target} holds the new run, but its parent directory "
+                      f"could not be synced: {exc}")
     if moved:  # the new directory has landed, so removing the old one is best effort
         try:
             if os.path.islink(stale):  # a link to a directory: the link goes, its target stays

@@ -277,6 +277,7 @@ def test_determinism(toy_csv, tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_end_to_end_synthetic():
     # sep 2.0: wide margin keeps the sigmoid stack out of its known
     # seed-sensitive collapse region under default weight decay
@@ -297,6 +298,7 @@ def test_end_to_end_synthetic():
     )
 
 
+@pytest.mark.slow
 def test_default_run_on_clinical_shaped_data(clinical_csv, tmp_path):
     csv_path, schema_path = clinical_csv
     out = tmp_path / "default"

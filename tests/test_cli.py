@@ -237,6 +237,16 @@ class TestTrainCommand:
         assert code == 1
         assert "epoch" in err
 
+    @pytest.mark.parametrize("phase", ["phase1", "phase2"])
+    def test_unknown_key_in_a_phase_section_is_usage_error(self, toy_csv, tmp_path, capsys,
+                                                          phase):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({phase: {"lr": 1e-3, "epoch": 5}}))
+        code, _, err = _run(capsys, *_train_args(toy_csv, tmp_path / "run", "--config", str(cfg)))
+        assert code == 1
+        assert f"unknown keys in '{phase}': ['epoch']" in err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_required_option(self, toy_csv, tmp_path, capsys):
         csv_path, schema_path = toy_csv
         code, _, err = _run(capsys, "train", "--data", str(csv_path),
@@ -387,6 +397,10 @@ class TestEvaluateCommand:
         "phase2_missing_b0",
         "phase1_header_not_json",
         "phase1_header_wrong_format",
+        "phase1_relu_output",
+        "phase2_no_layers",
+        "phase2_dropout_only",
+        "phase2_two_unit_head",
         "format_1_directory",
     ])
     def test_malformed_model_is_data_error(self, toy_csv, overfit_run, tmp_path,
@@ -403,6 +417,13 @@ class TestEvaluateCommand:
             entries.update(replace)
             with open(model / name, "wb") as fh:
                 np.savez(fh, **entries)
+
+        def respec(name, edit, drop=(), **replace):
+            """Rewrite a network file's layer list to ``edit(layers)``."""
+            with np.load(model / name, allow_pickle=False) as npz:
+                header = json.loads(npz["header"][()])
+            header["spec"]["layers"] = edit(header["spec"]["layers"])
+            rewrite(name, drop, header=np.array(json.dumps(header)), **replace)
 
         if damage == "manifest_without_config1":
             del manifest["config1"]
@@ -427,6 +448,16 @@ class TestEvaluateCommand:
             rewrite("phase1.npz", header=np.array("{not json"))
         elif damage == "phase1_header_wrong_format":
             rewrite("phase1.npz", header=np.array('{"format": "deeplda.network/1"}'))
+        elif damage == "phase1_relu_output":
+            respec("phase1.npz", lambda layers: layers[:-1] + [
+                dict(layers[-1], activation="relu")])
+        elif damage == "phase2_no_layers":  # phase 2 is dense, dropout, dense
+            respec("phase2.npz", lambda layers: [], drop=("w0", "b0", "w1", "b1"))
+        elif damage == "phase2_dropout_only":
+            respec("phase2.npz", lambda layers: [layers[1]], drop=("w0", "b0", "w1", "b1"))
+        elif damage == "phase2_two_unit_head":
+            respec("phase2.npz", lambda layers: layers[:-1] + [dict(layers[-1], units=2)],
+                   w1=np.ones((100, 2)), b1=np.zeros((1, 2)))
         elif damage == "format_1_directory":
             # Format 1 kept a seed in each config and JSON networks.
             manifest["format"] = "deeplda.two-phase/1"
@@ -479,6 +510,19 @@ class TestInspectCommand:
     def test_phase_out_of_range_is_usage_error(self, capsys):
         code, _, _ = _run(capsys, "inspect", "--phase", "3")
         assert code == 1
+
+    def test_phase_two_input_width_is_fixed(self, capsys):
+        code, stdout, err = _run(capsys, "inspect", "--phase", "2", "--input-dim", "3")
+        assert code == 1
+        assert "phase 2 input width is fixed at 1" in err
+        assert stdout == ""
+
+    def test_input_dim_below_one_is_usage_error(self, capsys):
+        # The library's ValueError, mapped to exit 1 by main.
+        code, stdout, err = _run(capsys, "inspect", "--input-dim", "0")
+        assert code == 1
+        assert err == "deeplda: usage error: input_dim must be >= 1, got 0\n"
+        assert stdout == ""
 
 
 class TestBaselineCommand:

@@ -6,6 +6,7 @@ import pytest
 from deeplda import (
     Dataset,
     NetworkSpec,
+    NumericalError,
     ShapeError,
     TrainConfig,
     adam_step,
@@ -118,14 +119,18 @@ def _sets(width, n_train, n_val, seed):
     (NetworkSpec(300, (dense(1024, "sigmoid", 0.01), dense(512, "relu", 0.02), dropout(0.25),
                        dense(1, "sigmoid"))), 10, 4),
     (NetworkSpec(41, (dense(1024, "sigmoid", 0.01),) * 2 + (dense(1, "sigmoid"),)), 113, 64),
-], ids=["phase2-dropout", "sigmoid-l2", "fan-in-300", "batch-64-blocks"])
+    (NetworkSpec(1024, (dense(1024, "sigmoid", 0.01), dense(1, "sigmoid", 0.01))), 263, 150),
+], ids=["phase2-dropout", "sigmoid-l2", "fan-in-300", "batch-64-blocks", "batch-150-blocks"])
 def test_fit_matches_forward_backward_adam_by_hand(spec, n_train, batch_size):
     # fit updates each block of rows inside the backward walk; by hand,
     # backward builds every gradient and adam_step applies them. A fan-in
     # of 300 ends in a partial block of 44 rows after four of 64. 10 rows
     # at batch 4 over 2 epochs: 6 steps, each epoch ending in a partial
     # batch of 2. 113 rows at batch 64: batches of 64 and 49 rows, whose
-    # 1024-wide fan-in is split into blocks of 64 rows.
+    # 1024-wide fan-in is split into blocks of 64 rows. 263 rows at batch
+    # 150: blocks of 192 and 128 rows, neither of which divides the
+    # 512-row blocks of the input gradient, at a 1024-wide fan-in in both
+    # dense layers.
     train, val = _sets(spec.input_dim, n_train, 6, seed=11)
     cfg = TrainConfig(learning_rate=1e-2, epochs=2, batch_size=batch_size)
     rng = SplitMix64(21)
@@ -188,9 +193,8 @@ def test_a_batch_512_step_holds_its_activations_and_two_blocks():
     import tracemalloc
 
     # The walk writes each activation gradient over the activations it has
-    # read and makes the input gradient in 2 MiB column blocks. A whole
-    # input gradient and a whole copy of the output layer's a_in.T, 4 MiB
-    # each, put the peak 8.4 MiB above the activations.
+    # read and holds two 2 MiB blocks above them: one of the input
+    # gradient's columns and one of a weight gradient's rows.
     train, val = _sets(41, 512, 2, seed=14)
     cfg = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=512)
     rng = SplitMix64(15)
@@ -204,7 +208,7 @@ def test_a_batch_512_step_holds_its_activations_and_two_blocks():
     assert peak < activations + 5 * 2**20
 
 
-@pytest.mark.parametrize("n_train", [113, 20_000])
+@pytest.mark.parametrize("n_train", [113, pytest.param(20_000, marks=pytest.mark.slow)])
 def test_a_batch_64_step_holds_its_activations_and_small_blocks(n_train):
     import tracemalloc
 
@@ -244,6 +248,28 @@ def test_feature_width_mismatch_rejected():
     net = init_network(wrong, SplitMix64(0))
     with pytest.raises(ShapeError):
         fit(net, train, val, TrainConfig(), SplitMix64(0))
+
+
+def test_validation_width_mismatch_rejected_before_training():
+    train, _ = _toy_sets()
+    val = Dataset(x=np.zeros((4, 3)), y=np.array([0.0, 1.0, 0.0, 1.0]),
+                  feature_names=("a", "b", "c"))
+    net = init_network(SPEC, SplitMix64(0))
+    with pytest.raises(ShapeError, match="validation features have width 3, network expects 4"):
+        fit(net, train, val, TrainConfig(), SplitMix64(0))
+    assert net.version == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_validation_loss_that_is_not_finite_is_numerical_error():
+    # One batch per epoch: its loss is taken before the update, which at
+    # this rate sends the L2 penalty of the updated weights to infinity.
+    train, val = _toy_sets()
+    rng = SplitMix64(0)
+    net = init_network(SPEC, rng)
+    cfg = TrainConfig(learning_rate=1e300, epochs=2, batch_size=train.n_rows)
+    with pytest.raises(NumericalError, match="validation loss is inf after epoch 1"):
+        fit(net, train, val, cfg, rng)
 
 
 def test_small_overfit_reaches_high_accuracy():

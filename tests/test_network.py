@@ -3,11 +3,13 @@
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
 import textwrap
 import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -50,7 +52,6 @@ from deeplda.network import (
     _matmul,
     _sigmoid,
     _sum_squares,
-    _transposed,
 )
 from deeplda.rng import SplitMix64
 
@@ -184,6 +185,12 @@ class TestInit:
         with pytest.raises(ShapeError):
             Network(spec, [], [])
 
+    @pytest.mark.parametrize("layers", [(), (dropout(0.5),)], ids=["no layers", "dropout only"])
+    def test_a_spec_without_a_dense_layer_is_refused(self, layers):
+        # forward would record nothing for backward to start from.
+        with pytest.raises(ShapeError, match="spec has no dense layer"):
+            Network(NetworkSpec(3, layers), [], [])
+
 
 class TestForward:
     def test_hand_value_sigmoid_of_two(self):
@@ -206,7 +213,7 @@ class TestForward:
             [np.array([[-3.0]]), np.zeros((1, 1))],
         )
         out, cache = forward(net, np.array([[0.0]]))
-        relu_out = cache.records[0][3]
+        relu_out = cache.records[0][1]
         assert relu_out[0, 0] == 0.0
         assert out[0, 0] == 0.5
 
@@ -258,8 +265,7 @@ class TestForward:
         out, cache = forward(net, np.ones((1, 1)), mode="train", rng=SplitMix64(3))
         mask = cache.dropout_masks()[0]
         assert set(np.unique(mask)).issubset({0.0, 2.0})
-        dropped_layer = cache.records[1]
-        assert dropped_layer[0] == "dropout"
+        assert cache.records[0][2] == [mask]  # recorded on the output it scales
 
 
 class TestBceLoss:
@@ -427,13 +433,13 @@ class TestPredictAndCache:
                                  rng=SplitMix64(5))
             records = list(cache.records)  # tuples: the same records hold the same arrays
             masks = [m.copy() for m in cache.dropout_masks()]
-            arrays = [a.copy() for rec in records if rec[0] == "dense" for a in rec[2:]]
+            arrays = [a.copy() for rec in records for a in rec[:2]]
             backward(net, cache, bce_loss(out, np.array([[1.0], [0.0]] * 3))[1])
             assert len(cache.records) == len(records)
             assert all(a is b for a, b in zip(cache.records, records))
             assert len(cache.dropout_masks()) == len(masks) == n_masks
             assert all(np.array_equal(a, b) for a, b in zip(cache.dropout_masks(), masks))
-            after = [a for rec in cache.records if rec[0] == "dense" for a in rec[2:]]
+            after = [a for rec in cache.records for a in rec[:2]]
             assert len(after) == len(arrays) == 2 * len(net.weights)
             assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
                        for a, b in zip(after, arrays))
@@ -663,28 +669,21 @@ class TestFastPathBits:
             assert _matmul(a, b, out) is out and np.array_equal(out.view(np.uint64), want)
         net = init_network(HEAD_SPEC, SplitMix64(n))
         net.biases[0][0, ::3] = g.normal(size=34)
-        (_, _, _, a_out), *_ = forward(net, a, mode="infer")[1].records
+        (_, a_out, _), *_ = forward(net, a, mode="infer")[1].records
         want = np.maximum(np.matmul(a, net.weights[0]) + net.biases[0], 0.0)
         assert np.array_equal(a_out.view(np.uint64), want.view(np.uint64))
 
-    @pytest.mark.parametrize("shape", [(0, 3), (1, 1), (1, 1024), (63, 100), (64, 41),
-                                       (65, 1024), (512, 1024), (513, 100)])
-    def test_transposed_copy_matches_ascontiguousarray(self, shape):
-        a = np.random.default_rng(shape[0]).normal(size=shape)
-        got, want = _transposed(a, np.empty(shape[::-1])), np.ascontiguousarray(a.T)
-        assert got.flags.c_contiguous and got.shape == want.shape
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
     def test_backward_keeps_the_copy_everything_bits(self):
-        # backward multiplies on the transposed view where dz has several
-        # columns, in blocks of GRAD_ROWS weight rows, copies a_in.T in row
-        # tiles for the one-column output layer, makes the input gradient in
+        # backward makes each weight gradient on the transposed view of a_in
+        # in blocks of _grad_rows weight rows, makes the input gradient in
         # blocks of DELTA_COLS columns where _delta_cols allows, writes each
         # activation gradient over the activations, and skips the first
-        # layer's input gradient. The reference copies every a_in.T, runs
-        # every product whole through matmul and makes every input gradient
-        # and activation gradient as a new array. The third spec has a fan-in
-        # of 300, which ends in a partial block, and a 1024-wide input
+        # layer's input gradient. The reference copies a_in.T where dz has
+        # several columns, runs every product whole through matmul and makes
+        # every input gradient and activation gradient as a new array. A
+        # one-column dz makes a gemv, whose bits depend on the operand
+        # layout, so there it multiplies on the view. The third spec has a
+        # fan-in of 300, which ends in a partial block, and a 1024-wide input
         # gradient of a 512-unit layer, which 2 rows make whole. Rows 3-8
         # reach OpenBLAS's small-matrix kernels and 49 is the clinical
         # shape's trailing batch. One BLAS thread, where the bits are promised.
@@ -700,17 +699,18 @@ class TestFastPathBits:
             def reference(net, cache, delta):
                 layers = net.dense_layers()
                 dws, dbs = [None] * len(layers), [None] * len(layers)
-                for rec in reversed(cache.records):
-                    if rec[0] == "dense":
-                        _, k, a_in, a_out = rec
-                        dz = DACT[layers[k].activation](a_out) * delta
+                for k, (a_in, a_out, masks) in reversed(list(enumerate(cache.records))):
+                    for mask in reversed(masks):
+                        delta = delta * mask
+                    dz = DACT[layers[k].activation](a_out) * delta
+                    if dz.shape[1] == 1:
+                        dws[k] = a_in.T @ dz
+                    else:
                         dws[k] = np.ascontiguousarray(a_in.T) @ dz
-                        if layers[k].l2_lambda > 0.0:
-                            _add_scaled(dws[k], 2.0 * layers[k].l2_lambda, net.weights[k])
-                        dbs[k] = dz.sum(axis=0, keepdims=True)
-                        delta = dz @ net.weights[k].T
-                    elif rec[1] is not None:
-                        delta = delta * rec[1]
+                    if layers[k].l2_lambda > 0.0:
+                        _add_scaled(dws[k], 2.0 * layers[k].l2_lambda, net.weights[k])
+                    dbs[k] = dz.sum(axis=0, keepdims=True)
+                    delta = dz @ net.weights[k].T
                 return dws + dbs
 
             assert 300 % GRAD_ROWS and 300 > GRAD_ROWS
@@ -740,28 +740,38 @@ class TestFastPathBits:
     def test_gradient_row_blocks_keep_the_whole_product_bits(self):
         # The walk makes a layer's weight gradient a_in.T @ dz in blocks of
         # _grad_rows(n) rows: the batch's row count rounded up to a multiple
-        # of 64, at most GRAD_ROWS. Blocks of n rows lose the whole
-        # product's bits at 2 to 8 and 33 rows. Here the rule's blocks keep
-        # them at the phase-1 shapes: fan-in 41 and 1024 into 1024 units, at
-        # the batch sizes 64 and 512, a trailing 49 and odd counts. One BLAS
-        # thread, where the bits are promised.
-        assert [_grad_rows(n) for n in (1, 49, 64, 65, 113, 512, 513)] == [
-            64, 64, 64, 128, 128, 256, 256]
+        # of 64, at most GRAD_ROWS. Each block stays inside its block of
+        # _delta_cols rows, so at 150 rows a 512-row block splits into 192,
+        # 192 and 128. Blocks of n rows lose the whole product's bits at 2
+        # to 8 and 33 rows. Here the walk's blocks keep them at the phase-1
+        # shapes: fan-in 41 and 1024 into 1024 units, and the one-unit output
+        # layers of both phases, fan-in 1024 and 100, whose whole product is
+        # a gemv on the transposed view; at the batch sizes 64 and 512, a
+        # trailing 49 and odd counts. One BLAS thread, where the bits are
+        # promised.
+        assert [_grad_rows(n) for n in (1, 49, 64, 65, 113, 150, 512, 513)] == [
+            64, 64, 64, 128, 128, 192, 256, 256]
         code = textwrap.dedent("""
             import numpy as np
-            from deeplda.network import _grad_rows
+            from deeplda.network import _delta_cols, _grad_rows
 
-            for fan_in in (41, 1024):
-                for n in (1, 2, 49, 64, 113, 512):
+            for fan_in, units in ((41, 1024), (1024, 1024), (1024, 1), (100, 1)):
+                for n in (1, 2, 49, 64, 113, 150, 512):
                     g = np.random.default_rng(n)
-                    a, dz = g.normal(size=(n, fan_in)), g.normal(size=(n, 1024))
-                    whole = np.ascontiguousarray(a.T) @ dz
-                    step = _grad_rows(n)
-                    for start in range(0, fan_in, step):
-                        got = np.matmul(a[:, start : start + step].T, dz)
-                        want = whole[start : start + step]
-                        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
-                            fan_in, n, start)
+                    a, dz = g.normal(size=(n, fan_in)), g.normal(size=(n, units))
+                    whole = (a.T if units == 1 else np.ascontiguousarray(a.T)) @ dz
+                    width, step = min(_delta_cols(n, units, fan_in), fan_in), _grad_rows(n)
+                    covered = []
+                    for outer in range(0, fan_in, width):
+                        end = min(outer + width, fan_in)
+                        for start in range(outer, end, step):
+                            stop = min(start + step, end)
+                            covered += range(start, stop)
+                            got = np.matmul(a[:, start:stop].T, dz)
+                            want = whole[start:stop]
+                            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (
+                                fan_in, units, n, start)
+                    assert covered == list(range(fan_in)), (fan_in, units, n)
         """)
         env = child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -954,6 +964,27 @@ class TestSerialization:
                 return
         for a, b in zip(net.weights + net.biases, back.weights + back.biases):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("how", ["deflated", "encrypted"])
+    def test_compressed_or_encrypted_entries_rejected(self, tmp_path, how):
+        save_network(init_network(HEAD_SPEC, SplitMix64(20)), tmp_path / "net.npz")
+        bad = tmp_path / "bad.npz"
+        if how == "deflated":
+            with zipfile.ZipFile(tmp_path / "net.npz") as src, \
+                    zipfile.ZipFile(bad, "w", zipfile.ZIP_DEFLATED) as dst:
+                for info in src.infolist():
+                    dst.writestr(info.filename, src.read(info))
+        else:  # set the encryption bit of each central-directory entry
+            blob = bytearray((tmp_path / "net.npz").read_bytes())
+            with zipfile.ZipFile(tmp_path / "net.npz") as src:
+                pos, count = src.start_dir, len(src.infolist())
+            for _ in range(count):
+                assert blob[pos : pos + 4] == b"PK\x01\x02"
+                blob[pos + 8] |= 0x1
+                pos += 46 + sum(struct.unpack("<3H", blob[pos + 28 : pos + 34]))
+            bad.write_bytes(blob)
+        with pytest.raises(DataError, match="stored plain, without compression or encryption"):
+            load_network(bad)
 
     @pytest.mark.parametrize("drop", ["w1", "b0", "header"])
     def test_missing_entry_rejected(self, tmp_path, drop):

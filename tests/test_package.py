@@ -33,7 +33,7 @@ def test_every_name_the_benchmark_imports_exists():
     assert missing == []
 
 
-GUARDED = {"json.load", "json.dump", "os.replace", "_adam_update"}
+GUARDED = {"json.load", "json.dump", "os.replace", "os.fsync", "_adam_update"}
 
 
 class _GuardedCalls(ast.NodeVisitor):
@@ -79,7 +79,7 @@ def test_json_files_and_directory_swaps_each_have_one_implementation():
     # headers are parsed in memory with json.loads, which is not guarded.
     found = {call for call in _guarded_calls() if call[2] != "_adam_update"}
     assert found == {("data", "read_json", "json.load"), ("data", "write_json", "json.dump"),
-                     ("pipeline", "replacing", "os.replace")}
+                     ("pipeline", "replacing", "os.replace"), ("pipeline", "_fsync", "os.fsync")}
 
 
 def test_adam_is_applied_in_one_place():

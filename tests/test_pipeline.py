@@ -313,7 +313,7 @@ class TestSaveLoad:
 class TestReplacing:
     """``replacing`` with a fault injected at each file-system call it makes."""
 
-    CALLS = ((os, "mkdir"), (os, "replace"), (os, "unlink"), (shutil, "rmtree"))
+    CALLS = ((os, "mkdir"), (os, "fsync"), (os, "replace"), (os, "unlink"), (shutil, "rmtree"))
 
     @staticmethod
     def _prepare(root, kind):
@@ -385,6 +385,65 @@ class TestReplacing:
                         assert any(str(p) in message for message in warned), (fail_at, p)
             if kind == "link":
                 assert (root / "real" / "old.txt").read_text() == "previous run"
+
+    def test_a_directory_that_cannot_be_listed_stops_the_swap(self, tmp_path, monkeypatch):
+        # Its files could not be synced, so the previous run stays.
+        out = self._prepare(tmp_path / "root", "previous")
+        real_scandir, failed = os.scandir, []
+
+        def scandir(path="."):
+            if not failed and os.fspath(path).endswith(f".tmp-{os.getpid()}"):
+                failed.append(path)
+                raise OSError("injected fault")
+            return real_scandir(path)
+
+        monkeypatch.setattr(os, "scandir", scandir)
+        with pytest.raises(OSError, match="injected fault"):
+            with replacing(out) as tmp:
+                with open(os.path.join(tmp, "new.txt"), "w") as fh:
+                    fh.write("new run")
+        assert failed
+        assert {p.name: p.read_text() for p in out.iterdir()} == {"old.txt": "previous run"}
+        assert [p.name for p in out.parent.iterdir()] == ["out"]
+
+    def test_every_file_is_synced_before_the_first_rename(self, tmp_path, monkeypatch):
+        # Crash durability itself needs a power cut to test; the order of the
+        # calls that give it does not. Files are known by inode, which a
+        # rename keeps.
+        out = self._prepare(tmp_path / "root", "previous")
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            events.append(("fsync", (st.st_dev, st.st_ino)))
+            real_fsync(fd)
+
+        def replace(*args, **kwargs):
+            events.append(("replace", None))
+            real_replace(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", fsync)
+            patch.setattr(os, "replace", replace)
+            with replacing(out) as tmp:
+                os.mkdir(os.path.join(tmp, "model"))
+                for name in ("new.txt", os.path.join("model", "phase1.npz")):
+                    with open(os.path.join(tmp, name), "w") as fh:
+                        fh.write("new run")
+
+        def inode(path):
+            st = os.stat(path)
+            return st.st_dev, st.st_ino
+
+        first = events.index(("replace", None))
+        last = len(events) - 1 - events[::-1].index(("replace", None))
+        assert first < last  # the previous run was moved aside, then the new one landed
+        landed = [out, out / "model", out / "new.txt", out / "model" / "phase1.npz"]
+        assert sorted(str(p) for p in out.rglob("*")) == sorted(str(p) for p in landed[1:])
+        synced = {key for kind, key in events[:first] if kind == "fsync"}
+        assert all(inode(p) in synced for p in landed)
+        assert ("fsync", inode(out.parent)) in events[last + 1 :]
 
 
 def _edit_manifest(directory, edit):
