@@ -24,12 +24,12 @@ from .fisher import fit_fisher, predict_lda
 from .metrics import confusion, format_report, history_to_csv
 from .network import TrainConfig, layer_param_counts, param_count
 from .pipeline import (
+    _write_two_phase,
     build_phase1_spec,
     build_phase2_spec,
     load_two_phase,
     predict_two_phase,
     replacing,
-    save_two_phase,
     train_two_phase,
 )
 from .rng import SplitMix64
@@ -179,8 +179,10 @@ def cmd_train(data, schema, config, seed, val_fraction, lr, epochs, batch_size, 
     labels = history2.val_probs[:, 0] >= config2.threshold
     report = _evaluation_report(labels, val_ds.y)
 
-    with replacing(out) as tmp:
-        save_two_phase(model, os.path.join(tmp, "model"))
+    with replacing(out) as tmp:  # which syncs model/ with the rest of the run
+        model_dir = os.path.join(tmp, "model")
+        os.mkdir(model_dir)
+        _write_two_phase(model, model_dir)
         history_to_csv(history1, os.path.join(tmp, "lda.csv"))
         history_to_csv(history2, os.path.join(tmp, "svm.csv"))
         with open(os.path.join(tmp, "metrics.txt"), "w", encoding="utf-8", newline="") as fh:
@@ -217,15 +219,18 @@ def cmd_evaluate(model_dir, data, schema, config):
     data = _require(_given(data, cfg, "data"), "--data")
     schema = _require(_given(schema, cfg, "schema"), "--schema")
     model = load_two_phase(model_dir)
-    ds = load_dataset(data, load_schema(schema))
+    schema = load_schema(schema)
+    try:  # standardized as read, so only one feature matrix is made
+        ds = load_dataset(data, schema, model.standardizer)
+    except ShapeError:  # a width other than the standardizer's
+        if model.feature_names is None:
+            raise
+        ds = load_dataset(data, schema)  # whose names then differ, and are named below
     if model.feature_names is not None and ds.feature_names != model.feature_names:
         raise DataError(
             f"dataset features {list(ds.feature_names)} do not match "
             f"the model's {list(model.feature_names)}"
         )
-    if model.standardizer is not None:
-        # Rebinding frees the raw features before scoring.
-        ds = apply_standardizer(model.standardizer, ds)
     probs, labels = predict_two_phase(model, ds.x, model.config2.threshold)
     click.echo(_evaluation_report(labels, ds.y))
 

@@ -18,6 +18,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 
 import numpy as np
@@ -200,8 +201,10 @@ def _parse_cell(token: str) -> float:
     return value if math.isfinite(value) else math.nan
 
 
-def _dataset(header: list[str], rows, schema: DataSchema) -> Dataset:
-    """Validate, parse and impute data rows, consuming ``rows`` one at a time.
+def _dataset(header: list[str], rows, schema: DataSchema,
+             standardizer: Standardizer | None = None) -> Dataset:
+    """Validate, parse and impute data rows, consuming ``rows`` one at a time,
+    then standardize them in the same buffer if ``standardizer`` is given.
 
     Feature cells go straight into a flat float64 buffer with the bits of
     :func:`_parse_cell`: ``float`` ignores surrounding whitespace as
@@ -248,6 +251,10 @@ def _dataset(header: list[str], rows, schema: DataSchema) -> Dataset:
         # Two values near the float64 limit average to inf: a data error below.
         with np.errstate(over="ignore"):
             col[np.isnan(col)] = np.median(present)
+    if standardizer is not None:
+        _check_width(standardizer, x.shape[1])
+        x -= standardizer.mean  # apply_standardizer's operations, in place
+        x /= standardizer.std
     return Dataset(x=x, y=np.frombuffer(labels), feature_names=names)
 
 
@@ -264,11 +271,18 @@ def clean(raw: RawTable, schema: DataSchema) -> Dataset:
     return _dataset(raw.header, raw.cells, schema)
 
 
-def load_dataset(path, schema: DataSchema) -> Dataset:
+def load_dataset(path, schema: DataSchema, standardizer: Standardizer | None = None) -> Dataset:
     """``clean(load_csv(path, schema), schema)`` with the same result and
     errors for any file with one defect, read a row at a time: the file's
-    cells are never held as strings, so memory is the feature matrix's."""
-    return _read_csv(path, schema, _dataset)
+    cells are never held as strings, so memory is the feature matrix's.
+
+    With a ``standardizer``, the result's features equal, bit for bit,
+    ``apply_standardizer(standardizer, load_dataset(path, schema)).x``, but
+    they are standardized in the buffer the rows were parsed into, so no
+    second feature matrix is made. A width that differs from the
+    standardizer's raises :class:`ShapeError` after the rows are checked.
+    """
+    return _read_csv(path, schema, partial(_dataset, standardizer=standardizer))
 
 
 class Standardizer:
@@ -308,12 +322,16 @@ def fit_standardizer(train: Dataset) -> Standardizer:
     return Standardizer(mean, std)
 
 
+def _check_width(s: Standardizer, n_features: int) -> None:
+    if n_features != s.n_features:
+        raise ShapeError(
+            f"standardizer was fitted on {s.n_features} features, dataset has {n_features}"
+        )
+
+
 def apply_standardizer(s: Standardizer, ds: Dataset) -> Dataset:
     """Apply fitted statistics to any dataset (never refits)."""
-    if ds.n_features != s.n_features:
-        raise ShapeError(
-            f"standardizer was fitted on {s.n_features} features, dataset has {ds.n_features}"
-        )
+    _check_width(s, ds.n_features)
     z = ds.x - s.mean
     z /= s.std
     return Dataset(x=z, y=ds.y, feature_names=ds.feature_names)

@@ -39,17 +39,20 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-7
 
-# Rows per block of :func:`predict`. Per-row speed matches 1,024-row blocks
-# (predict on 10,000 phase-1 rows: median 1,293 ms at 256, 1,320 ms at
-# 1,024; one OpenBLAS 0.3.31 thread, 2-vCPU host) at a quarter of the
-# activation memory. With one BLAS thread the blocks keep the bits of the
-# whole-matrix pass: a GEMM split by rows keeps them for blocks of two or
-# more rows, and the one-column output layer's gemv, which takes rows in
-# groups of four, keeps them when every block starts at a multiple of four.
-# A one-row block would take numpy's gemv path in every layer, so a
-# trailing one joins the block before it. (With several BLAS threads gemv
-# can also split rows at a point that depends on the row count.)
-ROWS = 256
+# Rows per block of :func:`predict`. Its two shared buffers of ROWS + 1 rows
+# hold 2.1 MB at the phase-1 width of 1,024 units (4.2 MB at 256 rows).
+# Phase-1 predict on 10,000 rows took a median 1,147 ms at 128 rows,
+# 1,100 ms at 256 and 1,260 ms at 64 (40,000 rows: 4,437, 4,357 and
+# 4,928 ms; one OpenBLAS 0.3.31 thread, 2-vCPU host). Each block's GEMM
+# packs the 8 MB weight matrix again, so 64-row blocks cost more time than
+# the 1 MB they would save. With one BLAS thread the blocks keep the bits
+# of the whole-matrix pass: a GEMM split by rows keeps them for blocks of
+# two or more rows, and the one-column output layer's gemv, which takes
+# rows in groups of four, keeps them when every block starts at a multiple
+# of four. A one-row block would take numpy's gemv path in every layer, so
+# a trailing one joins the block before it. (With several BLAS threads
+# gemv can also split rows at a point that depends on the row count.)
+ROWS = 128
 
 # Most rows per block of a dense layer's weight gradient, which the backward
 # walk makes and consumes a block at a time in one buffer. A batch takes its

@@ -229,6 +229,13 @@ def save_two_phase(model: TwoPhaseModel, directory) -> None:
     applied to fresh raw data. The directory lands through :func:`replacing`,
     so a save that fails leaves no partial model.
     """
+    with replacing(directory) as tmp:
+        _write_two_phase(model, tmp)
+
+
+def _write_two_phase(model: TwoPhaseModel, directory) -> None:
+    """Write :func:`save_two_phase`'s files into the existing, empty ``directory``,
+    which the caller lands; a run directory lands its ``model/`` with the run."""
     manifest = {
         "format": TWO_PHASE_FORMAT,
         "config1": model.config1.to_dict(),
@@ -242,10 +249,9 @@ def save_two_phase(model: TwoPhaseModel, directory) -> None:
             "std": model.standardizer.std.tolist(),
         },
     }
-    with replacing(directory) as tmp:
-        save_network(model.phase1, os.path.join(tmp, PHASE_FILES[0]), {"phase": 1})
-        save_network(model.phase2, os.path.join(tmp, PHASE_FILES[1]), {"phase": 2})
-        write_json(manifest, os.path.join(tmp, MANIFEST_FILE))
+    save_network(model.phase1, os.path.join(directory, PHASE_FILES[0]), {"phase": 1})
+    save_network(model.phase2, os.path.join(directory, PHASE_FILES[1]), {"phase": 2})
+    write_json(manifest, os.path.join(directory, MANIFEST_FILE))
 
 
 def load_two_phase(directory) -> TwoPhaseModel:

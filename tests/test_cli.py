@@ -64,6 +64,24 @@ class TestTrainCommand:
             "manifest.json", "phase1.npz", "phase2.npz",
         ]
 
+    def test_every_file_and_directory_of_a_run_is_synced_once(self, toy_csv, tmp_path,
+                                                              capsys, monkeypatch):
+        # Files are known by inode, which the renames of the swap keep.
+        synced, real_fsync = [], os.fsync
+
+        def fsync(fd):
+            st = os.fstat(fd)
+            synced.append((st.st_dev, st.st_ino))
+            real_fsync(fd)
+
+        out = tmp_path / "run"
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", fsync)
+            assert _run(capsys, *_train_args(toy_csv, out, "--epochs", "1"))[0] == 0
+        landed = [tmp_path, out, *out.rglob("*")]
+        assert len(landed) == 10  # the parent, the run, model/ and seven files
+        assert sorted(synced) == sorted((os.stat(p).st_dev, os.stat(p).st_ino) for p in landed)
+
     def test_phase1_scores_no_row_twice_per_pass(self, toy_csv, tmp_path, capsys,
                                                    monkeypatch):
         # Phase 1 scores the validation rows once per epoch and the training
@@ -372,18 +390,58 @@ class TestEvaluateCommand:
         tp2, fp2, fn2, tn2 = counts(swapped)
         assert (tp2, fp2, fn2, tn2) == (fp, tp, tn, fn)
 
-    def test_feature_mismatch_is_data_error(self, toy_csv, overfit_run,
-                                            tmp_path, capsys):
-        csv_path, schema_path = toy_csv
+    @staticmethod
+    def _narrowed(schema_path, tmp_path):
+        """A copy of the schema that also drops feature ``a``."""
         narrowed = tmp_path / "narrow.schema.json"
         original = json.loads(schema_path.read_text())
         original["drop"] = original["drop"] + ["a"]
         narrowed.write_text(json.dumps(original))
+        return narrowed
+
+    def test_feature_mismatch_is_data_error(self, toy_csv, overfit_run,
+                                            tmp_path, capsys):
+        # The file is one feature narrower than the model's standardizer,
+        # which evaluate applies as it reads: the model's names are still
+        # what the message compares.
+        csv_path, schema_path = toy_csv
         code, _, err = _run(capsys, "evaluate", "--model",
                             str(overfit_run / "model"), "--data", str(csv_path),
-                            "--schema", str(narrowed))
+                            "--schema", str(self._narrowed(schema_path, tmp_path)))
         assert code == 2
         assert "features" in err
+        assert "['b', 'c', 'd', 'e'] do not match the model's ['a', 'b'" in err
+        assert "Traceback" not in err
+
+    def test_renamed_feature_is_data_error(self, toy_csv, overfit_run, tmp_path, capsys):
+        # As wide as the model's features, so the standardizer alone would take it.
+        csv_path, schema_path = toy_csv
+        header, rest = csv_path.read_text(encoding="utf-8").split("\n", 1)
+        assert header.startswith("id,a,b,")
+        renamed = tmp_path / "renamed.csv"
+        renamed.write_text(header.replace("id,a,", "id,a2,", 1) + "\n" + rest,
+                           encoding="utf-8")
+        code, _, err = _run(capsys, "evaluate", "--model", str(overfit_run / "model"),
+                            "--data", str(renamed), "--schema", str(schema_path))
+        assert code == 2
+        assert "['a2', 'b', 'c', 'd', 'e'] do not match the model's ['a', 'b'" in err
+        assert "Traceback" not in err
+
+    def test_model_without_feature_names_refuses_a_narrower_file(
+            self, toy_csv, overfit_run, tmp_path, capsys):
+        model = tmp_path / "model"
+        model.mkdir()
+        for p in (overfit_run / "model").iterdir():
+            (model / p.name).write_bytes(p.read_bytes())
+        manifest = json.loads((model / "manifest.json").read_text())
+        manifest["feature_names"] = None
+        (model / "manifest.json").write_text(json.dumps(manifest))
+        csv_path, schema_path = toy_csv
+        code, _, err = _run(capsys, "evaluate", "--model", str(model), "--data", str(csv_path),
+                            "--schema", str(self._narrowed(schema_path, tmp_path)))
+        assert code == 2
+        assert "standardizer was fitted on 5 features, dataset has 4" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("damage", [
         "manifest_without_config1",

@@ -293,20 +293,57 @@ class TestLoadDataset:
     def test_memory_grows_by_the_feature_matrix_only(self, tmp_path):
         import tracemalloc
 
-        peaks = []
+        s = Standardizer(np.full(41, 0.5), np.full(41, 3.0))
+        peaks = {}
         for rows in (2000, 8000):
             csv_path, schema_path = write_clinical_csv(
                 tmp_path / f"{rows}.csv", tmp_path / "schema.json", n_rows=rows,
                 n_positive=rows // 3)
             schema = load_schema(schema_path)
-            tracemalloc.start()
-            ds = load_dataset(csv_path, schema)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
-            assert ds.n_rows == rows
+            for standardizer in (None, s):
+                tracemalloc.start()
+                ds = load_dataset(csv_path, schema, standardizer)
+                peaks.setdefault(standardizer, []).append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+                assert ds.n_rows == rows
         # 41 features and a label are 336 bytes a row; the strings of a
         # whole-file read take about 2.4 KB a row.
-        assert peaks[1] - peaks[0] < 6000 * 600
+        assert peaks[None][1] - peaks[None][0] < 6000 * 600
+        # Standardizing as read makes no second matrix: loading and then
+        # calling apply_standardizer grows by about 720 bytes a row.
+        assert peaks[s][1] - peaks[s][0] < 6000 * 400
+
+    @given(st.lists(st.tuples(st.sampled_from(TestClean.PARSE_TOKENS),
+                              st.sampled_from(TestClean.PARSE_TOKENS),
+                              st.sampled_from(["0", "1"])), min_size=1, max_size=16),
+           st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2),
+           st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=2))
+    @settings(max_examples=150, deadline=None)
+    def test_standardizing_as_read_equals_apply_standardizer(self, rows, mean, std):
+        s = Standardizer(mean, std)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write_rows(os.path.join(tmp, "t.csv"), [["id", "a", "b", "label"]]
+                               + [[str(i), *row] for i, row in enumerate(rows)])
+            outcomes = []
+            for read in (lambda: load_dataset(path, SCHEMA, s),
+                         lambda: apply_standardizer(s, load_dataset(path, SCHEMA))):
+                try:
+                    ds = read()
+                except DataError as exc:
+                    outcomes.append(str(exc))
+                else:
+                    outcomes.append((ds.x.view(np.uint64).tolist(), ds.y.tolist(),
+                                     ds.feature_names))
+        assert outcomes[0] == outcomes[1]
+
+    def test_a_width_other_than_the_standardizers_is_a_shape_error(self, tmp_path):
+        path = _write(tmp_path, "id,a,b,label\n1,0.5,2,1\n2,x,3,0\n")
+        with pytest.raises(ShapeError, match="fitted on 3 features, dataset has 2"):
+            load_dataset(path, SCHEMA, Standardizer(np.zeros(3), np.ones(3)))
+        # Row defects are reported first, as apply_standardizer after a load reports them.
+        path = _write(tmp_path, "id,a,b,label\n1,0.5,2,1\n2,x\n")
+        with pytest.raises(DataError, match="row 2: expected 4 cells"):
+            load_dataset(path, SCHEMA, Standardizer(np.zeros(3), np.ones(3)))
 
 
 class TestDataset:

@@ -633,6 +633,19 @@ class TestFastPathBits:
         assert peaks[0] > 6 * layer_bytes  # forward keeps every layer's output
         assert peaks[1] < 4 * layer_bytes
 
+    def test_phase1_predict_holds_two_row_blocks_of_a_layer(self):
+        import tracemalloc
+
+        net = init_network(WIDE_SPEC, SplitMix64(8))
+        x = np.random.default_rng(5).normal(size=(1000, 41))
+        tracemalloc.start()
+        predict(net, x)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # The two shared buffers of ROWS + 1 rows of 1,024 units: 2.1 MB at
+        # 128 rows, 4.2 MB at 256.
+        assert peak < 2.5e6
+
     def test_predict_blocks_keep_the_whole_matrix_bits(self):
         # numpy reads the BLAS thread count at import, so the check runs in a
         # child process pinned to one thread, where the bits are promised.
