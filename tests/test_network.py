@@ -395,9 +395,11 @@ class TestPredictAndCache:
         assert np.allclose(probs[:, 0], [0.2, 0.7, 0.5])
         assert labels.tolist() == [0, 1, 1]
 
-    @pytest.mark.parametrize("rows", [1, ROWS + 2])
+    # One row, and more rows than one block of ROWS holds.
+    @pytest.mark.parametrize("rows", [1, 258])
     @pytest.mark.parametrize("kind", ["1-D", "3-D", "wrong width"])
     def test_predict_rejects_a_bad_input_shape(self, kind, rows):
+        assert rows == 1 or rows > ROWS
         net = init_network(HEAD_SPEC, SplitMix64(0))
         x = {"1-D": np.ones(rows), "3-D": np.ones((rows, 1, 1)),
              "wrong width": np.ones((rows, 2))}[kind]
