@@ -17,6 +17,7 @@ from .data import (
     Standardizer,
     apply_standardizer,
     clean,
+    column_medians,
     fit_standardizer,
     load_csv,
     load_dataset,
@@ -69,6 +70,7 @@ from .pipeline import (
     TwoPhaseModel,
     build_phase1_spec,
     build_phase2_spec,
+    evaluate_two_phase,
     load_two_phase,
     predict_two_phase,
     save_two_phase,

@@ -17,8 +17,8 @@ import warnings
 
 import click
 
-from .data import (apply_standardizer, fit_standardizer, load_dataset, load_schema, read_json,
-                   stratified_split, write_json)
+from .data import (apply_standardizer, column_medians, fit_standardizer, load_dataset,
+                   load_schema, read_json, stratified_split, write_json)
 from .exceptions import ContractError, DataError, NumericalError, ShapeError
 from .fisher import fit_fisher, predict_lda
 from .metrics import confusion, format_report, history_to_csv
@@ -27,8 +27,8 @@ from .pipeline import (
     _write_two_phase,
     build_phase1_spec,
     build_phase2_spec,
+    evaluate_two_phase,
     load_two_phase,
-    predict_two_phase,
     replacing,
     train_two_phase,
 )
@@ -107,11 +107,12 @@ def _require(value, flag: str):
 
 
 def _load_split(data_path, schema_path, val_fraction, rng):
-    """Shared train/baseline preamble: load, clean, split, standardize."""
+    """Shared train/baseline preamble: load, clean, split, standardize; also
+    the column medians the loaded table was imputed with."""
     ds = load_dataset(data_path, load_schema(schema_path))
     train, val = stratified_split(ds, val_fraction, rng)
     std = fit_standardizer(train)
-    return apply_standardizer(std, train), apply_standardizer(std, val), std
+    return apply_standardizer(std, train), apply_standardizer(std, val), std, column_medians(ds)
 
 
 def _evaluation_report(labels, truth) -> str:
@@ -169,11 +170,12 @@ def cmd_train(data, schema, config, seed, val_fraction, lr, epochs, batch_size, 
         raise DataError(f"--out {out} is not absent, an empty directory or a previous run")
 
     rng = SplitMix64(seed)
-    train_ds, val_ds, std = _load_split(data, schema, val_fraction, rng)
+    train_ds, val_ds, std, medians = _load_split(data, schema, val_fraction, rng)
     model, history1, history2 = train_two_phase(
         train_ds, val_ds, config1, config2, rng, standardizer=std
     )
     model.seed = seed
+    model.medians = medians
 
     # Phase 2's last validation pass scored the validation rows end to end.
     labels = history2.val_probs[:, 0] >= config2.threshold
@@ -219,20 +221,7 @@ def cmd_evaluate(model_dir, data, schema, config):
     data = _require(_given(data, cfg, "data"), "--data")
     schema = _require(_given(schema, cfg, "schema"), "--schema")
     model = load_two_phase(model_dir)
-    schema = load_schema(schema)
-    try:  # standardized as read, so only one feature matrix is made
-        ds = load_dataset(data, schema, model.standardizer)
-    except ShapeError:  # a width other than the standardizer's
-        if model.feature_names is None:
-            raise
-        ds = load_dataset(data, schema)  # whose names then differ, and are named below
-    if model.feature_names is not None and ds.feature_names != model.feature_names:
-        raise DataError(
-            f"dataset features {list(ds.feature_names)} do not match "
-            f"the model's {list(model.feature_names)}"
-        )
-    probs, labels = predict_two_phase(model, ds.x, model.config2.threshold)
-    click.echo(_evaluation_report(labels, ds.y))
+    click.echo(format_report(evaluate_two_phase(model, data, load_schema(schema))))
 
 
 @cli.command(name="inspect")
@@ -273,7 +262,7 @@ def cmd_baseline(data, schema, config, seed, val_fraction, ridge):
     if not 0 <= ridge < math.inf:  # fit_fisher checks too, but only after the data is read
         raise click.UsageError(f"ridge must be finite and >= 0, got {ridge}")
     rng = SplitMix64(seed)
-    train_ds, val_ds, _ = _load_split(data, schema, val_fraction, rng)
+    train_ds, val_ds, _, _ = _load_split(data, schema, val_fraction, rng)
     model = fit_fisher(train_ds, ridge)
     scores, labels = predict_lda(model, val_ds.x)
     click.echo(f"fisher baseline on {val_ds.n_rows} validation rows (seed {seed})")

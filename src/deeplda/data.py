@@ -7,8 +7,11 @@ columns), and the token that maps to class 1. Everything else is treated
 as a numeric feature: cells that do not parse as finite numbers count as
 missing and are imputed with the column median computed over the whole
 table; :func:`load_dataset` parses a file row by row into a flat float64
-buffer, never holding its cells as strings. Standardization statistics
-are fitted on the training split only and applied unchanged elsewhere.
+buffer, never holding its cells as strings. A file scored by a saved
+model is read by :func:`read_blocks` a block at a time and imputed with
+the medians of the table the model was trained on. Standardization
+statistics are fitted on the training split only and applied unchanged
+elsewhere.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import csv
 import json
 import math
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from operator import itemgetter
 
 import numpy as np
@@ -91,15 +94,18 @@ class RawTable:
         return len(self.cells)
 
 
-def _read_csv(path, schema: DataSchema, consume):
-    """``consume(header, rows, schema)`` on a CSV file, rows read as consumed."""
+@contextmanager
+def _csv_rows(path):
+    """The stripped header of a CSV file and a reader of its other rows, which
+    the ``with`` block consumes; a file that is missing, empty or not a
+    readable UTF-8 CSV raises :class:`DataError`, also while its rows are read."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = csv.reader(fh)
             header = next(rows, None)
             if header is None:
                 raise DataError(f"data file {path} is empty")
-            return consume([h.strip() for h in header], rows, schema)
+            yield [h.strip() for h in header], rows
     except FileNotFoundError:
         raise DataError(f"data file not found: {path}") from None
     except (csv.Error, UnicodeDecodeError) as exc:
@@ -123,6 +129,10 @@ def _columns(header: list[str], schema: DataSchema) -> tuple[int, list[int]]:
     return target_col, feature_cols
 
 
+def _feature_names(header: list[str], schema: DataSchema) -> tuple[str, ...]:
+    return tuple(header[c] for c in _columns(header, schema)[1])
+
+
 def _numbered(header: list[str], rows):
     """The data rows numbered from 1, each checked to be as wide as the header."""
     for i, row in enumerate(rows, start=1):
@@ -140,12 +150,9 @@ def load_csv(path, schema: DataSchema) -> RawTable:
     have exactly as many cells as the header. Unlike :func:`load_dataset`,
     it holds the whole file, as strings.
     """
-    return _read_csv(path, schema, _table)
-
-
-def _table(header: list[str], rows, schema: DataSchema) -> RawTable:
-    _columns(header, schema)
-    return RawTable(header=header, cells=[row for _, row in _numbered(header, rows)])
+    with _csv_rows(path) as (header, rows):
+        _columns(header, schema)
+        return RawTable(header=header, cells=[row for _, row in _numbered(header, rows)])
 
 
 @dataclass(frozen=True)
@@ -201,16 +208,17 @@ def _parse_cell(token: str) -> float:
     return value if math.isfinite(value) else math.nan
 
 
-def _dataset(header: list[str], rows, schema: DataSchema,
-             standardizer: Standardizer | None = None) -> Dataset:
-    """Validate, parse and impute data rows, consuming ``rows`` one at a time,
-    then standardize them in the same buffer if ``standardizer`` is given.
+def _row_blocks(header: list[str], rows, schema: DataSchema, size: int | None = None):
+    """The data rows' feature values and labels, consuming ``rows`` one at a
+    time, as pairs of flat float64 arrays of ``size`` rows each, the last
+    perhaps fewer (every row in one pair when ``size`` is None).
 
-    Feature cells go straight into a flat float64 buffer with the bits of
-    :func:`_parse_cell`: ``float`` ignores surrounding whitespace as
+    Row widths and target tokens are checked as the rows come, and a defect
+    names its row, counted from 1. Feature cells go straight into the buffer
+    with the bits of :func:`_parse_cell`, except that infinities stay (see
+    :func:`_dataset`): ``float`` ignores surrounding whitespace as
     ``str.strip`` does, an empty cell reads as "nan", and a row where
     ``float`` fails falls back to :func:`_parse_cell` cell by cell.
-    Non-finite values become NaN in one pass at the end.
     """
     target_col, cols = _columns(header, schema)
     get = itemgetter(*cols) if len(cols) > 1 else lambda row: (row[cols[0]],)
@@ -237,12 +245,46 @@ def _dataset(header: list[str], rows, schema: DataSchema,
                 f"row {n}: target token {token!r} (already saw {negative_token!r}; "
                 f"positive label is {schema.positive_label!r})"
             )
+        if len(labels) == size:
+            yield values, labels
+            values, labels = array("d"), array("d")
     if n == 0:
         raise DataError("table has no data rows")
+    if labels:
+        yield values, labels
 
-    x = np.frombuffer(values).reshape(n, len(cols))
-    x[~np.isfinite(x)] = np.nan
-    names = [header[c] for c in cols]
+
+def _dataset(names: tuple[str, ...], values: array, labels: array,
+             standardizer: Standardizer | None = None,
+             medians: np.ndarray | None = None) -> Dataset:
+    """Rows that :func:`_row_blocks` parsed, as a :class:`Dataset` over the
+    same buffers. Missing cells (NaN, and the infinities the parse kept)
+    take ``medians`` or, when None, their column's median over these rows.
+    With a ``standardizer`` the features are then standardized in place,
+    with :func:`apply_standardizer`'s operations in its order."""
+    x = np.frombuffer(values).reshape(-1, len(names))
+    x[np.isinf(x)] = np.nan
+    if medians is None:
+        _fill_with_own_medians(x, names)
+    else:
+        np.copyto(x, medians, where=np.isnan(x))
+    if standardizer is not None:
+        _check_width(standardizer, x.shape[1])
+        x -= standardizer.mean
+        x /= standardizer.std
+    return Dataset(x=x, y=np.frombuffer(labels), feature_names=names)
+
+
+def _table(header: list[str], rows, schema: DataSchema,
+           standardizer: Standardizer | None = None) -> Dataset:
+    """Every data row in one :class:`Dataset`, its missing cells imputed
+    with the table's own column medians (see :func:`_dataset`)."""
+    ((values, labels),) = _row_blocks(header, rows, schema)
+    return _dataset(_feature_names(header, schema), values, labels, standardizer)
+
+
+def _fill_with_own_medians(x: np.ndarray, names: tuple[str, ...]) -> None:
+    """Set each column's missing cells to the median of its usable ones."""
     for j in np.nonzero(np.isnan(x).any(axis=0))[0]:
         col = x[:, j]
         present = col[~np.isnan(col)]
@@ -251,11 +293,6 @@ def _dataset(header: list[str], rows, schema: DataSchema,
         # Two values near the float64 limit average to inf: a data error below.
         with np.errstate(over="ignore"):
             col[np.isnan(col)] = np.median(present)
-    if standardizer is not None:
-        _check_width(standardizer, x.shape[1])
-        x -= standardizer.mean  # apply_standardizer's operations, in place
-        x /= standardizer.std
-    return Dataset(x=x, y=np.frombuffer(labels), feature_names=names)
 
 
 def clean(raw: RawTable, schema: DataSchema) -> Dataset:
@@ -268,7 +305,7 @@ def clean(raw: RawTable, schema: DataSchema) -> Dataset:
     contain at most two distinct tokens. The header and row widths are
     checked as :func:`load_csv` checks them.
     """
-    return _dataset(raw.header, raw.cells, schema)
+    return _table(raw.header, raw.cells, schema)
 
 
 def load_dataset(path, schema: DataSchema, standardizer: Standardizer | None = None) -> Dataset:
@@ -282,7 +319,64 @@ def load_dataset(path, schema: DataSchema, standardizer: Standardizer | None = N
     second feature matrix is made. A width that differs from the
     standardizer's raises :class:`ShapeError` after the rows are checked.
     """
-    return _read_csv(path, schema, partial(_dataset, standardizer=standardizer))
+    with _csv_rows(path) as (header, rows):
+        return _table(header, rows, schema, standardizer)
+
+
+def column_medians(ds: Dataset) -> np.ndarray:
+    """Each feature column's median in a table as :func:`load_dataset` imputed
+    it, before any standardizing: for a column with missing cells, the median
+    of its usable cells that filled them, since cells set to a column's median
+    keep it its median. A median past the float64 range raises :class:`DataError`.
+    """
+    with np.errstate(over="ignore"):
+        medians = np.median(ds.x, axis=0)
+    for name, median in zip(ds.feature_names, medians):
+        if not math.isfinite(median):
+            raise DataError(f"column {name!r} has no finite median to record")
+    return medians
+
+
+def read_blocks(path, schema: DataSchema, size: int, medians: np.ndarray | None = None,
+                standardizer: Standardizer | None = None, names: tuple[str, ...] | None = None):
+    """The rows of a CSV file as :class:`Dataset` blocks, to be scored by a
+    model that records its feature ``names``, imputation ``medians`` and
+    ``standardizer``.
+
+    The header is checked before any row: its feature names must equal
+    ``names`` or, when that is None, its width must be the standardizer's.
+    With ``medians``, the file is read in blocks of ``size`` rows (at least
+    2), and a last block of one row joins the one before, so one block is
+    held back. Each block's missing cells take the medians, and it is
+    standardized in its own buffer with :func:`load_dataset`'s operations,
+    so memory does not grow with the file; a row defect is raised when its
+    block is read. Without ``medians`` the whole file is one block, read as
+    :func:`load_dataset` reads it, whose missing cells take the file's own
+    column medians.
+    """
+    with _csv_rows(path) as (header, rows):
+        found = _feature_names(header, schema)
+        if names is not None and found != tuple(names):
+            raise DataError(f"dataset features {list(found)} do not match "
+                            f"the model's {list(names)}")
+        if standardizer is not None:
+            _check_width(standardizer, len(found))
+        if medians is None:
+            yield _table(header, rows, schema, standardizer)
+            return
+        if len(medians) != len(found):
+            raise ShapeError(f"the model has {len(medians)} medians, dataset has "
+                             f"{len(found)} features")
+        held = None
+        for block in _row_blocks(header, rows, schema, size):
+            if held is not None and len(block[1]) == 1:  # the last block, as size > 1
+                held[0].extend(block[0])
+                held[1].extend(block[1])
+                continue
+            if held is not None:
+                yield _dataset(found, *held, standardizer, medians)
+            held = block
+        yield _dataset(found, *held, standardizer, medians)
 
 
 class Standardizer:

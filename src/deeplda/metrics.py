@@ -38,6 +38,11 @@ class ConfusionMatrix:
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
 
+    def __add__(self, other: ConfusionMatrix) -> ConfusionMatrix:
+        """The counts of both sets of rows."""
+        return ConfusionMatrix(self.tp + other.tp, self.fp + other.fp,
+                               self.fn + other.fn, self.tn + other.tn)
+
 
 def _as_binary_vector(name: str, values) -> np.ndarray:
     arr = np.asarray(values)

@@ -701,23 +701,40 @@ def predict(
     multiples of ``ROWS`` and a trailing one-row block joins the block
     before it (see :data:`ROWS`).
     """
-    x = _checked_input(net, x)
-    n = x.shape[0]
-    starts = list(range(0, n, ROWS))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    layers = net.dense_layers()
-    probs = np.empty((n, layers[-1].units))
-    size = min(n, ROWS + 1) * max(layer.units for layer in layers)
-    scratch = (np.empty(size), np.empty(size))
-    for start, stop in zip(starts, starts[1:] + [n]):
-        a = x[start:stop]
-        for k, (layer, w, b) in enumerate(zip(layers, net.weights, net.biases)):
-            out = scratch[k % 2][: len(a) * w.shape[1]].reshape(len(a), -1)
-            a = _dense(layer, a, w, b, out)
-        probs[start:stop] = a
+    (probs,) = predict_blocks(net, [x])
     labels = (probs[:, 0] >= threshold).astype(np.int64)
     return probs, labels
+
+
+def predict_blocks(net: Network, blocks):
+    """Infer-mode probabilities of each block of rows that ``blocks`` yields,
+    in order, as :func:`predict` gives them for that block alone.
+
+    Every block runs in :func:`predict`'s row blocks through the same two
+    buffers. They are made for the first block, with room for ``ROWS + 1``
+    rows once it has ``ROWS``, so a caller that reads a file in blocks of
+    ``ROWS`` rows, the last perhaps one longer, scores it with one pair.
+    """
+    layers = net.dense_layers()
+    width = max(layer.units for layer in layers)
+    scratch = (np.empty(0), np.empty(0))
+    for x in blocks:
+        x = _checked_input(net, x)
+        n = x.shape[0]
+        size = (n if n < ROWS else ROWS + 1) * width
+        if scratch[0].size < size:
+            scratch = (np.empty(size), np.empty(size))
+        starts = list(range(0, n, ROWS))
+        if len(starts) > 1 and n - starts[-1] == 1:
+            starts.pop()
+        probs = np.empty((n, layers[-1].units))
+        for start, stop in zip(starts, starts[1:] + [n]):
+            a = x[start:stop]
+            for k, (layer, w, b) in enumerate(zip(layers, net.weights, net.biases)):
+                out = scratch[k % 2][: len(a) * w.shape[1]].reshape(len(a), -1)
+                a = _dense(layer, a, w, b, out)
+            probs[start:stop] = a
+        yield probs
 
 
 def fit(

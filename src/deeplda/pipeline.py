@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Standardizer, read_json, write_json
+from .data import DataSchema, Dataset, Standardizer, read_blocks, read_json, write_json
 from .exceptions import DataError, NumericalError, ShapeError
-from .metrics import TrainingHistory
+from .metrics import ConfusionMatrix, TrainingHistory, confusion
 from .network import (
+    ROWS,
     Network,
     NetworkSpec,
     TrainConfig,
@@ -29,6 +30,7 @@ from .network import (
     init_network,
     load_network,
     predict,
+    predict_blocks,
     save_network,
 )
 from .rng import SplitMix64
@@ -75,9 +77,10 @@ def build_phase2_spec() -> NetworkSpec:
 class TwoPhaseModel:
     """Both trained networks plus the preprocessing used to feed them.
 
-    ``standardizer`` and ``feature_names`` describe what phase 1 expects;
-    they are carried for serialization and later inference, never applied
-    by the pipeline functions themselves.
+    ``standardizer`` and ``feature_names`` describe what phase 1 expects,
+    and ``medians`` are the training table's column medians, which fill
+    missing cells of a file the model scores (:func:`evaluate_two_phase`);
+    the training functions carry them for serialization and never apply them.
     """
 
     phase1: Network
@@ -87,6 +90,7 @@ class TwoPhaseModel:
     standardizer: Standardizer | None = None
     feature_names: tuple[str, ...] | None = None
     seed: int | None = None
+    medians: np.ndarray | None = None
 
     def __post_init__(self):
         for phase, net in ((1, self.phase1), (2, self.phase2)):
@@ -154,6 +158,30 @@ def predict_two_phase(
 ) -> tuple[np.ndarray, np.ndarray]:
     """End-to-end probabilities and labels: phase 2 on phase-1 output."""
     return predict(model.phase2, transform_phase1(model, x), threshold)
+
+
+def evaluate_two_phase(model: TwoPhaseModel, path, schema: DataSchema) -> ConfusionMatrix:
+    """The confusion counts of ``model``'s labels on a CSV file.
+
+    The file is read by :func:`~deeplda.data.read_blocks` with the model's
+    feature names, medians and standardizer, in blocks of
+    :data:`~deeplda.network.ROWS` rows, and each block is scored as it
+    comes, through one pair of buffers per phase, so a model with medians
+    scores a file of any length in the memory of one block. The labels
+    equal :func:`predict_two_phase`'s on the same features.
+    """
+    truth = []  # the labels of the block being scored: each walk yields a block as it reads one
+
+    def features():
+        for block in read_blocks(path, schema, ROWS, model.medians, model.standardizer,
+                                 model.feature_names):
+            truth.append(block.y)
+            yield block.x
+
+    counts = ConfusionMatrix(0, 0, 0, 0)
+    for probs in predict_blocks(model.phase2, predict_blocks(model.phase1, features())):
+        counts += confusion(probs[:, 0] >= model.config2.threshold, truth.pop())
+    return counts
 
 
 PHASE_FILES = ("phase1.npz", "phase2.npz")
@@ -225,9 +253,10 @@ def save_two_phase(model: TwoPhaseModel, directory) -> None:
     """Write a model directory: both network files plus a manifest.
 
     The manifest records the per-phase configs, the seed, the feature
-    names, and the standardizer, so a saved run can be reloaded and
-    applied to fresh raw data. The directory lands through :func:`replacing`,
-    so a save that fails leaves no partial model.
+    names, the standardizer and, when the model has them, the medians, so a
+    saved run can be reloaded and applied to fresh raw data. The directory
+    lands through :func:`replacing`, so a save that fails leaves no partial
+    model.
     """
     with replacing(directory) as tmp:
         _write_two_phase(model, tmp)
@@ -249,6 +278,8 @@ def _write_two_phase(model: TwoPhaseModel, directory) -> None:
             "std": model.standardizer.std.tolist(),
         },
     }
+    if model.medians is not None:
+        manifest["medians"] = model.medians.tolist()
     save_network(model.phase1, os.path.join(directory, PHASE_FILES[0]), {"phase": 1})
     save_network(model.phase2, os.path.join(directory, PHASE_FILES[1]), {"phase": 2})
     write_json(manifest, os.path.join(directory, MANIFEST_FILE))
@@ -258,7 +289,9 @@ def load_two_phase(directory) -> TwoPhaseModel:
     """Load a directory written by :func:`save_two_phase`.
 
     A missing or malformed manifest or network file, or a manifest of
-    another format, raises :class:`DataError`.
+    another format, raises :class:`DataError`. The manifest's ``medians``
+    may be absent; if present, they are finite JSON numbers, one for each
+    of phase 1's inputs.
     """
     path = os.path.join(directory, MANIFEST_FILE)
     manifest = read_json(path, "model manifest")
@@ -285,6 +318,13 @@ def load_two_phase(directory) -> TwoPhaseModel:
                 raise ValueError(f"standardizer has {len(mean)} means and {len(dev)} "
                                  f"deviations for {len(names or mean)} features")
             standardizer = Standardizer(mean, dev)  # which refuses NaN and infinities
+        medians = manifest.get("medians")  # absent from a model saved without them
+        if medians is not None:
+            if not (isinstance(medians, list) and all(type(v) in (int, float) for v in medians)):
+                raise TypeError("medians must be a flat list of JSON numbers")
+            medians = np.array(medians, dtype=np.float64)
+            if not np.all(np.isfinite(medians)):
+                raise ValueError("medians must be finite")
         seed = manifest["seed"]
         if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
             raise TypeError(f"seed must be an integer or null, got {seed!r}")
@@ -292,12 +332,17 @@ def load_two_phase(directory) -> TwoPhaseModel:
         raise DataError(f"model manifest {path} lacks the key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: 10**400
         raise DataError(f"model manifest {path} is malformed: {exc}") from None
+    phase1 = load_network(os.path.join(directory, PHASE_FILES[0]))
+    if medians is not None and len(medians) != phase1.spec.input_dim:
+        raise DataError(f"model manifest {path} is malformed: {len(medians)} medians "
+                        f"for phase 1's {phase1.spec.input_dim} features")
     return TwoPhaseModel(
-        phase1=load_network(os.path.join(directory, PHASE_FILES[0])),
+        phase1=phase1,
         phase2=load_network(os.path.join(directory, PHASE_FILES[1])),
         config1=config1,
         config2=config2,
         standardizer=standardizer,
         feature_names=tuple(names) if names else None,
         seed=seed,
+        medians=medians,
     )

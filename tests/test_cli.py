@@ -1,7 +1,9 @@
 """Command-line behavior: artifacts, determinism, exit codes, reports."""
 
 import contextlib
+import csv
 import io
+import itertools
 import json
 import os
 import re
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 import deeplda.cli
 from deeplda.cli import main
+from deeplda.data import _parse_cell
 
 
 def _run(capsys, *args):
@@ -347,6 +350,16 @@ def overfit_run(toy_csv, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def clinical_run(clinical_csv, tmp_path_factory):
+    """A one-epoch run on the clinical-shaped file, whose cells are ~1% blank."""
+    out = tmp_path_factory.mktemp("clinical") / "run"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(_train_args(clinical_csv, out, "--epochs", "1"))
+    assert code == 0
+    return out
+
+
 class TestEvaluateCommand:
 
     def test_training_data_of_overfit_run_scores_high(
@@ -443,12 +456,78 @@ class TestEvaluateCommand:
         assert "standardizer was fitted on 5 features, dataset has 4" in err
         assert "Traceback" not in err
 
+    def test_names_are_checked_before_any_row(self, toy_csv, overfit_run, tmp_path, capsys):
+        csv_path, schema_path = toy_csv
+        header, rest = csv_path.read_text(encoding="utf-8").split("\n", 1)
+        renamed = tmp_path / "renamed.csv"
+        renamed.write_text(header.replace("id,a,", "id,a2,", 1) + "\n" + rest + "1,2\n",
+                           encoding="utf-8")
+        code, _, err = _run(capsys, "evaluate", "--model", str(overfit_run / "model"),
+                            "--data", str(renamed), "--schema", str(schema_path))
+        assert code == 2
+        assert "do not match the model's" in err and "row 101" not in err
+
+    @staticmethod
+    def _blank_weight_row(clinical_csv, tmp_path):
+        """The clinical file's header and first row, with that row's weight blank."""
+        with open(clinical_csv[0], newline="", encoding="utf-8") as fh:
+            header, row = itertools.islice(csv.reader(fh), 2)
+        row[header.index("Weight (Kg)")] = ""
+        path = tmp_path / "one.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, row])
+        return path
+
+    def test_one_row_with_a_blank_cell_takes_the_training_median(
+            self, clinical_csv, clinical_run, tmp_path, capsys):
+        path = self._blank_weight_row(clinical_csv, tmp_path)
+        code, stdout, err = _run(capsys, "evaluate", "--model", str(clinical_run / "model"),
+                                 "--data", str(path), "--schema", str(clinical_csv[1]))
+        assert code == 0, err
+        counts = re.findall(r"actual=[10]\s+(\d+)\s+(\d+)", stdout)
+        assert sum(int(c) for row in counts for c in row) == 1
+
+    def test_model_without_medians_imputes_from_the_scored_file(
+            self, clinical_csv, clinical_run, tmp_path, capsys):
+        model = tmp_path / "model"
+        model.mkdir()
+        for p in (clinical_run / "model").iterdir():
+            (model / p.name).write_bytes(p.read_bytes())
+        manifest = json.loads((model / "manifest.json").read_text())
+        del manifest["medians"]
+        (model / "manifest.json").write_text(json.dumps(manifest))
+        path = self._blank_weight_row(clinical_csv, tmp_path)
+        code, _, err = _run(capsys, "evaluate", "--model", str(model),
+                            "--data", str(path), "--schema", str(clinical_csv[1]))
+        assert code == 2
+        assert "column 'Weight (Kg)' has no usable values" in err
+        assert "Traceback" not in err
+
+    def test_train_records_the_medians_it_imputed_with(self, clinical_csv, clinical_run):
+        # The median of each column's parsed, usable cells over the whole file.
+        with open(clinical_csv[0], newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        manifest = json.loads((clinical_run / "model" / "manifest.json").read_text())
+        names = manifest["feature_names"]
+        want = []
+        for name in names:
+            j = header.index(name)
+            values = np.array([_parse_cell(row[j]) for row in rows])
+            want.append(np.median(values[~np.isnan(values)]))
+        assert np.array(manifest["medians"]).view(np.uint64).tolist() == \
+            np.array(want).view(np.uint64).tolist()
+        assert any(any(row[header.index(n)] == "" for row in rows) for n in names)
+
     @pytest.mark.parametrize("damage", [
         "manifest_without_config1",
         "manifest_config_ill_typed",
         "manifest_feature_names_ill_typed",
         "manifest_std_infinite",
         "manifest_mean_nan",
+        "manifest_medians_nan",
+        "manifest_medians_short",
+        "manifest_medians_ill_typed",
+        "manifest_medians_bool",
         "phase1_truncated",
         "phase1_not_zip",
         "phase1_missing_w1",
@@ -493,6 +572,14 @@ class TestEvaluateCommand:
             manifest["standardizer"]["std"][0] = float("inf")  # written as Infinity
         elif damage == "manifest_mean_nan":
             manifest["standardizer"]["mean"][0] = float("nan")  # written as NaN
+        elif damage == "manifest_medians_nan":
+            manifest["medians"][0] = float("nan")  # written as NaN
+        elif damage == "manifest_medians_short":
+            manifest["medians"].pop()
+        elif damage == "manifest_medians_ill_typed":
+            manifest["medians"][0] = "0.5"
+        elif damage == "manifest_medians_bool":
+            manifest["medians"][0] = True
         elif damage == "phase1_truncated":
             blob = (model / "phase1.npz").read_bytes()
             (model / "phase1.npz").write_bytes(blob[: len(blob) // 3])

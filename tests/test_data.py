@@ -29,7 +29,7 @@ from deeplda import (
     stratified_split,
 )
 from conftest import write_clinical_csv
-from deeplda.data import _parse_cell
+from deeplda.data import _parse_cell, column_medians, read_blocks
 from deeplda.rng import SplitMix64
 
 
@@ -344,6 +344,86 @@ class TestLoadDataset:
         path = _write(tmp_path, "id,a,b,label\n1,0.5,2,1\n2,x\n")
         with pytest.raises(DataError, match="row 2: expected 4 cells"):
             load_dataset(path, SCHEMA, Standardizer(np.zeros(3), np.ones(3)))
+
+
+_ROWS = st.lists(st.tuples(st.sampled_from(TestClean.PARSE_TOKENS),
+                          st.sampled_from(TestClean.PARSE_TOKENS),
+                          st.sampled_from(["0", "1"])), min_size=1, max_size=16)
+
+
+def _bits(blocks):
+    return [(b.x.view(np.uint64).tolist(), b.y.tolist(), b.feature_names) for b in blocks]
+
+
+class TestReadBlocks:
+    @given(_ROWS, st.integers(2, 5), st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2),
+           st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2),
+           st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=2))
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_equal_the_rows_read_one_at_a_time(self, rows, size, medians, mean, std):
+        s = Standardizer(mean, std)
+        medians = np.array(medians)
+        header = ["id", "a", "b", "label"]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write_rows(os.path.join(tmp, "t.csv"),
+                               [header] + [[str(i), *row] for i, row in enumerate(rows)])
+            blocks = list(read_blocks(path, SCHEMA, size, medians, s))
+            one_at_a_time = []
+            for i, row in enumerate(rows):
+                one = _write_rows(os.path.join(tmp, f"{i}.csv"), [header, [str(i), *row]])
+                one_at_a_time += read_blocks(one, SCHEMA, size, medians, s)
+        got = np.concatenate([b.x for b in blocks])
+        want = np.concatenate([b.x for b in one_at_a_time])
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert np.concatenate([b.y for b in blocks]).tolist() == [float(r[2]) for r in rows]
+        # Blocks of `size` rows, and a last block of one row joins the one before.
+        starts = list(range(0, len(rows), size))
+        if len(starts) > 1 and len(rows) - starts[-1] == 1:
+            starts.pop()
+        assert [b.n_rows for b in blocks] == np.diff(starts + [len(rows)]).tolist()
+
+    @given(_ROWS, st.integers(2, 5), st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2),
+           st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=2))
+    @settings(max_examples=150, deadline=None)
+    def test_the_files_own_medians_give_load_datasets_features(self, rows, size, mean, std):
+        # column_medians reads back the medians load_dataset filled blank cells with.
+        s = Standardizer(mean, std)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write_rows(os.path.join(tmp, "t.csv"), [["id", "a", "b", "label"]]
+                               + [[str(i), *row] for i, row in enumerate(rows)])
+            try:
+                whole = load_dataset(path, SCHEMA, s)
+            except DataError as exc:
+                assert "has no usable values" in str(exc)
+                return
+            medians = column_medians(load_dataset(path, SCHEMA))
+            blocks = list(read_blocks(path, SCHEMA, size, medians, s))
+            assert _bits(read_blocks(path, SCHEMA, size, None, s)) == _bits([whole])
+        got = np.concatenate([b.x for b in blocks])
+        assert got.view(np.uint64).tolist() == whole.x.view(np.uint64).tolist()
+
+    def test_the_header_is_checked_before_any_row(self, tmp_path):
+        path = _write(tmp_path, "id,a,b,label\n1,0.5\n")
+        s = Standardizer(np.zeros(3), np.ones(3))
+        for medians in (None, np.zeros(2)):
+            with pytest.raises(DataError, match=re.escape("['a', 'b'] do not match the model's")):
+                next(read_blocks(path, SCHEMA, 4, medians, names=("a", "c")))
+            with pytest.raises(ShapeError, match="fitted on 3 features, dataset has 2"):
+                next(read_blocks(path, SCHEMA, 4, medians, s))
+        with pytest.raises(ShapeError, match="3 medians, dataset has 2 features"):
+            next(read_blocks(path, SCHEMA, 4, np.zeros(3)))
+        with pytest.raises(DataError, match="row 1: expected 4 cells"):
+            next(read_blocks(path, SCHEMA, 4, np.zeros(2), names=("a", "b")))
+
+    def test_a_row_defect_names_its_row_in_a_later_block(self, tmp_path):
+        path = _write(tmp_path, "id,a,b,label\n" + "1,0.5,2,0\n" * 9 + "2,x,3,y\n")
+        with pytest.raises(DataError, match="row 10: target token 'y'"):
+            list(read_blocks(path, SCHEMA, 4, np.zeros(2)))
+
+    def test_an_overflowing_median_is_not_recorded(self):
+        ds = Dataset(x=[[1e308, 0.0], [1.5e308, 1.0]], y=[0, 1], feature_names=("a", "b"))
+        with pytest.raises(DataError, match="column 'a' has no finite median"):
+            column_medians(ds)
 
 
 class TestDataset:

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import deeplda.pipeline
-from conftest import make_gaussians
+from conftest import make_gaussians, write_clinical_csv
 from deeplda import (
     DataError,
+    DataSchema,
     Dataset,
     Network,
     NumericalError,
@@ -20,11 +21,14 @@ from deeplda import (
     TwoPhaseModel,
     build_phase1_spec,
     build_phase2_spec,
+    confusion,
     dense,
     fit,
     fit_standardizer,
     init_network,
     layer_param_counts,
+    load_dataset,
+    load_schema,
     load_two_phase,
     param_count,
     predict,
@@ -34,8 +38,9 @@ from deeplda import (
     train_two_phase,
     transform_phase1,
 )
-from deeplda.network import NetworkSpec
-from deeplda.pipeline import TWO_PHASE_FORMAT, replacing
+from deeplda.data import column_medians, read_blocks
+from deeplda.network import ROWS, NetworkSpec
+from deeplda.pipeline import TWO_PHASE_FORMAT, evaluate_two_phase, replacing
 from deeplda.rng import SplitMix64
 
 FAST = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=64)
@@ -214,7 +219,83 @@ class TestPredictTwoPhase:
         assert labels[0] == labels[1] == labels[2]
 
 
+def _write_csv(ds: Dataset, path):
+    """``ds`` as a CSV file whose cells parse back to the same bits."""
+    lines = [",".join(ds.feature_names) + ",label"]
+    lines += [",".join(map(repr, row)) + f",{int(y)}" for row, y in zip(ds.x.tolist(), ds.y)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+class TestEvaluateTwoPhase:
+    SCHEMA = DataSchema(target="label")
+
+    @pytest.mark.parametrize("n", [1, ROWS, ROWS + 1, 2 * ROWS + 1, 2 * ROWS + 5])
+    def test_counts_are_predict_two_phases_on_the_loaded_features(self, tmp_path, n):
+        ds = make_gaussians(n, 5, 1.0, seed=n)  # n rows a class, of which n are kept
+        ds = Dataset(x=ds.x[:n], y=ds.y[:n], feature_names=ds.feature_names)
+        path = _write_csv(ds, tmp_path / "t.csv")
+        model = _model(seed=n)
+        model.standardizer = fit_standardizer(ds)
+        model.feature_names = ds.feature_names
+        x = load_dataset(path, self.SCHEMA, model.standardizer).x
+        probs, _ = predict_two_phase(model, x)
+        # A threshold inside the probabilities, so both labels occur.
+        model.config2 = TrainConfig(threshold=float(np.median(probs)))
+        labels = probs[:, 0] >= model.config2.threshold
+        want = confusion(labels, ds.y)
+        assert evaluate_two_phase(model, path, self.SCHEMA) == want  # the whole file at once
+        model.medians = column_medians(ds)
+        assert evaluate_two_phase(model, path, self.SCHEMA) == want  # a block at a time
+
+    def test_memory_does_not_grow_with_the_file(self, tmp_path):
+        import tracemalloc
+
+        paths = {rows: write_clinical_csv(tmp_path / f"{rows}.csv", tmp_path / "schema.json",
+                                          n_rows=rows, n_positive=rows // 3)[0]
+                 for rows in (2000, 8000)}
+        schema = load_schema(tmp_path / "schema.json")
+        ds = load_dataset(paths[2000], schema)
+        model = _model(input_dim=41, seed=11)
+        model.standardizer = fit_standardizer(ds)
+        model.feature_names = ds.feature_names
+        model.medians = column_medians(ds)
+        del ds
+
+        def read(path):
+            for _ in read_blocks(path, schema, ROWS, model.medians, model.standardizer):
+                pass
+
+        def evaluate(path):
+            evaluate_two_phase(model, path, schema)
+
+        peaks = {}
+        for rows, path in paths.items():
+            for run in (read, evaluate):
+                tracemalloc.start()
+                run(path)
+                peaks[run.__name__, rows] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+        one_block = ROWS * 41 * 8
+        assert peaks["evaluate", 8000] - peaks["evaluate", 2000] < one_block
+        assert peaks["read", 8000] - peaks["read", 2000] < one_block
+        # What scoring adds to reading: two buffers of ROWS + 1 rows a phase,
+        # 2.3 MB, within phase-1 predict's bound.
+        assert peaks["evaluate", 8000] - peaks["read", 8000] < 2.5e6
+
+
 class TestSaveLoad:
+    def test_medians_round_trip_exactly_and_are_optional(self, tmp_path):
+        model = _model(seed=12)
+        save_two_phase(model, tmp_path / "without")
+        manifest = json.loads((tmp_path / "without" / "manifest.json").read_text())
+        assert "medians" not in manifest
+        assert load_two_phase(tmp_path / "without").medians is None
+        model.medians = np.random.default_rng(7).normal(size=5) * 1e3
+        save_two_phase(model, tmp_path / "with")
+        back = load_two_phase(tmp_path / "with").medians
+        assert back.view(np.uint64).tolist() == model.medians.view(np.uint64).tolist()
+
     def test_directory_round_trip(self, tmp_path):
         train = make_gaussians(20, 4, 2.0, seed=30)
         val = make_gaussians(8, 4, 2.0, seed=31)
@@ -501,6 +582,12 @@ class TestMalformedModel:
         lambda d: d.update(standardizer={"mean": [0.0] * 4, "std": [1.0] * 4},
                            feature_names=list("abcde")),
         lambda d: d.update(feature_names=list("abcdef")),
+        lambda d: d.update(medians=[0.0] * 4),
+        lambda d: d.update(medians=[0.0] * 6),
+        lambda d: d.update(medians=[[0.0] * 5]),
+        lambda d: d.update(medians=[10**400] * 5),
+        lambda d: d.update(medians=[float("inf")] * 5),
+        lambda d: d.update(medians=5),
     ])
     def test_bad_manifest_is_data_error(self, copy, edit):
         _edit_manifest(copy, edit)
