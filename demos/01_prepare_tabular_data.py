@@ -17,6 +17,7 @@ from deeplda.data import (
     fit_standardizer,
     load_csv,
     load_schema,
+    load_split,
     stratified_split,
 )
 from deeplda.rng import SplitMix64
@@ -56,6 +57,9 @@ def main() -> None:
         print(f"raw table: {raw.n_rows} rows x {len(raw.header)} columns")
 
         ds = clean(raw, schema)
+        # What `deeplda train` does: split first, then fit the medians and the
+        # scaler on the training rows, so no validation cell reaches either.
+        _, _, _, train_medians = load_split(csv_path, schema, 0.2, SplitMix64(0))
     print(f"cleaned: {ds.n_rows} rows, {ds.n_features} features "
           f"({', '.join(ds.feature_names)})")
     print(f"positives: {int(ds.y.sum())} of {ds.n_rows} "
@@ -72,6 +76,10 @@ def main() -> None:
     print(f"  train feature means  {np.round(train_s.x.mean(axis=0), 6)}")
     print(f"  val feature means    {np.round(val_s.x.mean(axis=0), 3)} "
           "(not zero, and that is the point)")
+    print("clean imputed with medians over all rows; load_split takes them "
+          "from the training rows only:")
+    print(f"  all-row medians      {np.round(np.median(ds.x, axis=0), 3)}")
+    print(f"  training medians     {np.round(train_medians, 3)}")
 
 
 if __name__ == "__main__":

@@ -17,11 +17,11 @@ from .data import (
     Standardizer,
     apply_standardizer,
     clean,
-    column_medians,
     fit_standardizer,
     load_csv,
     load_dataset,
     load_schema,
+    load_split,
     stratified_split,
 )
 from .exceptions import (

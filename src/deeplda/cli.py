@@ -5,7 +5,8 @@ flags over config-file values over built-in defaults, and the fully
 resolved configuration is written into every run manifest so a run
 directory plus its seed reproduces every emitted file byte for byte.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
+Exit codes: 0 success, 1 usage error, 2 data error or out of memory,
+3 numerical error, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import warnings
 
 import click
 
-from .data import (apply_standardizer, column_medians, fit_standardizer, load_dataset,
-                   load_schema, read_json, stratified_split, write_json)
+from .data import load_schema, load_split, read_json, write_json
 from .exceptions import ContractError, DataError, NumericalError, ShapeError
 from .fisher import fit_fisher, predict_lda
 from .metrics import confusion, format_report, history_to_csv
@@ -106,15 +106,6 @@ def _require(value, flag: str):
     return value
 
 
-def _load_split(data_path, schema_path, val_fraction, rng):
-    """Shared train/baseline preamble: load, clean, split, standardize; also
-    the column medians the loaded table was imputed with."""
-    ds = load_dataset(data_path, load_schema(schema_path))
-    train, val = stratified_split(ds, val_fraction, rng)
-    std = fit_standardizer(train)
-    return apply_standardizer(std, train), apply_standardizer(std, val), std, column_medians(ds)
-
-
 def _evaluation_report(labels, truth) -> str:
     return format_report(confusion(labels, truth.astype(int)))
 
@@ -170,7 +161,7 @@ def cmd_train(data, schema, config, seed, val_fraction, lr, epochs, batch_size, 
         raise DataError(f"--out {out} is not absent, an empty directory or a previous run")
 
     rng = SplitMix64(seed)
-    train_ds, val_ds, std, medians = _load_split(data, schema, val_fraction, rng)
+    train_ds, val_ds, std, medians = load_split(data, load_schema(schema), val_fraction, rng)
     model, history1, history2 = train_two_phase(
         train_ds, val_ds, config1, config2, rng, standardizer=std
     )
@@ -262,7 +253,7 @@ def cmd_baseline(data, schema, config, seed, val_fraction, ridge):
     if not 0 <= ridge < math.inf:  # fit_fisher checks too, but only after the data is read
         raise click.UsageError(f"ridge must be finite and >= 0, got {ridge}")
     rng = SplitMix64(seed)
-    train_ds, val_ds, _, _ = _load_split(data, schema, val_fraction, rng)
+    train_ds, val_ds, _, _ = load_split(data, load_schema(schema), val_fraction, rng)
     model = fit_fisher(train_ds, ridge)
     scores, labels = predict_lda(model, val_ds.x)
     click.echo(f"fisher baseline on {val_ds.n_rows} validation rows (seed {seed})")
@@ -287,8 +278,14 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
+    except click.exceptions.Abort:  # what click raises for a KeyboardInterrupt
+        print("deeplda: interrupted", file=sys.stderr)
+        return 130
     except (DataError, ShapeError, OSError) as exc:
         print(f"deeplda: data error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"deeplda: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
         return 2
     except (NumericalError, ContractError, ArithmeticError) as exc:
         print(f"deeplda: numerical error: {exc}", file=sys.stderr)

@@ -5,13 +5,11 @@ A small schema (JSON with keys ``target``, ``drop``, ``positive_label``)
 names the label column, the columns to discard (identifiers, empty
 columns), and the token that maps to class 1. Everything else is treated
 as a numeric feature: cells that do not parse as finite numbers count as
-missing and are imputed with the column median computed over the whole
-table; :func:`load_dataset` parses a file row by row into a flat float64
-buffer, never holding its cells as strings. A file scored by a saved
-model is read by :func:`read_blocks` a block at a time and imputed with
-the medians of the table the model was trained on. Standardization
-statistics are fitted on the training split only and applied unchanged
-elsewhere.
+missing. Files are parsed row by row into flat float64 buffers, never held
+as strings. :func:`load_split` fits the column medians that fill missing
+cells, and the standardizer, on the training rows only; :func:`read_blocks`
+fills and standardizes a scored file with them by the same code, a block at
+a time. :func:`load_dataset` fills a whole table with its own medians.
 """
 
 from __future__ import annotations
@@ -257,17 +255,16 @@ def _row_blocks(header: list[str], rows, schema: DataSchema, size: int | None = 
 def _dataset(names: tuple[str, ...], values: array, labels: array,
              standardizer: Standardizer | None = None,
              medians: np.ndarray | None = None) -> Dataset:
-    """Rows that :func:`_row_blocks` parsed, as a :class:`Dataset` over the
-    same buffers. Missing cells (NaN, and the infinities the parse kept)
-    take ``medians`` or, when None, their column's median over these rows.
-    With a ``standardizer`` the features are then standardized in place,
-    with :func:`apply_standardizer`'s operations in its order."""
+    """Rows that :func:`_row_blocks` parsed, or a gather of them, as a
+    :class:`Dataset` over the same buffers. Missing cells (NaN, and the
+    infinities the parse kept) take ``medians`` or, when None, their
+    column's median over these rows. With a ``standardizer`` the features are
+    then standardized in place, with :func:`apply_standardizer`'s operations in its order."""
     x = np.frombuffer(values).reshape(-1, len(names))
     x[np.isinf(x)] = np.nan
     if medians is None:
-        _fill_with_own_medians(x, names)
-    else:
-        np.copyto(x, medians, where=np.isnan(x))
+        medians = _medians(x, names)
+    np.copyto(x, medians, where=np.isnan(x))
     if standardizer is not None:
         _check_width(standardizer, x.shape[1])
         x -= standardizer.mean
@@ -283,16 +280,17 @@ def _table(header: list[str], rows, schema: DataSchema,
     return _dataset(_feature_names(header, schema), values, labels, standardizer)
 
 
-def _fill_with_own_medians(x: np.ndarray, names: tuple[str, ...]) -> None:
-    """Set each column's missing cells to the median of its usable ones."""
-    for j in np.nonzero(np.isnan(x).any(axis=0))[0]:
-        col = x[:, j]
-        present = col[~np.isnan(col)]
-        if present.size == 0:
-            raise DataError(f"column {names[j]!r} has no usable values")
-        # Two values near the float64 limit average to inf: a data error below.
-        with np.errstate(over="ignore"):
-            col[np.isnan(col)] = np.median(present)
+def _medians(x: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
+    """Each column's median over its usable (finite) cells; a column with none
+    raises :class:`DataError`. Two values near the float64 limit average to inf."""
+    medians = np.empty(len(names))
+    with np.errstate(over="ignore"):
+        for j, (name, col) in enumerate(zip(names, x.T)):
+            present = col[np.isfinite(col)]
+            if present.size == 0:
+                raise DataError(f"column {name!r} has no usable values")
+            medians[j] = np.median(present)
+    return medians
 
 
 def clean(raw: RawTable, schema: DataSchema) -> Dataset:
@@ -323,18 +321,25 @@ def load_dataset(path, schema: DataSchema, standardizer: Standardizer | None = N
         return _table(header, rows, schema, standardizer)
 
 
-def column_medians(ds: Dataset) -> np.ndarray:
-    """Each feature column's median in a table as :func:`load_dataset` imputed
-    it, before any standardizing: for a column with missing cells, the median
-    of its usable cells that filled them, since cells set to a column's median
-    keep it its median. A median past the float64 range raises :class:`DataError`.
-    """
-    with np.errstate(over="ignore"):
-        medians = np.median(ds.x, axis=0)
-    for name, median in zip(ds.feature_names, medians):
+def load_split(path, schema: DataSchema, val_fraction: float, rng: SplitMix64) -> tuple:
+    """A CSV file's training and validation parts, drawn by :func:`stratified_split`'s
+    rule, the standardizer and the column medians, both fitted on the training rows
+    only. A column whose training cells have no usable value, or a median past the
+    float64 range, raises :class:`DataError` naming it. Both parts are filled and
+    standardized as :func:`read_blocks` fills and standardizes a scored file."""
+    with _csv_rows(path) as (header, rows):
+        names = _feature_names(header, schema)
+        ((values, labels),) = _row_blocks(header, rows, schema)
+    x = np.frombuffer(values).reshape(-1, len(names))
+    y = np.frombuffer(labels)
+    train_idx, val_idx = _split_indices(y, val_fraction, rng)
+    medians = _medians(x[train_idx], names)
+    for name, median in zip(names, medians):
         if not math.isfinite(median):
             raise DataError(f"column {name!r} has no finite median to record")
-    return medians
+    std = fit_standardizer(_dataset(names, x[train_idx], y[train_idx], None, medians))
+    train, val = (_dataset(names, x[i], y[i], std, medians) for i in (train_idx, val_idx))
+    return train, val, std, medians
 
 
 def read_blocks(path, schema: DataSchema, size: int, medians: np.ndarray | None = None,
@@ -442,12 +447,18 @@ def stratified_split(
     the full-data ratio. Row indices within each part are re-sorted so the
     output order does not encode the class grouping.
     """
+    return tuple(Dataset(x=ds.x[i], y=ds.y[i], feature_names=ds.feature_names)
+                 for i in _split_indices(ds.y, val_fraction, rng))
+
+
+def _split_indices(y: np.ndarray, val_fraction: float, rng: SplitMix64) -> tuple:
+    """The training and validation row indices of :func:`stratified_split`."""
     if not 0.0 < val_fraction < 1.0:
         raise ValueError(f"val_fraction must be in (0, 1), got {val_fraction}")
     val_parts = []
     train_parts = []
     for cls in (0.0, 1.0):
-        idx = np.nonzero(ds.y == cls)[0]
+        idx = np.nonzero(y == cls)[0]
         if idx.size == 0:
             raise DataError(f"class {int(cls)} has zero samples; cannot stratify")
         shuffled = idx[rng.permutation(idx.size)]
@@ -459,10 +470,6 @@ def stratified_split(
     if train_idx.size == 0 or val_idx.size == 0:
         raise DataError(
             f"val_fraction {val_fraction} leaves an empty split for "
-            f"{ds.n_rows} rows; choose a less extreme fraction"
+            f"{y.size} rows; choose a less extreme fraction"
         )
-    names = list(ds.feature_names)
-    return (
-        Dataset(x=ds.x[train_idx], y=ds.y[train_idx], feature_names=names),
-        Dataset(x=ds.x[val_idx], y=ds.y[val_idx], feature_names=names),
-    )
+    return train_idx, val_idx

@@ -77,10 +77,10 @@ def build_phase2_spec() -> NetworkSpec:
 class TwoPhaseModel:
     """Both trained networks plus the preprocessing used to feed them.
 
-    ``standardizer`` and ``feature_names`` describe what phase 1 expects,
-    and ``medians`` are the training table's column medians, which fill
-    missing cells of a file the model scores (:func:`evaluate_two_phase`);
-    the training functions carry them for serialization and never apply them.
+    ``standardizer`` and ``feature_names`` describe what phase 1 expects, and
+    ``medians`` fill missing cells of a file the model scores (:func:`evaluate_two_phase`);
+    ``train`` fits both medians and standardizer on the training rows only. The
+    training functions carry them for serialization and never apply them.
     """
 
     phase1: Network

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import deeplda.cli
+from deeplda import Dataset, SplitMix64, stratified_split
 from deeplda.cli import main
 from deeplda.data import _parse_cell
 
@@ -190,6 +191,29 @@ class TestTrainCommand:
         assert sorted(calls[0]) == ["manifest.json", "phase1.npz", "phase2.npz"]
         assert _tree(out) == before  # None for a fresh --out
         assert sorted(p.name for p in tmp_path.iterdir()) == (["run"] if previous else [])
+
+    @pytest.mark.parametrize("error, code, line", [
+        (KeyboardInterrupt(), 130, "deeplda: interrupted"),
+        (MemoryError("Unable to allocate 8.00 EiB"), 2,
+         "deeplda: out of memory: Unable to allocate 8.00 EiB"),
+        (MemoryError(), 2, "deeplda: out of memory"),
+    ], ids=["interrupt", "out of memory", "out of memory without a message"])
+    def test_interrupt_or_out_of_memory_ends_in_one_line(self, toy_csv, tmp_path, capsys,
+                                                         monkeypatch, error, code, line):
+        out = tmp_path / "run"
+        assert _run(capsys, *_train_args(toy_csv, out, "--seed", "1", *FAST))[0] == 0
+        before = _tree(out)
+
+        def fail(model, directory):
+            raise error
+
+        monkeypatch.setattr(deeplda.cli, "_write_two_phase", fail)
+        got, _, err = _run(capsys, *_train_args(toy_csv, out, "--seed", "2", *FAST))
+        assert got == code
+        # click puts a newline before its Abort, which ends a terminal's "^C" line.
+        assert [text for text in err.splitlines() if text] == [line]
+        assert _tree(out) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]  # no *.tmp-* sibling
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_divergence_is_numerical_error(self, toy_csv, tmp_path, capsys):
@@ -504,19 +528,26 @@ class TestEvaluateCommand:
         assert "Traceback" not in err
 
     def test_train_records_the_medians_it_imputed_with(self, clinical_csv, clinical_run):
-        # The median of each column's parsed, usable cells over the whole file.
+        # The median of each column's parsed, usable cells over the training
+        # rows only: the rows stratified_split draws at the run's seed.
         with open(clinical_csv[0], newline="", encoding="utf-8") as fh:
             header, *rows = csv.reader(fh)
         manifest = json.loads((clinical_run / "model" / "manifest.json").read_text())
+        run = json.loads((clinical_run / "manifest.json").read_text())
+        labels = [float(row[header.index("PCOS (Y/N)")] == "1") for row in rows]
+        ids = Dataset(x=np.arange(float(len(rows))).reshape(-1, 1), y=labels)
+        train, _ = stratified_split(ids, run["val_fraction"], SplitMix64(manifest["seed"]))
+        train_rows = [rows[int(i)] for i in train.x[:, 0]]
+        assert len(train_rows) == run["n_train"]
         names = manifest["feature_names"]
         want = []
         for name in names:
             j = header.index(name)
-            values = np.array([_parse_cell(row[j]) for row in rows])
+            values = np.array([_parse_cell(row[j]) for row in train_rows])
             want.append(np.median(values[~np.isnan(values)]))
         assert np.array(manifest["medians"]).view(np.uint64).tolist() == \
             np.array(want).view(np.uint64).tolist()
-        assert any(any(row[header.index(n)] == "" for row in rows) for n in names)
+        assert any(any(row[header.index(n)] == "" for row in train_rows) for n in names)
 
     @pytest.mark.parametrize("damage", [
         "manifest_without_config1",
@@ -814,6 +845,28 @@ class TestExitCodes:
         assert "data error" in err
         assert str(named) in err
         assert "Traceback" not in stdout + err
+
+    @pytest.mark.parametrize("command", ["train", "baseline"])
+    def test_a_column_usable_only_in_a_validation_row_is_data_error(self, tmp_path, capsys,
+                                                                    command):
+        labels = [i % 2 for i in range(20)]
+        ids = Dataset(x=np.arange(20.0).reshape(-1, 1), y=labels)
+        _, val = stratified_split(ids, 0.2, SplitMix64(0))
+        rows = [["", str(i), str(y)] for i, y in enumerate(labels)]
+        rows[int(val.x[0, 0])][0] = "4"
+        data = tmp_path / "t.csv"
+        with open(data, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([["a", "b", "label"]] + rows)
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"target": "label"}))
+        out = tmp_path / "run"
+        args = ["--out", str(out)] if command == "train" else []
+        code, stdout, err = _run(capsys, command, "--data", str(data), "--schema", str(schema),
+                                 *args)
+        assert code == 2
+        assert err == "deeplda: data error: column 'a' has no usable values\n"
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["schema.json", "t.csv"]
 
     def test_help_exits_zero(self, capsys):
         code, stdout, _ = _run(capsys, "--help")

@@ -26,10 +26,11 @@ from deeplda import (
     load_csv,
     load_dataset,
     load_schema,
+    load_split,
     stratified_split,
 )
 from conftest import write_clinical_csv
-from deeplda.data import _parse_cell, column_medians, read_blocks
+from deeplda.data import _medians, _parse_cell, read_blocks
 from deeplda.rng import SplitMix64
 
 
@@ -386,7 +387,7 @@ class TestReadBlocks:
            st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=2))
     @settings(max_examples=150, deadline=None)
     def test_the_files_own_medians_give_load_datasets_features(self, rows, size, mean, std):
-        # column_medians reads back the medians load_dataset filled blank cells with.
+        # _medians of the file's parsed cells are the ones load_dataset fills blank cells with.
         s = Standardizer(mean, std)
         with tempfile.TemporaryDirectory() as tmp:
             path = _write_rows(os.path.join(tmp, "t.csv"), [["id", "a", "b", "label"]]
@@ -396,7 +397,8 @@ class TestReadBlocks:
             except DataError as exc:
                 assert "has no usable values" in str(exc)
                 return
-            medians = column_medians(load_dataset(path, SCHEMA))
+            medians = _medians(np.array([[_parse_cell(c) for c in row[:2]] for row in rows]),
+                               ("a", "b"))
             blocks = list(read_blocks(path, SCHEMA, size, medians, s))
             assert _bits(read_blocks(path, SCHEMA, size, None, s)) == _bits([whole])
         got = np.concatenate([b.x for b in blocks])
@@ -420,10 +422,90 @@ class TestReadBlocks:
         with pytest.raises(DataError, match="row 10: target token 'y'"):
             list(read_blocks(path, SCHEMA, 4, np.zeros(2)))
 
-    def test_an_overflowing_median_is_not_recorded(self):
-        ds = Dataset(x=[[1e308, 0.0], [1.5e308, 1.0]], y=[0, 1], feature_names=("a", "b"))
-        with pytest.raises(DataError, match="column 'a' has no finite median"):
-            column_medians(ds)
+
+def _split_rows(labels, val_fraction, seed):
+    """The 0-based training and validation row numbers that stratified_split draws."""
+    ids = Dataset(x=np.arange(float(len(labels))).reshape(-1, 1), y=labels)
+    return [part.x[:, 0].astype(int).tolist()
+            for part in stratified_split(ids, val_fraction, SplitMix64(seed))]
+
+
+def _write_labeled(path, cells, labels):
+    return _write_rows(path, [["id", "a", "b", "label"]]
+                       + [[str(i), *row, str(y)] for i, (row, y) in enumerate(zip(cells, labels))])
+
+
+_TRAINING_CELL = st.floats(-1e6, 1e6).map(repr) | st.sampled_from(TestClean.PARSE_TOKENS)
+_VALIDATION_CELL = st.just("") | st.floats().map(repr) | st.sampled_from(TestClean.PARSE_TOKENS)
+
+
+class TestLoadSplit:
+    def test_without_blank_cells_it_is_the_standardized_stratified_split(self, tmp_path):
+        g = np.random.default_rng(3)
+        labels = [i % 3 == 0 for i in range(40)]
+        path = _write_labeled(tmp_path / "t.csv", g.normal(size=(40, 2)).tolist(),
+                              [int(y) for y in labels])
+        train, val, std, medians = load_split(path, SCHEMA, 0.25, SplitMix64(7))
+        want_train, want_val = stratified_split(load_dataset(path, SCHEMA), 0.25, SplitMix64(7))
+        want_std = fit_standardizer(want_train)
+        for got, want in ((train, want_train), (val, want_val)):
+            want = apply_standardizer(want_std, want)
+            assert got.x.view(np.uint64).tolist() == want.x.view(np.uint64).tolist()
+            assert got.y.tolist() == want.y.tolist()
+            assert got.feature_names == ("a", "b")
+        for got, want in ((std.mean, want_std.mean), (std.std, want_std.std),
+                          (medians, [np.median(col) for col in want_train.x.T])):
+            assert np.asarray(got).view(np.uint64).tolist() == \
+                np.asarray(want).view(np.uint64).tolist()
+
+    @given(st.data(), st.lists(st.tuples(_TRAINING_CELL, _TRAINING_CELL), min_size=6,
+                               max_size=20),
+           st.sampled_from([0.2, 0.25, 0.5]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_validation_cells_do_not_reach_the_fitted_record(self, data, cells, frac, seed):
+        # Blank or change every feature cell of the validation rows: the
+        # medians, the standardizer and the training rows keep their bits.
+        labels = [i % 2 for i in range(len(cells))]
+        _, val_rows = _split_rows(labels, frac, seed)
+        changed = [list(row) for row in cells]
+        for i in val_rows:
+            changed[i] = [data.draw(_VALIDATION_CELL) for _ in changed[i]]
+        outcomes = []
+        with tempfile.TemporaryDirectory() as tmp:
+            for k, table in enumerate((cells, changed)):
+                path = _write_labeled(os.path.join(tmp, f"{k}.csv"), table, labels)
+                try:
+                    train, _, std, medians = load_split(path, SCHEMA, frac, SplitMix64(seed))
+                except DataError as exc:
+                    outcomes.append(str(exc))
+                else:
+                    outcomes.append([a.view(np.uint64).tolist()
+                                     for a in (medians, std.mean, std.std, train.x, train.y)])
+        assert outcomes[0] == outcomes[1]
+
+    def test_a_column_is_judged_by_its_training_cells_only(self, tmp_path):
+        labels = [i % 2 for i in range(10)]
+        train_rows, val_rows = _split_rows(labels, 0.2, 0)
+        for rows, outcome in ((val_rows, None), (train_rows, 4.0)):
+            cells = [["", str(i)] for i in range(10)]
+            cells[rows[0]][0] = "4"  # the column's only usable cell
+            path = _write_labeled(tmp_path / "t.csv", cells, labels)
+            if outcome is None:
+                with pytest.raises(DataError, match="column 'a' has no usable values"):
+                    load_split(path, SCHEMA, 0.2, SplitMix64(0))
+            else:
+                _, val, _, medians = load_split(path, SCHEMA, 0.2, SplitMix64(0))
+                assert medians[0] == outcome
+                assert val.x[:, 0].tolist() == [0.0] * val.n_rows  # filled, then centred
+
+    def test_an_overflowing_median_is_not_recorded(self, tmp_path):
+        # Eight training rows: the median averages two values near the float64 limit.
+        cells = [["1e308", "0"], ["1.5e308", "1"]] * 5
+        labels = [i % 2 for i in range(10)]
+        path = _write_labeled(tmp_path / "t.csv", cells, labels)
+        assert load_dataset(path, SCHEMA).n_rows == 10  # no cell is blank, so none is filled
+        with pytest.raises(DataError, match="column 'a' has no finite median to record"):
+            load_split(path, SCHEMA, 0.2, SplitMix64(0))
 
 
 class TestDataset:

@@ -33,7 +33,7 @@ def test_every_name_the_benchmark_imports_exists():
     assert missing == []
 
 
-GUARDED = {"json.load", "json.dump", "os.replace", "os.fsync", "_adam_update"}
+GUARDED = {"json.load", "json.dump", "os.replace", "os.fsync", "_adam_update", "np.median"}
 
 
 class _GuardedCalls(ast.NodeVisitor):
@@ -77,7 +77,7 @@ def _guarded_calls():
 def test_json_files_and_directory_swaps_each_have_one_implementation():
     # Copies of these drifted apart in their error handling before; network
     # headers are parsed in memory with json.loads, which is not guarded.
-    found = {call for call in _guarded_calls() if call[2] != "_adam_update"}
+    found = {call for call in _guarded_calls() if call[2] not in {"_adam_update", "np.median"}}
     assert found == {("data", "read_json", "json.load"), ("data", "write_json", "json.dump"),
                      ("pipeline", "replacing", "os.replace"), ("pipeline", "_fsync", "os.fsync")}
 
@@ -88,3 +88,11 @@ def test_adam_is_applied_in_one_place():
     # _adam_update would be a second copy of those rules.
     assert {call for call in _guarded_calls() if call[2] == "_adam_update"} == {
         ("network", "_adam_apply", "_adam_update")}
+
+
+def test_column_medians_are_taken_in_one_place():
+    # train, baseline and a whole-table load all take their medians from
+    # _medians. A second np.median once read the stored medians back from a
+    # table imputed over all its rows, so validation cells reached the model.
+    assert {call for call in _guarded_calls() if call[2] == "np.median"} == {
+        ("data", "_medians", "np.median")}

@@ -38,7 +38,7 @@ from deeplda import (
     train_two_phase,
     transform_phase1,
 )
-from deeplda.data import column_medians, read_blocks
+from deeplda.data import _medians, read_blocks
 from deeplda.network import ROWS, NetworkSpec
 from deeplda.pipeline import TWO_PHASE_FORMAT, evaluate_two_phase, replacing
 from deeplda.rng import SplitMix64
@@ -245,7 +245,7 @@ class TestEvaluateTwoPhase:
         labels = probs[:, 0] >= model.config2.threshold
         want = confusion(labels, ds.y)
         assert evaluate_two_phase(model, path, self.SCHEMA) == want  # the whole file at once
-        model.medians = column_medians(ds)
+        model.medians = _medians(ds.x, ds.feature_names)
         assert evaluate_two_phase(model, path, self.SCHEMA) == want  # a block at a time
 
     def test_memory_does_not_grow_with_the_file(self, tmp_path):
@@ -259,7 +259,7 @@ class TestEvaluateTwoPhase:
         model = _model(input_dim=41, seed=11)
         model.standardizer = fit_standardizer(ds)
         model.feature_names = ds.feature_names
-        model.medians = column_medians(ds)
+        model.medians = _medians(ds.x, ds.feature_names)
         del ds
 
         def read(path):
