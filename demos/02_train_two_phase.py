@@ -45,7 +45,10 @@ def main() -> None:
     config = TrainConfig(learning_rate=1e-3, epochs=12)
     model, hist1, hist2 = train_two_phase(
         train_s, val_s, config, config, SplitMix64(0))
-    model.standardizer = std
+    # A saved model records the preprocessing that fresh rows need: the
+    # scaler and the training medians that fill blank cells (the synthetic
+    # rows have none, so the medians are those of the raw training columns).
+    model.standardizer, model.medians = std, np.median(train.x, axis=0)
 
     print("\nphase-1 curve (last three epochs):")
     for rec in hist1.records[-3:]:

@@ -6,13 +6,14 @@ resolved configuration is written into every run manifest so a run
 directory plus its seed reproduces every emitted file byte for byte.
 
 Exit codes: 0 success, 1 usage error, 2 data error or out of memory,
-3 numerical error, 130 interrupted (Ctrl-C).
+3 numerical error, 130 interrupted (Ctrl-C), 143 terminated (SIGTERM).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import signal
 import sys
 import warnings
 
@@ -162,11 +163,8 @@ def cmd_train(data, schema, config, seed, val_fraction, lr, epochs, batch_size, 
 
     rng = SplitMix64(seed)
     train_ds, val_ds, std, medians = load_split(data, load_schema(schema), val_fraction, rng)
-    model, history1, history2 = train_two_phase(
-        train_ds, val_ds, config1, config2, rng, standardizer=std
-    )
-    model.seed = seed
-    model.medians = medians
+    model, history1, history2 = train_two_phase(train_ds, val_ds, config1, config2, rng)
+    model.seed, model.standardizer, model.medians = seed, std, medians
 
     # Phase 2's last validation pass scored the validation rows end to end.
     labels = history2.val_probs[:, 0] >= config2.threshold
@@ -264,10 +262,20 @@ def _show_warning(message, *args, **kwargs):
     print(f"deeplda: warning: {message}", file=sys.stderr)
 
 
+class _Terminated(BaseException):
+    """Raised by the SIGTERM handler, so a swap in progress removes its sibling."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def main(argv=None) -> int:
     """Entry point with the documented exit-code mapping. Each Python
     warning is printed as one ``deeplda: warning:`` line, without the
-    library source line."""
+    library source line. While it runs, SIGTERM ends the command as Ctrl-C
+    does; the previous handler is restored on return."""
+    previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
@@ -281,6 +289,9 @@ def main(argv=None) -> int:
     except click.exceptions.Abort:  # what click raises for a KeyboardInterrupt
         print("deeplda: interrupted", file=sys.stderr)
         return 130
+    except _Terminated:
+        print("deeplda: terminated", file=sys.stderr)
+        return 143
     except (DataError, ShapeError, OSError) as exc:
         print(f"deeplda: data error: {exc}", file=sys.stderr)
         return 2
@@ -293,6 +304,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"deeplda: usage error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

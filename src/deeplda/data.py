@@ -342,33 +342,24 @@ def load_split(path, schema: DataSchema, val_fraction: float, rng: SplitMix64) -
     return train, val, std, medians
 
 
-def read_blocks(path, schema: DataSchema, size: int, medians: np.ndarray | None = None,
-                standardizer: Standardizer | None = None, names: tuple[str, ...] | None = None):
-    """The rows of a CSV file as :class:`Dataset` blocks, to be scored by a
-    model that records its feature ``names``, imputation ``medians`` and
-    ``standardizer``.
+def read_blocks(path, schema: DataSchema, size: int, medians: np.ndarray,
+                standardizer: Standardizer, names: tuple[str, ...]):
+    """The rows of a CSV file as :class:`Dataset` blocks of ``size`` rows (at
+    least 2), to be scored by a model that records its feature ``names``,
+    imputation ``medians`` and ``standardizer``.
 
     The header is checked before any row: its feature names must equal
-    ``names`` or, when that is None, its width must be the standardizer's.
-    With ``medians``, the file is read in blocks of ``size`` rows (at least
-    2), and a last block of one row joins the one before, so one block is
+    ``names``. A last block of one row joins the one before, so one block is
     held back. Each block's missing cells take the medians, and it is
     standardized in its own buffer with :func:`load_dataset`'s operations,
     so memory does not grow with the file; a row defect is raised when its
-    block is read. Without ``medians`` the whole file is one block, read as
-    :func:`load_dataset` reads it, whose missing cells take the file's own
-    column medians.
+    block is read.
     """
     with _csv_rows(path) as (header, rows):
         found = _feature_names(header, schema)
-        if names is not None and found != tuple(names):
+        if found != tuple(names):
             raise DataError(f"dataset features {list(found)} do not match "
                             f"the model's {list(names)}")
-        if standardizer is not None:
-            _check_width(standardizer, len(found))
-        if medians is None:
-            yield _table(header, rows, schema, standardizer)
-            return
         if len(medians) != len(found):
             raise ShapeError(f"the model has {len(medians)} medians, dataset has "
                              f"{len(found)} features")

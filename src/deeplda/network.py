@@ -19,6 +19,7 @@ import json
 import math
 import numbers
 import sys
+import tokenize
 import zipfile
 from dataclasses import asdict, dataclass, field, replace
 
@@ -39,42 +40,35 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-7
 
-# Rows per block of :func:`predict`. Its two shared buffers of ROWS + 1 rows
-# hold 2.1 MB at the phase-1 width of 1,024 units (4.2 MB at 256 rows).
-# Phase-1 predict on 10,000 rows took a median 1,147 ms at 128 rows,
-# 1,100 ms at 256 and 1,260 ms at 64 (40,000 rows: 4,437, 4,357 and
-# 4,928 ms; one OpenBLAS 0.3.31 thread, 2-vCPU host). Each block's GEMM
-# packs the 8 MB weight matrix again, so 64-row blocks cost more time than
-# the 1 MB they would save. With one BLAS thread the blocks keep the bits
-# of the whole-matrix pass: a GEMM split by rows keeps them for blocks of
-# two or more rows, and the one-column output layer's gemv, which takes
-# rows in groups of four, keeps them when every block starts at a multiple
-# of four. A one-row block would take numpy's gemv path in every layer, so
-# a trailing one joins the block before it. (With several BLAS threads
-# gemv can also split rows at a point that depends on the row count.)
+# Rows per block of :func:`predict`, whose two shared buffers hold ROWS + 1
+# rows of the widest layer. Each block's GEMM packs the weight matrix again,
+# so smaller blocks cost more time than the memory they save (timings in the
+# README's design notes). With one BLAS thread the blocks keep the bits of
+# the whole-matrix pass: a GEMM split by rows keeps them for blocks of two
+# or more rows, and the one-column output layer's gemv, which takes rows in
+# groups of four, keeps them when every block starts at a multiple of four.
+# A one-row block would take numpy's gemv path in every layer, so a
+# trailing one joins the block before it. (With several BLAS threads gemv
+# can also split rows at a point that depends on the row count.)
 ROWS = 128
 
 # Most rows per block of a dense layer's weight gradient, which the backward
 # walk makes and consumes a block at a time in one buffer. A batch takes its
-# row count rounded up to a multiple of 64 (see _grad_rows): at batch 64 a
-# block of a 1024-unit layer holds 64 rows (0.5 MB), not 8 MB. Batch 512
-# stops at 256, as the buffer holds its 512 x 512 sigmoid scratch too. With
-# one OpenBLAS 0.3.31 thread the blocks keep the whole product's bits at the
-# phase-1 and phase-2 shapes, one-unit output layers included (tested), not
-# at every size: n-row blocks did not at 2 to 8 and 33 rows, nor a 600-row
-# into 300-unit product at tile edges.
+# row count rounded up to a multiple of 64 (see _grad_rows), so a small batch
+# holds a small block. Batch 512 stops at 256, as the buffer holds its
+# 512 x 512 sigmoid scratch too. With one BLAS thread the blocks keep the
+# whole product's bits at the phase-1 and phase-2 shapes, one-unit output
+# layers included (tested), but not at every shape (see the README).
 GRAD_ROWS = 256
 
 # Columns per block of a dense layer's input gradient ``dz @ W.T`` in the
-# backward walk: 2 MB at batch 512, against 4 MB whole. At (512, 1024) @
-# (1024, 1024) it took 26.2 ms in 512-column blocks, 23.9 ms whole and
-# 29.0 ms in 256-column blocks. With one OpenBLAS 0.3.31 thread (AVX-512)
-# the blocks keep the whole product's bits when the input width is a
-# multiple of 512 and a block has over 100**3 multiply-adds (2,499 shapes
-# checked); smaller products run through small-matrix kernels that sum in
-# another order, and a partial block ends in edge tiles. Elsewhere the
-# product is made whole, except an outer product (one-column dz), which is
-# elementwise.
+# backward walk, which halves that gradient's memory at batch 512 (timings
+# in the README). With one BLAS thread the blocks keep the whole product's
+# bits when the input width is a multiple of 512 and a block has over
+# 100**3 multiply-adds; smaller products run through small-matrix kernels
+# that sum in another order, and a partial block ends in edge tiles.
+# Elsewhere the product is made whole, except an outer product (one-column
+# dz), which is elementwise.
 DELTA_COLS = 512
 
 
@@ -374,8 +368,8 @@ class ForwardCache:
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``np.matmul(a, b, out=out)`` with its bits. With an inner dimension of
-    1, matmul's non-BLAS loop computes ``0 + a*b`` (184 us for (512, 1) @
-    (1, 100)); a broadcast multiply plus 0.0 gives the same in 105 us."""
+    1, matmul's non-BLAS loop computes ``0 + a*b``; a broadcast multiply plus
+    0.0 gives the same bits in about half the time."""
     if a.shape[1] != 1:
         return np.matmul(a, b, out=out)
     out = np.multiply(a, b, out=out)
@@ -695,11 +689,10 @@ def predict(
     Only the dense layers run, since dropout is the identity at inference.
     The rows go through them in blocks of :data:`ROWS`, holding one layer's
     input and output for one block at a time, so activation memory does not
-    grow with the row count. The blocks share two buffers: fresh ones cost
-    48,800 minor page faults in a 10,000-row ``evaluate``, against 9,200.
-    The bits equal the whole-matrix :func:`forward`: blocks start at
-    multiples of ``ROWS`` and a trailing one-row block joins the block
-    before it (see :data:`ROWS`).
+    grow with the row count. The blocks share two buffers, as fresh ones
+    would be faulted in again for every block. The bits equal the
+    whole-matrix :func:`forward`: blocks start at multiples of ``ROWS`` and
+    a trailing one-row block joins the block before it (see :data:`ROWS`).
     """
     (probs,) = predict_blocks(net, [x])
     labels = (probs[:, 0] >= threshold).astype(np.int64)
@@ -886,6 +879,7 @@ def load_network(path) -> Network:
                        [arrays[f"b{k}"] for k in range(n)])
     except FileNotFoundError:
         raise DataError(f"model file not found: {path}") from None
-    except (OSError, EOFError, NotImplementedError, zipfile.BadZipFile,
-            KeyError, TypeError, ValueError, RecursionError) as exc:
+    # numpy re-reads a damaged version-1 .npy header with tokenize, which can raise TokenError.
+    except (OSError, EOFError, NotImplementedError, zipfile.BadZipFile, KeyError, TypeError,
+            ValueError, RecursionError, tokenize.TokenError) as exc:
         raise DataError(f"model file {path} is not a valid network file: {exc}") from None

@@ -79,8 +79,9 @@ class TwoPhaseModel:
 
     ``standardizer`` and ``feature_names`` describe what phase 1 expects, and
     ``medians`` fill missing cells of a file the model scores (:func:`evaluate_two_phase`);
-    ``train`` fits both medians and standardizer on the training rows only. The
-    training functions carry them for serialization and never apply them.
+    ``train`` fits both medians and standardizer on the training rows only. They may
+    be None in memory, for :func:`predict_two_phase`, but :func:`save_two_phase` and
+    :func:`evaluate_two_phase` refuse a model without all three.
     """
 
     phase1: Network
@@ -98,8 +99,7 @@ class TwoPhaseModel:
                 raise ShapeError(f"phase {phase} must end in one sigmoid unit")
         if self.phase2.spec.input_dim != 1:
             raise ShapeError("phase 2 must consume a single column")
-        if self.feature_names is not None:
-            object.__setattr__(self, "feature_names", tuple(self.feature_names))
+        self.feature_names = tuple(self.feature_names or ()) or None
 
 
 def transform_phase1(model: TwoPhaseModel, x: np.ndarray) -> np.ndarray:
@@ -120,7 +120,6 @@ def train_two_phase(
     config1: TrainConfig,
     config2: TrainConfig,
     rng: SplitMix64,
-    standardizer: Standardizer | None = None,
 ) -> tuple[TwoPhaseModel, TrainingHistory, TrainingHistory]:
     """Train both phases in sequence from one random stream.
 
@@ -131,9 +130,9 @@ def train_two_phase(
     ``history2.val_probs`` are the model's validation probabilities.
     Phase 1 is returned without its Adam moments, as :func:`load_two_phase`
     gives it back, so phase 2 and the caller do not hold them.
-    The datasets are used as given (standardize beforehand if desired);
-    ``standardizer`` is only recorded on the returned model. A loss that
-    goes non-finite raises :class:`NumericalError` naming the phase.
+    The datasets are used as given (standardize beforehand if desired); the
+    returned model records their feature names, and no standardizer or medians.
+    A loss that goes non-finite raises :class:`NumericalError` naming the phase.
     """
     if train.n_features != val.n_features:
         raise ShapeError(
@@ -143,8 +142,7 @@ def train_two_phase(
     phase1, history1 = _fit_phase(1, phase1, train, val, config1, rng)
     phase1.moments = None  # twice phase 1's parameters, never read again
     model = TwoPhaseModel(phase1=phase1, phase2=init_network(build_phase2_spec(), rng),
-                          config1=config1, config2=config2, standardizer=standardizer,
-                          feature_names=train.feature_names)
+                          config1=config1, config2=config2, feature_names=train.feature_names)
     # fit's last validation pass already scored val.x with the final weights.
     train2 = Dataset(x=transform_phase1(model, train.x), y=train.y,
                      feature_names=("phase1_prob",))
@@ -170,6 +168,7 @@ def evaluate_two_phase(model: TwoPhaseModel, path, schema: DataSchema) -> Confus
     scores a file of any length in the memory of one block. The labels
     equal :func:`predict_two_phase`'s on the same features.
     """
+    _check_preprocessing(model)
     truth = []  # the labels of the block being scored: each walk yields a block as it reads one
 
     def features():
@@ -186,6 +185,14 @@ def evaluate_two_phase(model: TwoPhaseModel, path, schema: DataSchema) -> Confus
 
 PHASE_FILES = ("phase1.npz", "phase2.npz")
 MANIFEST_FILE = "manifest.json"
+PREPROCESSING = ("feature_names", "standardizer", "medians")
+
+
+def _check_preprocessing(model: TwoPhaseModel) -> None:
+    """Refuse a model without the :data:`PREPROCESSING` that saving and scoring need."""
+    missing = [key for key in PREPROCESSING if getattr(model, key) is None]
+    if missing:
+        raise ValueError(f"the model lacks {', '.join(missing)}, which saving and scoring need")
 
 
 def _fsync(path) -> None:
@@ -253,11 +260,12 @@ def save_two_phase(model: TwoPhaseModel, directory) -> None:
     """Write a model directory: both network files plus a manifest.
 
     The manifest records the per-phase configs, the seed, the feature
-    names, the standardizer and, when the model has them, the medians, so a
-    saved run can be reloaded and applied to fresh raw data. The directory
-    lands through :func:`replacing`, so a save that fails leaves no partial
-    model.
+    names, the standardizer and the medians, so a saved run can be reloaded
+    and applied to fresh raw data; a model without the last three raises
+    ``ValueError`` before anything is written. The directory lands through
+    :func:`replacing`, so a save that fails leaves no partial model.
     """
+    _check_preprocessing(model)
     with replacing(directory) as tmp:
         _write_two_phase(model, tmp)
 
@@ -270,16 +278,13 @@ def _write_two_phase(model: TwoPhaseModel, directory) -> None:
         "config1": model.config1.to_dict(),
         "config2": model.config2.to_dict(),
         "seed": model.seed,
-        "feature_names": list(model.feature_names) if model.feature_names else None,
-        "standardizer": None
-        if model.standardizer is None
-        else {
+        "feature_names": list(model.feature_names),
+        "standardizer": {
             "mean": model.standardizer.mean.tolist(),
             "std": model.standardizer.std.tolist(),
         },
+        "medians": model.medians.tolist(),
     }
-    if model.medians is not None:
-        manifest["medians"] = model.medians.tolist()
     save_network(model.phase1, os.path.join(directory, PHASE_FILES[0]), {"phase": 1})
     save_network(model.phase2, os.path.join(directory, PHASE_FILES[1]), {"phase": 2})
     write_json(manifest, os.path.join(directory, MANIFEST_FILE))
@@ -289,9 +294,10 @@ def load_two_phase(directory) -> TwoPhaseModel:
     """Load a directory written by :func:`save_two_phase`.
 
     A missing or malformed manifest or network file, or a manifest of
-    another format, raises :class:`DataError`. The manifest's ``medians``
-    may be absent; if present, they are finite JSON numbers, one for each
-    of phase 1's inputs.
+    another format, raises :class:`DataError`. The manifest must hold
+    :data:`PREPROCESSING`: the feature names, one for each of phase 1's
+    inputs, and a standardizer mean and deviation and a median for each
+    name, all finite JSON numbers.
     """
     path = os.path.join(directory, MANIFEST_FILE)
     manifest = read_json(path, "model manifest")
@@ -302,29 +308,21 @@ def load_two_phase(directory) -> TwoPhaseModel:
     try:
         config1 = TrainConfig.from_dict(manifest["config1"])
         config2 = TrainConfig.from_dict(manifest["config2"])
-        names = manifest["feature_names"]
-        if names is not None and not (
-            isinstance(names, list) and all(isinstance(n, str) for n in names)
-        ):
-            raise TypeError(f"feature_names must be a list of strings or null, got {names!r}")
-        std = manifest["standardizer"]
-        standardizer = None
-        if std is not None:
-            mean, dev = std["mean"], std["std"]
-            if not all(isinstance(s, list) and all(type(v) in (int, float) for v in s)
-                       for s in (mean, dev)):
-                raise TypeError("standardizer mean and std must be flat lists of JSON numbers")
-            if not len(mean) == len(dev) == len(names or mean):
-                raise ValueError(f"standardizer has {len(mean)} means and {len(dev)} "
-                                 f"deviations for {len(names or mean)} features")
-            standardizer = Standardizer(mean, dev)  # which refuses NaN and infinities
-        medians = manifest.get("medians")  # absent from a model saved without them
-        if medians is not None:
-            if not (isinstance(medians, list) and all(type(v) in (int, float) for v in medians)):
-                raise TypeError("medians must be a flat list of JSON numbers")
-            medians = np.array(medians, dtype=np.float64)
-            if not np.all(np.isfinite(medians)):
-                raise ValueError("medians must be finite")
+        names, std, medians = (manifest[key] for key in PREPROCESSING)
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise TypeError(f"feature_names must be a list of strings, got {names!r}")
+        if not isinstance(std, dict):
+            raise TypeError(f"standardizer must be an object, got {std!r}")
+        for what, value in (("standardizer means", std["mean"]),
+                            ("standardizer deviations", std["std"]), ("medians", medians)):
+            if not (isinstance(value, list) and all(type(v) in (int, float) for v in value)):
+                raise TypeError(f"{what} must be a flat list of JSON numbers")
+            if len(value) != len(names):
+                raise ValueError(f"{len(value)} {what} for {len(names)} feature names")
+        standardizer = Standardizer(std["mean"], std["std"])  # which refuses NaN and infinities
+        medians = np.array(medians, dtype=np.float64)
+        if not np.all(np.isfinite(medians)):
+            raise ValueError("medians must be finite")
         seed = manifest["seed"]
         if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
             raise TypeError(f"seed must be an integer or null, got {seed!r}")
@@ -333,16 +331,16 @@ def load_two_phase(directory) -> TwoPhaseModel:
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: 10**400
         raise DataError(f"model manifest {path} is malformed: {exc}") from None
     phase1 = load_network(os.path.join(directory, PHASE_FILES[0]))
-    if medians is not None and len(medians) != phase1.spec.input_dim:
-        raise DataError(f"model manifest {path} is malformed: {len(medians)} medians "
-                        f"for phase 1's {phase1.spec.input_dim} features")
+    if len(names) != phase1.spec.input_dim:
+        raise DataError(f"model manifest {path} is malformed: {len(names)} feature names "
+                        f"for phase 1's {phase1.spec.input_dim} inputs")
     return TwoPhaseModel(
         phase1=phase1,
         phase2=load_network(os.path.join(directory, PHASE_FILES[1])),
         config1=config1,
         config2=config2,
         standardizer=standardizer,
-        feature_names=tuple(names) if names else None,
+        feature_names=tuple(names),
         seed=seed,
         medians=medians,
     )

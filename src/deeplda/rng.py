@@ -75,14 +75,6 @@ class SplitMix64:
 
         return blocks()
 
-    def _next_words(self, n: int) -> np.ndarray:
-        """Advance the counter by n and return n mixed 64-bit words."""
-        blocks = self._word_blocks(n)
-        out = np.empty(n, dtype=np.uint64)
-        for off, words in blocks:
-            out[off : off + words.size] = words
-        return out
-
     def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """n independent doubles in [lo, hi), advancing the state by n."""
         if not lo < hi:

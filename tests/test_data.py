@@ -60,6 +60,7 @@ def _cell_by_cell(cells, cols):
 
 
 SCHEMA = DataSchema(target="label", drop=("id",), positive_label="1")
+FEATURES = ("a", "b")  # the feature columns of an "id,a,b,label" file under SCHEMA
 
 
 class TestSchema:
@@ -368,11 +369,11 @@ class TestReadBlocks:
         with tempfile.TemporaryDirectory() as tmp:
             path = _write_rows(os.path.join(tmp, "t.csv"),
                                [header] + [[str(i), *row] for i, row in enumerate(rows)])
-            blocks = list(read_blocks(path, SCHEMA, size, medians, s))
+            blocks = list(read_blocks(path, SCHEMA, size, medians, s, FEATURES))
             one_at_a_time = []
             for i, row in enumerate(rows):
                 one = _write_rows(os.path.join(tmp, f"{i}.csv"), [header, [str(i), *row]])
-                one_at_a_time += read_blocks(one, SCHEMA, size, medians, s)
+                one_at_a_time += read_blocks(one, SCHEMA, size, medians, s, FEATURES)
         got = np.concatenate([b.x for b in blocks])
         want = np.concatenate([b.x for b in one_at_a_time])
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
@@ -398,29 +399,26 @@ class TestReadBlocks:
                 assert "has no usable values" in str(exc)
                 return
             medians = _medians(np.array([[_parse_cell(c) for c in row[:2]] for row in rows]),
-                               ("a", "b"))
-            blocks = list(read_blocks(path, SCHEMA, size, medians, s))
-            assert _bits(read_blocks(path, SCHEMA, size, None, s)) == _bits([whole])
+                               FEATURES)
+            blocks = list(read_blocks(path, SCHEMA, size, medians, s, FEATURES))
         got = np.concatenate([b.x for b in blocks])
         assert got.view(np.uint64).tolist() == whole.x.view(np.uint64).tolist()
 
     def test_the_header_is_checked_before_any_row(self, tmp_path):
         path = _write(tmp_path, "id,a,b,label\n1,0.5\n")
-        s = Standardizer(np.zeros(3), np.ones(3))
-        for medians in (None, np.zeros(2)):
-            with pytest.raises(DataError, match=re.escape("['a', 'b'] do not match the model's")):
-                next(read_blocks(path, SCHEMA, 4, medians, names=("a", "c")))
-            with pytest.raises(ShapeError, match="fitted on 3 features, dataset has 2"):
-                next(read_blocks(path, SCHEMA, 4, medians, s))
+        s = Standardizer(np.zeros(2), np.ones(2))
+        with pytest.raises(DataError, match=re.escape("['a', 'b'] do not match the model's")):
+            next(read_blocks(path, SCHEMA, 4, np.zeros(2), s, ("a", "c")))
         with pytest.raises(ShapeError, match="3 medians, dataset has 2 features"):
-            next(read_blocks(path, SCHEMA, 4, np.zeros(3)))
+            next(read_blocks(path, SCHEMA, 4, np.zeros(3), s, FEATURES))
         with pytest.raises(DataError, match="row 1: expected 4 cells"):
-            next(read_blocks(path, SCHEMA, 4, np.zeros(2), names=("a", "b")))
+            next(read_blocks(path, SCHEMA, 4, np.zeros(2), s, FEATURES))
 
     def test_a_row_defect_names_its_row_in_a_later_block(self, tmp_path):
         path = _write(tmp_path, "id,a,b,label\n" + "1,0.5,2,0\n" * 9 + "2,x,3,y\n")
+        s = Standardizer(np.zeros(2), np.ones(2))
         with pytest.raises(DataError, match="row 10: target token 'y'"):
-            list(read_blocks(path, SCHEMA, 4, np.zeros(2)))
+            list(read_blocks(path, SCHEMA, 4, np.zeros(2), s, FEATURES))
 
 
 def _split_rows(labels, val_fraction, seed):

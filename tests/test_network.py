@@ -980,6 +980,18 @@ class TestSerialization:
         for a, b in zip(net.weights + net.biases, back.weights + back.biases):
             assert np.array_equal(a, b)
 
+    def test_an_unclosed_parenthesis_in_an_array_header_is_data_error(self, tmp_path):
+        # numpy re-reads an array header that does not parse with tokenize,
+        # which raises its own TokenError at an unclosed parenthesis. The
+        # entry is long enough that its header is parsed before its CRC is checked.
+        spec = NetworkSpec(1, (dense(1024, "sigmoid"), dense(1, "sigmoid")))
+        save_network(init_network(spec, SplitMix64(21)), tmp_path / "net.npz")
+        blob = (tmp_path / "net.npz").read_bytes()
+        at = blob.index(b"'shape': (1, 1024), }") + len("'shape': (1, 1024")
+        (tmp_path / "net.npz").write_bytes(blob[:at] + b"(" + blob[at + 1:])
+        with pytest.raises(DataError, match="is not a valid network file"):
+            load_network(tmp_path / "net.npz")
+
     @pytest.mark.parametrize("how", ["deflated", "encrypted"])
     def test_compressed_or_encrypted_entries_rejected(self, tmp_path, how):
         save_network(init_network(HEAD_SPEC, SplitMix64(20)), tmp_path / "net.npz")

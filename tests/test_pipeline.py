@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import warnings
 
@@ -17,6 +18,7 @@ from deeplda import (
     Network,
     NumericalError,
     ShapeError,
+    Standardizer,
     TrainConfig,
     TwoPhaseModel,
     build_phase1_spec,
@@ -40,16 +42,20 @@ from deeplda import (
 )
 from deeplda.data import _medians, read_blocks
 from deeplda.network import ROWS, NetworkSpec
-from deeplda.pipeline import TWO_PHASE_FORMAT, evaluate_two_phase, replacing
+from deeplda.pipeline import PREPROCESSING, TWO_PHASE_FORMAT, evaluate_two_phase, replacing
 from deeplda.rng import SplitMix64
 
 FAST = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=64)
 
 
 def _model(input_dim=5, seed=0):
+    """A model with the identity preprocessing that saving and scoring need."""
     p1 = init_network(build_phase1_spec(input_dim), SplitMix64(seed))
     p2 = init_network(build_phase2_spec(), SplitMix64(seed + 1))
-    return TwoPhaseModel(phase1=p1, phase2=p2)
+    return TwoPhaseModel(phase1=p1, phase2=p2,
+                         standardizer=Standardizer(np.zeros(input_dim), np.ones(input_dim)),
+                         feature_names=tuple(f"f{i}" for i in range(input_dim)),
+                         medians=np.zeros(input_dim))
 
 
 class TestSpecs:
@@ -158,6 +164,7 @@ class TestTrainTwoPhase:
         train, val = self._sets(seed=5)
         model, h1, h2 = train_two_phase(train, val, FAST, FAST, SplitMix64(7))
         assert model.phase1.moments is None and model.phase2.moments is not None
+        model.standardizer, model.medians = fit_standardizer(train), np.zeros(5)
         save_two_phase(model, tmp_path / "m")
         back = load_two_phase(tmp_path / "m")
         assert back.phase1.moments is None
@@ -238,15 +245,13 @@ class TestEvaluateTwoPhase:
         model = _model(seed=n)
         model.standardizer = fit_standardizer(ds)
         model.feature_names = ds.feature_names
+        model.medians = _medians(ds.x, ds.feature_names)
         x = load_dataset(path, self.SCHEMA, model.standardizer).x
         probs, _ = predict_two_phase(model, x)
         # A threshold inside the probabilities, so both labels occur.
         model.config2 = TrainConfig(threshold=float(np.median(probs)))
         labels = probs[:, 0] >= model.config2.threshold
-        want = confusion(labels, ds.y)
-        assert evaluate_two_phase(model, path, self.SCHEMA) == want  # the whole file at once
-        model.medians = _medians(ds.x, ds.feature_names)
-        assert evaluate_two_phase(model, path, self.SCHEMA) == want  # a block at a time
+        assert evaluate_two_phase(model, path, self.SCHEMA) == confusion(labels, ds.y)
 
     def test_memory_does_not_grow_with_the_file(self, tmp_path):
         import tracemalloc
@@ -263,7 +268,8 @@ class TestEvaluateTwoPhase:
         del ds
 
         def read(path):
-            for _ in read_blocks(path, schema, ROWS, model.medians, model.standardizer):
+            for _ in read_blocks(path, schema, ROWS, model.medians, model.standardizer,
+                                 model.feature_names):
                 pass
 
         def evaluate(path):
@@ -285,24 +291,40 @@ class TestEvaluateTwoPhase:
 
 
 class TestSaveLoad:
-    def test_medians_round_trip_exactly_and_are_optional(self, tmp_path):
+    def test_medians_round_trip_exactly(self, tmp_path):
         model = _model(seed=12)
-        save_two_phase(model, tmp_path / "without")
-        manifest = json.loads((tmp_path / "without" / "manifest.json").read_text())
-        assert "medians" not in manifest
-        assert load_two_phase(tmp_path / "without").medians is None
         model.medians = np.random.default_rng(7).normal(size=5) * 1e3
-        save_two_phase(model, tmp_path / "with")
-        back = load_two_phase(tmp_path / "with").medians
+        save_two_phase(model, tmp_path / "m")
+        back = load_two_phase(tmp_path / "m").medians
         assert back.view(np.uint64).tolist() == model.medians.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("key", PREPROCESSING)
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_a_model_without_preprocessing_is_refused(self, tmp_path, key, existing):
+        out = tmp_path / "model"
+        if existing:
+            save_two_phase(_model(seed=16), out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()} if existing else None
+        model = _model(seed=17)
+        setattr(model, key, None)
+        message = f"the model lacks {key}, which saving and scoring need"
+        with pytest.raises(ValueError, match=message):
+            save_two_phase(model, out)
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["model"] if existing else [])
+        if existing:
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        # evaluate_two_phase refuses it before it opens the file, which is not there.
+        with pytest.raises(ValueError, match=message):
+            evaluate_two_phase(model, tmp_path / "missing.csv", DataSchema(target="label"))
 
     def test_directory_round_trip(self, tmp_path):
         train = make_gaussians(20, 4, 2.0, seed=30)
         val = make_gaussians(8, 4, 2.0, seed=31)
         std = fit_standardizer(train)
-        model, _, _ = train_two_phase(train, val, FAST, FAST, SplitMix64(2),
-                                      standardizer=std)
-        model.seed = 2
+        model, _, _ = train_two_phase(train, val, FAST, FAST, SplitMix64(2))
+        assert model.standardizer is None and model.medians is None
+        model.seed, model.standardizer = 2, std
+        model.medians = _medians(train.x, train.feature_names)
         out = tmp_path / "model"
         save_two_phase(model, out)
         assert sorted(p.name for p in out.iterdir()) == [
@@ -320,6 +342,7 @@ class TestSaveLoad:
         assert back.feature_names == model.feature_names
         assert np.array_equal(back.standardizer.mean, std.mean)
         assert np.array_equal(back.standardizer.std, std.std)
+        assert np.array_equal(back.medians, model.medians)
 
     def test_param_parity_after_round_trip(self, tmp_path):
         model = _model(input_dim=41, seed=9)
@@ -588,6 +611,11 @@ class TestMalformedModel:
         lambda d: d.update(medians=[10**400] * 5),
         lambda d: d.update(medians=[float("inf")] * 5),
         lambda d: d.update(medians=5),
+        lambda d: d.pop("feature_names"),
+        lambda d: d.pop("medians"),
+        lambda d: d.update(feature_names=None),
+        lambda d: d.update(standardizer=None),
+        lambda d: d.update(medians=None),
     ])
     def test_bad_manifest_is_data_error(self, copy, edit):
         _edit_manifest(copy, edit)
@@ -598,6 +626,19 @@ class TestMalformedModel:
         if found != TWO_PHASE_FORMAT:
             assert repr(found) in str(info.value)
             assert repr(TWO_PHASE_FORMAT) in str(info.value)
+
+    def test_every_key_written_is_one_load_requires(self, saved, copy):
+        # The manifest save writes loads whole, and without any one of its
+        # keys it is refused, naming that key.
+        manifest = json.loads((saved / "manifest.json").read_text())
+        assert set(manifest) == {"format", "config1", "config2", "seed", *PREPROCESSING}
+        load_two_phase(saved)
+        for key in manifest:
+            (copy / "manifest.json").write_text(
+                json.dumps({k: v for k, v in manifest.items() if k != key}))
+            want = "format=None" if key == "format" else f"lacks the key '{key}'"
+            with pytest.raises(DataError, match=re.escape(want)):
+                load_two_phase(copy)
 
     @pytest.mark.parametrize("content", ["", "[]", "{not json", "\ufffe"])
     def test_unreadable_manifest_is_data_error(self, copy, content):

@@ -25,6 +25,15 @@ def _ref_words(seed: int, n: int) -> list:
     return [_ref_mix((seed + i * _GAMMA) & _M) for i in range(1, n + 1)]
 
 
+def _next_words(rng: SplitMix64, n: int) -> np.ndarray:
+    """Advance ``rng``'s counter by n and return its n mixed 64-bit words."""
+    blocks = rng._word_blocks(n)  # which refuses a negative n before it is used below
+    out = np.empty(n, dtype=np.uint64)
+    for off, words in blocks:
+        out[off : off + words.size] = words
+    return out
+
+
 # First four words for seed 0, frozen from the reference implementation.
 SEED0_WORDS = [
     0xE220A8397B1DCDAF,
@@ -36,7 +45,7 @@ SEED0_WORDS = [
 
 def test_seed0_matches_frozen_reference_words():
     rng = SplitMix64(0)
-    words = rng._next_words(4)
+    words = _next_words(rng, 4)
     assert [int(w) for w in words] == SEED0_WORDS
     assert _ref_words(0, 4) == SEED0_WORDS
 
@@ -86,7 +95,7 @@ def test_bounded_interval_and_exclusive_upper():
 
 def test_negative_draw_count_rejected_without_advancing():
     rng = SplitMix64(0, counter=3)
-    for draw in (rng.uniforms, rng._next_words):
+    for draw in (rng.uniforms, lambda n: _next_words(rng, n)):
         with pytest.raises(ValueError, match="non-negative"):
             draw(-1)
     assert rng.counter == 3
@@ -126,7 +135,7 @@ def test_permutation_matches_argsort_of_keys():
 @given(seed=st.integers(min_value=0, max_value=_M), n=st.integers(1, 200))
 @settings(max_examples=40, deadline=None)
 def test_any_seed_matches_reference_words(seed, n):
-    words = SplitMix64(seed)._next_words(n)
+    words = _next_words(SplitMix64(seed), n)
     assert [int(w) for w in words] == _ref_words(seed, n)
 
 
@@ -155,7 +164,7 @@ def _whole_array_uniforms(seed: int, counter: int, n: int, lo: float, hi: float)
 @pytest.mark.parametrize("seed,counter", [(0, 0), (_M, 2**40), (2**63 + 17, 16383)])
 def test_blocked_draws_match_whole_array_form(seed, counter, n):
     rng = SplitMix64(seed, counter)
-    words = rng._next_words(n)
+    words = _next_words(rng, n)
     assert words.dtype == np.uint64
     assert np.array_equal(words, _whole_array_words(seed, counter, n))
     assert rng.counter == counter + n
