@@ -259,25 +259,22 @@ def _dataset(names: tuple[str, ...], values: array, labels: array,
     :class:`Dataset` over the same buffers. Missing cells (NaN, and the
     infinities the parse kept) take ``medians`` or, when None, their
     column's median over these rows. With a ``standardizer`` the features are
-    then standardized in place, with :func:`apply_standardizer`'s operations in its order."""
+    then standardized in place by :func:`_standardize`."""
     x = np.frombuffer(values).reshape(-1, len(names))
     x[np.isinf(x)] = np.nan
     if medians is None:
         medians = _medians(x, names)
     np.copyto(x, medians, where=np.isnan(x))
     if standardizer is not None:
-        _check_width(standardizer, x.shape[1])
-        x -= standardizer.mean
-        x /= standardizer.std
+        _standardize(standardizer, x)
     return Dataset(x=x, y=np.frombuffer(labels), feature_names=names)
 
 
-def _table(header: list[str], rows, schema: DataSchema,
-           standardizer: Standardizer | None = None) -> Dataset:
+def _table(header: list[str], rows, schema: DataSchema) -> Dataset:
     """Every data row in one :class:`Dataset`, its missing cells imputed
     with the table's own column medians (see :func:`_dataset`)."""
     ((values, labels),) = _row_blocks(header, rows, schema)
-    return _dataset(_feature_names(header, schema), values, labels, standardizer)
+    return _dataset(_feature_names(header, schema), values, labels)
 
 
 def _medians(x: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
@@ -306,19 +303,14 @@ def clean(raw: RawTable, schema: DataSchema) -> Dataset:
     return _table(raw.header, raw.cells, schema)
 
 
-def load_dataset(path, schema: DataSchema, standardizer: Standardizer | None = None) -> Dataset:
+def load_dataset(path, schema: DataSchema) -> Dataset:
     """``clean(load_csv(path, schema), schema)`` with the same result and
     errors for any file with one defect, read a row at a time: the file's
     cells are never held as strings, so memory is the feature matrix's.
-
-    With a ``standardizer``, the result's features equal, bit for bit,
-    ``apply_standardizer(standardizer, load_dataset(path, schema)).x``, but
-    they are standardized in the buffer the rows were parsed into, so no
-    second feature matrix is made. A width that differs from the
-    standardizer's raises :class:`ShapeError` after the rows are checked.
+    Blank cells take the file's own medians, not a model's (see :func:`read_blocks`).
     """
     with _csv_rows(path) as (header, rows):
-        return _table(header, rows, schema, standardizer)
+        return _table(header, rows, schema)
 
 
 def load_split(path, schema: DataSchema, val_fraction: float, rng: SplitMix64) -> tuple:
@@ -326,7 +318,7 @@ def load_split(path, schema: DataSchema, val_fraction: float, rng: SplitMix64) -
     rule, the standardizer and the column medians, both fitted on the training rows
     only. A column whose training cells have no usable value, or a median past the
     float64 range, raises :class:`DataError` naming it. Both parts are filled and
-    standardized as :func:`read_blocks` fills and standardizes a scored file."""
+    standardized in place, as :func:`read_blocks` fills and standardizes a scored file."""
     with _csv_rows(path) as (header, rows):
         names = _feature_names(header, schema)
         ((values, labels),) = _row_blocks(header, rows, schema)
@@ -351,9 +343,8 @@ def read_blocks(path, schema: DataSchema, size: int, medians: np.ndarray,
     The header is checked before any row: its feature names must equal
     ``names``. A last block of one row joins the one before, so one block is
     held back. Each block's missing cells take the medians, and it is
-    standardized in its own buffer with :func:`load_dataset`'s operations,
-    so memory does not grow with the file; a row defect is raised when its
-    block is read.
+    standardized in its own buffer by :func:`_standardize`, so memory does
+    not grow with the file; a row defect is raised when its block is read.
     """
     with _csv_rows(path) as (header, rows):
         found = _feature_names(header, schema)
@@ -412,19 +403,20 @@ def fit_standardizer(train: Dataset) -> Standardizer:
     return Standardizer(mean, std)
 
 
-def _check_width(s: Standardizer, n_features: int) -> None:
-    if n_features != s.n_features:
+def _standardize(s: Standardizer, x: np.ndarray) -> np.ndarray:
+    """``x``, standardized in place; a width other than ``s``'s raises :class:`ShapeError`."""
+    if x.shape[1] != s.n_features:
         raise ShapeError(
-            f"standardizer was fitted on {s.n_features} features, dataset has {n_features}"
+            f"standardizer was fitted on {s.n_features} features, dataset has {x.shape[1]}"
         )
+    x -= s.mean
+    x /= s.std
+    return x
 
 
 def apply_standardizer(s: Standardizer, ds: Dataset) -> Dataset:
-    """Apply fitted statistics to any dataset (never refits)."""
-    _check_width(s, ds.n_features)
-    z = ds.x - s.mean
-    z /= s.std
-    return Dataset(x=z, y=ds.y, feature_names=ds.feature_names)
+    """Apply fitted statistics to a copy of any dataset (never refits)."""
+    return Dataset(x=_standardize(s, ds.x.copy()), y=ds.y, feature_names=ds.feature_names)
 
 
 def stratified_split(

@@ -831,14 +831,8 @@ def save_network(net: Network, path, metadata: dict | None = None) -> None:
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
         arrays[f"w{k}"] = w
         arrays[f"b{k}"] = b
-    # The bytes of np.savez(fh, **arrays), which writes a bytes copy of each
-    # array; here each is written from its own buffer.
-    with open(path, "wb") as fh, zipfile.ZipFile(fh, "w", allowZip64=True) as archive:
-        for name, a in arrays.items():
-            with archive.open(f"{name}.npy", "w", force_zip64=True) as entry:
-                np.lib.format.write_array_header_1_0(
-                    entry, np.lib.format.header_data_from_array_1_0(a))
-                entry.write(memoryview(a).cast("B"))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def load_network(path) -> Network:

@@ -128,10 +128,11 @@ def train_two_phase(
     train and validation rows become the datasets phase 2 trains on, so
     phase-2 history rows are measured on transformed validation data, and
     ``history2.val_probs`` are the model's validation probabilities.
-    Phase 1 is returned without its Adam moments, as :func:`load_two_phase`
-    gives it back, so phase 2 and the caller do not hold them.
-    The datasets are used as given (standardize beforehand if desired); the
-    returned model records their feature names, and no standardizer or medians.
+    Phase 1 drops its Adam moments once fitted, as :func:`load_two_phase` gives
+    it back, so phase 2 and a save (``np.savez`` copies each array) stay below
+    phase 1's peak. The datasets are used as given, as
+    :func:`~deeplda.data.load_split` returns them; the model records their
+    feature names, and no standardizer or medians.
     A loss that goes non-finite raises :class:`NumericalError` naming the phase.
     """
     if train.n_features != val.n_features:
@@ -214,15 +215,15 @@ def replacing(directory):
     when the block ends; if the block raises, the sibling goes and ``directory`` stays.
     Every file and directory in the sibling is synced before the swap and the parent
     directory after it, so after an OS crash ``directory`` holds no file shorter than
-    written. Once the sibling has landed nothing raises: a previous directory that
-    cannot be removed, or a parent that cannot be synced, is named in a warning."""
+    written. Once the sibling has landed only an interrupt raises, and the previous
+    directory goes all the same: one that cannot be removed, or a parent that cannot
+    be synced, is named in a warning."""
     target = os.path.abspath(directory)
     os.makedirs(os.path.dirname(target), exist_ok=True)
     tmp = f"{target}.tmp-{os.getpid()}"
     stale = f"{tmp}.old"
-    os.mkdir(tmp)
-    moved = False
     try:
+        os.mkdir(tmp)
         yield tmp
         # Each directory after its contents; a directory that cannot be listed raises.
         for root, _, files in os.walk(tmp, topdown=False, onerror=_raise):
@@ -233,27 +234,41 @@ def replacing(directory):
         # one is moved aside first and deleted once the new one is in place.
         if os.path.isdir(target):
             os.replace(target, stale)
-            moved = True
         os.replace(tmp, target)
-    except BaseException:
-        if moved:  # the new directory did not land: put the old one back
-            os.replace(stale, target)
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    try:
-        _fsync(os.path.dirname(target))
-    except OSError as exc:
-        warnings.warn(f"{target} holds the new run, but its parent directory "
-                      f"could not be synced: {exc}")
-    if moved:  # the new directory has landed, so removing the old one is best effort
         try:
-            if os.path.islink(stale):  # a link to a directory: the link goes, its target stays
-                os.unlink(stale)
-            else:
-                shutil.rmtree(stale)
+            _fsync(os.path.dirname(target))
         except OSError as exc:
-            warnings.warn(f"{target} holds the new run, but the previous one is left "
-                          f"at {stale}: {exc}")
+            warnings.warn(f"{target} holds the new run, but its parent directory "
+                          f"could not be synced: {exc}")
+    except BaseException:
+        # What is on disk says how far the swap got, also when a signal
+        # handler raised just after a rename had been made.
+        if os.path.lexists(tmp):  # the new directory did not land
+            if os.path.lexists(stale) and not os.path.lexists(target):
+                os.replace(stale, target)  # put the old one back
+            shutil.rmtree(tmp, ignore_errors=True)
+            raise
+        _remove_stale(target, stale)  # it landed, or the sibling was never made
+        raise
+    _remove_stale(target, stale)
+
+
+def _remove_stale(target: str, stale: str) -> None:
+    """Remove the previous directory that :func:`replacing` set aside at ``stale``,
+    if any, now that ``target`` holds the new one; a failure is only a warning."""
+    if not os.path.lexists(stale):
+        return
+    try:
+        if os.path.islink(stale):  # a link to a directory: the link goes, its target stays
+            os.unlink(stale)
+        else:
+            shutil.rmtree(stale)
+    except OSError as exc:
+        warnings.warn(f"{target} holds the new run, but the previous one is left "
+                      f"at {stale}: {exc}")
+    except BaseException:  # an interrupt part way: finish the removal, then raise it
+        shutil.rmtree(stale, ignore_errors=True)
+        raise
 
 
 def save_two_phase(model: TwoPhaseModel, directory) -> None:

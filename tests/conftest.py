@@ -11,6 +11,8 @@ trailing column, and sparse missing cells.
 import csv
 import json
 import os
+import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +49,18 @@ def make_gaussians(n_per_class: int, d: int, sep: float, seed: int) -> Dataset:
     order = g.permutation(2 * n_per_class)
     names = tuple(f"f{i}" for i in range(d))
     return Dataset(x=x[order], y=y[order], feature_names=names)
+
+
+@contextmanager
+def traced_peak():
+    """Trace Python allocations for the ``with`` block, which gets a function
+    that reads the peak so far in bytes. Tracing stops however the block
+    ends, so a failing test leaves no tracing on for the tests after it."""
+    tracemalloc.start()
+    try:
+        yield lambda: tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def child_env(**overrides) -> dict:

@@ -29,7 +29,7 @@ from deeplda import (
     load_split,
     stratified_split,
 )
-from conftest import write_clinical_csv
+from conftest import traced_peak, write_clinical_csv
 from deeplda.data import _medians, _parse_cell, read_blocks
 from deeplda.rng import SplitMix64
 
@@ -293,27 +293,19 @@ class TestLoadDataset:
                 read(path, SCHEMA)
 
     def test_memory_grows_by_the_feature_matrix_only(self, tmp_path):
-        import tracemalloc
-
-        s = Standardizer(np.full(41, 0.5), np.full(41, 3.0))
-        peaks = {}
+        peaks = []
         for rows in (2000, 8000):
             csv_path, schema_path = write_clinical_csv(
                 tmp_path / f"{rows}.csv", tmp_path / "schema.json", n_rows=rows,
                 n_positive=rows // 3)
             schema = load_schema(schema_path)
-            for standardizer in (None, s):
-                tracemalloc.start()
-                ds = load_dataset(csv_path, schema, standardizer)
-                peaks.setdefault(standardizer, []).append(tracemalloc.get_traced_memory()[1])
-                tracemalloc.stop()
-                assert ds.n_rows == rows
+            with traced_peak() as read_peak:
+                ds = load_dataset(csv_path, schema)
+                peaks.append(read_peak())
+            assert ds.n_rows == rows
         # 41 features and a label are 336 bytes a row; the strings of a
         # whole-file read take about 2.4 KB a row.
-        assert peaks[None][1] - peaks[None][0] < 6000 * 600
-        # Standardizing as read makes no second matrix: loading and then
-        # calling apply_standardizer grows by about 720 bytes a row.
-        assert peaks[s][1] - peaks[s][0] < 6000 * 400
+        assert peaks[1] - peaks[0] < 6000 * 600
 
     @given(st.lists(st.tuples(st.sampled_from(TestClean.PARSE_TOKENS),
                               st.sampled_from(TestClean.PARSE_TOKENS),
@@ -322,12 +314,15 @@ class TestLoadDataset:
            st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=2))
     @settings(max_examples=150, deadline=None)
     def test_standardizing_as_read_equals_apply_standardizer(self, rows, mean, std):
+        # read_blocks standardizes each block in the buffer it is parsed into,
+        # apply_standardizer a copy of a loaded table; errors included, they agree.
         s = Standardizer(mean, std)
         with tempfile.TemporaryDirectory() as tmp:
             path = _write_rows(os.path.join(tmp, "t.csv"), [["id", "a", "b", "label"]]
                                + [[str(i), *row] for i, row in enumerate(rows)])
             outcomes = []
-            for read in (lambda: load_dataset(path, SCHEMA, s),
+            for read in (lambda: next(read_blocks(path, SCHEMA, len(rows) + 1,
+                                                  _own_medians(rows), s, FEATURES)),
                          lambda: apply_standardizer(s, load_dataset(path, SCHEMA))):
                 try:
                     ds = read()
@@ -340,17 +335,26 @@ class TestLoadDataset:
 
     def test_a_width_other_than_the_standardizers_is_a_shape_error(self, tmp_path):
         path = _write(tmp_path, "id,a,b,label\n1,0.5,2,1\n2,x,3,0\n")
+        s = Standardizer(np.zeros(3), np.ones(3))
         with pytest.raises(ShapeError, match="fitted on 3 features, dataset has 2"):
-            load_dataset(path, SCHEMA, Standardizer(np.zeros(3), np.ones(3)))
+            apply_standardizer(s, load_dataset(path, SCHEMA))
+        with pytest.raises(ShapeError, match="fitted on 3 features, dataset has 2"):
+            next(read_blocks(path, SCHEMA, 4, np.zeros(2), s, FEATURES))
         # Row defects are reported first, as apply_standardizer after a load reports them.
         path = _write(tmp_path, "id,a,b,label\n1,0.5,2,1\n2,x\n")
         with pytest.raises(DataError, match="row 2: expected 4 cells"):
-            load_dataset(path, SCHEMA, Standardizer(np.zeros(3), np.ones(3)))
+            next(read_blocks(path, SCHEMA, 4, np.zeros(2), s, FEATURES))
 
 
 _ROWS = st.lists(st.tuples(st.sampled_from(TestClean.PARSE_TOKENS),
                           st.sampled_from(TestClean.PARSE_TOKENS),
                           st.sampled_from(["0", "1"])), min_size=1, max_size=16)
+
+
+def _own_medians(rows):
+    """The medians :func:`load_dataset` fills blank cells with in a file of
+    ``rows``, each an "a" and a "b" cell and a label."""
+    return _medians(np.array([[_parse_cell(c) for c in row[:2]] for row in rows]), FEATURES)
 
 
 def _bits(blocks):
@@ -388,19 +392,16 @@ class TestReadBlocks:
            st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=2))
     @settings(max_examples=150, deadline=None)
     def test_the_files_own_medians_give_load_datasets_features(self, rows, size, mean, std):
-        # _medians of the file's parsed cells are the ones load_dataset fills blank cells with.
         s = Standardizer(mean, std)
         with tempfile.TemporaryDirectory() as tmp:
             path = _write_rows(os.path.join(tmp, "t.csv"), [["id", "a", "b", "label"]]
                                + [[str(i), *row] for i, row in enumerate(rows)])
             try:
-                whole = load_dataset(path, SCHEMA, s)
+                whole = apply_standardizer(s, load_dataset(path, SCHEMA))
             except DataError as exc:
                 assert "has no usable values" in str(exc)
                 return
-            medians = _medians(np.array([[_parse_cell(c) for c in row[:2]] for row in rows]),
-                               FEATURES)
-            blocks = list(read_blocks(path, SCHEMA, size, medians, s, FEATURES))
+            blocks = list(read_blocks(path, SCHEMA, size, _own_medians(rows), s, FEATURES))
         got = np.concatenate([b.x for b in blocks])
         assert got.view(np.uint64).tolist() == whole.x.view(np.uint64).tolist()
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from deeplda import (
     Dataset,
     NetworkSpec,
@@ -159,18 +160,15 @@ def test_fit_matches_forward_backward_adam_by_hand(spec, n_train, batch_size):
 def _second_fit_peak():
     """tracemalloc peak of a one-step fit on a 1024-wide stack whose Adam
     moments exist, and the bytes of one 1024x1024 weight gradient."""
-    import tracemalloc
-
     spec = NetworkSpec(8, (dense(1024, "sigmoid", 0.01),) * 3 + (dense(1, "sigmoid"),))
     train, val = _sets(8, 4, 2, seed=12)
     cfg = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=4)
     rng = SplitMix64(13)
     net = init_network(spec, rng)
     fit(net, train, val, cfg, rng)  # makes the Adam moments
-    tracemalloc.start()
-    fit(net, train, val, cfg, rng)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    with traced_peak() as read_peak:
+        fit(net, train, val, cfg, rng)
+        peak = read_peak()
     return peak, 1024 * 1024 * 8
 
 
@@ -190,8 +188,6 @@ def test_a_step_holds_one_row_block_of_a_weight_gradient():
 
 
 def test_a_batch_512_step_holds_its_activations_and_two_blocks():
-    import tracemalloc
-
     # The walk writes each activation gradient over the activations it has
     # read and holds two 2 MiB blocks above them: one of the input
     # gradient's columns and one of a weight gradient's rows.
@@ -200,18 +196,15 @@ def test_a_batch_512_step_holds_its_activations_and_two_blocks():
     rng = SplitMix64(15)
     net = init_network(build_phase1_spec(), rng)  # 41 -> 3 x 1024 sigmoid -> 1
     fit(net, train, val, cfg, rng)  # makes the Adam moments
-    tracemalloc.start()
-    fit(net, train, val, cfg, rng)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    with traced_peak() as read_peak:
+        fit(net, train, val, cfg, rng)
+        peak = read_peak()
     activations = 3 * 512 * 1024 * 8
     assert peak < activations + 5 * 2**20
 
 
 @pytest.mark.parametrize("n_train", [113, pytest.param(20_000, marks=pytest.mark.slow)])
 def test_a_batch_64_step_holds_its_activations_and_small_blocks(n_train):
-    import tracemalloc
-
     # At batch 64 the weight-gradient blocks take 64 rows (0.5 MiB) and the
     # input-gradient blocks 0.25 MiB, and each batch is gathered from the
     # training set by its rows of the permutation, which is the only thing
@@ -223,10 +216,9 @@ def test_a_batch_64_step_holds_its_activations_and_small_blocks(n_train):
     rng = SplitMix64(17)
     net = init_network(build_phase1_spec(), rng)  # 41 -> 3 x 1024 sigmoid -> 1
     fit(net, *_sets(41, 64, 2, seed=16), cfg, rng)  # makes the Adam moments
-    tracemalloc.start()
-    fit(net, train, val, cfg, rng)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    with traced_peak() as read_peak:
+        fit(net, train, val, cfg, rng)
+        peak = read_peak()
     activations, permutation = 3 * 64 * 1024 * 8, 8 * n_train
     assert peak < activations + permutation + 1.25 * 2**20
 

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import textwrap
 import time
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -39,7 +40,7 @@ from deeplda import (
     predict,
     save_network,
 )
-from conftest import child_env
+from conftest import child_env, traced_peak
 from deeplda.network import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -486,13 +487,10 @@ class TestFastPathBits:
         assert np.array_equal(got[~nan].view(np.uint64), expected[~nan].view(np.uint64))
 
     def test_sigmoid_peak_memory_is_one_block(self):
-        import tracemalloc
-
         z = np.random.default_rng(7).normal(size=(1024, 1024))
-        tracemalloc.start()
-        _sigmoid(z)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        with traced_peak() as read_peak:
+            _sigmoid(z)
+            peak = read_peak()
         assert peak < 2 * BLOCK * 8
 
     def test_activation_gradient_matches_product_form(self):
@@ -536,13 +534,10 @@ class TestFastPathBits:
         assert _sum_squares(w) == float(np.sum(w * w))
 
     def test_sum_squares_holds_one_block_and_keeps_nothing(self):
-        import tracemalloc
-
         w = np.random.default_rng(13).normal(size=(1024, 1024))
-        tracemalloc.start()
-        _sum_squares(w)
-        current, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        with traced_peak():
+            _sum_squares(w)
+            current, peak = tracemalloc.get_traced_memory()
         assert peak < 2 * BLOCK * 8
         # Nothing, the scratch block included, waits for the cycle collector.
         assert current < BLOCK * 8
@@ -584,16 +579,13 @@ class TestFastPathBits:
         assert np.array_equal(dst, want)
 
     def test_backward_makes_no_weight_sized_temporary(self):
-        import tracemalloc
-
         net = init_network(WIDE_SPEC, SplitMix64(5))
         x = np.random.default_rng(4).normal(size=(4, 41))
         out, cache = forward(net, x, mode="train")
         weight_bytes = 1024 * 1024 * 8
-        tracemalloc.start()
-        backward(net, cache, out - 1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        with traced_peak() as read_peak:
+            backward(net, cache, out - 1.0)
+            peak = read_peak()
         # Two 1024x1024 weight gradients are held when the third is made.
         assert peak < 2.5 * weight_bytes
 
@@ -620,30 +612,24 @@ class TestFastPathBits:
             assert np.array_equal(held, given)
 
     def test_predict_holds_one_layer_at_a_time(self):
-        import tracemalloc
-
         spec = NetworkSpec(8, (dense(256, "sigmoid"),) * 6 + (dense(1, "sigmoid"),))
         net = init_network(spec, SplitMix64(4))
         x = np.random.default_rng(3).normal(size=(2000, 8))
         layer_bytes = 2000 * 256 * 8
         peaks = []
         for run in (lambda: forward(net, x, mode="infer"), lambda: predict(net, x)):
-            tracemalloc.start()
-            run()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
+            with traced_peak() as read_peak:
+                run()
+                peaks.append(read_peak())
         assert peaks[0] > 6 * layer_bytes  # forward keeps every layer's output
         assert peaks[1] < 4 * layer_bytes
 
     def test_phase1_predict_holds_two_row_blocks_of_a_layer(self):
-        import tracemalloc
-
         net = init_network(WIDE_SPEC, SplitMix64(8))
         x = np.random.default_rng(5).normal(size=(1000, 41))
-        tracemalloc.start()
-        predict(net, x)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        with traced_peak() as read_peak:
+            predict(net, x)
+            peak = read_peak()
         # The two shared buffers of ROWS + 1 rows of 1,024 units: 2.1 MB at
         # 128 rows, 4.2 MB at 256.
         assert peak < 2.5e6
@@ -794,17 +780,14 @@ class TestFastPathBits:
         assert proc.returncode == 0, proc.stderr
 
     def test_predict_memory_does_not_grow_with_rows(self):
-        import tracemalloc
-
         spec = NetworkSpec(8, (dense(256, "sigmoid"),) * 3 + (dense(1, "sigmoid"),))
         net = init_network(spec, SplitMix64(4))
         peaks = []
         for n in (2 * ROWS, 8 * ROWS):
             x = np.random.default_rng(n).normal(size=(n, 8))
-            tracemalloc.start()
-            predict(net, x)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
+            with traced_peak() as read_peak:
+                predict(net, x)
+                peaks.append(read_peak())
         assert peaks[1] <= 1.1 * peaks[0]
 
 
@@ -852,16 +835,13 @@ class TestSerialization:
         assert param_count(load_network(path).spec) == 2_143_233
 
     def test_load_holds_the_parameters_once(self, tmp_path):
-        import tracemalloc
-
         net = init_network(WIDE_SPEC, SplitMix64(0))
         save_network(net, tmp_path / "wide.npz")
         array_bytes = sum(a.nbytes for a in net.weights + net.biases)
         del net
-        tracemalloc.start()
-        back = load_network(tmp_path / "wide.npz")
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
+        with traced_peak() as read_peak:
+            back = load_network(tmp_path / "wide.npz")
+            peak = read_peak()
         # No Adam moments: only the file's arrays.
         assert back.moments is None
         assert peak < 1.25 * array_bytes
@@ -877,18 +857,6 @@ class TestSerialization:
         with open(tmp_path / "ref.npz", "wb") as fh:
             np.savez(fh, **entries)
         assert (tmp_path / "net.npz").read_bytes() == (tmp_path / "ref.npz").read_bytes()
-
-    def test_save_copies_no_array(self, tmp_path):
-        import tracemalloc
-
-        net = init_network(WIDE_SPEC, SplitMix64(0))
-        largest = max(a.nbytes for a in net.weights)
-        tracemalloc.start()
-        save_network(net, tmp_path / "wide.npz")
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        # np.savez writes a bytes copy of each array, 8 MB for a 1024x1024 weight.
-        assert peak < largest / 16
 
     def test_file_layout(self, tmp_path):
         net = init_network(HEAD_SPEC, SplitMix64(12))

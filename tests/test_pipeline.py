@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import deeplda.pipeline
-from conftest import make_gaussians, write_clinical_csv
+from conftest import make_gaussians, traced_peak, write_clinical_csv
 from deeplda import (
     DataError,
     DataSchema,
@@ -21,6 +21,7 @@ from deeplda import (
     Standardizer,
     TrainConfig,
     TwoPhaseModel,
+    apply_standardizer,
     build_phase1_spec,
     build_phase2_spec,
     confusion,
@@ -246,7 +247,7 @@ class TestEvaluateTwoPhase:
         model.standardizer = fit_standardizer(ds)
         model.feature_names = ds.feature_names
         model.medians = _medians(ds.x, ds.feature_names)
-        x = load_dataset(path, self.SCHEMA, model.standardizer).x
+        x = apply_standardizer(model.standardizer, load_dataset(path, self.SCHEMA)).x
         probs, _ = predict_two_phase(model, x)
         # A threshold inside the probabilities, so both labels occur.
         model.config2 = TrainConfig(threshold=float(np.median(probs)))
@@ -254,8 +255,6 @@ class TestEvaluateTwoPhase:
         assert evaluate_two_phase(model, path, self.SCHEMA) == confusion(labels, ds.y)
 
     def test_memory_does_not_grow_with_the_file(self, tmp_path):
-        import tracemalloc
-
         paths = {rows: write_clinical_csv(tmp_path / f"{rows}.csv", tmp_path / "schema.json",
                                           n_rows=rows, n_positive=rows // 3)[0]
                  for rows in (2000, 8000)}
@@ -278,10 +277,9 @@ class TestEvaluateTwoPhase:
         peaks = {}
         for rows, path in paths.items():
             for run in (read, evaluate):
-                tracemalloc.start()
-                run(path)
-                peaks[run.__name__, rows] = tracemalloc.get_traced_memory()[1]
-                tracemalloc.stop()
+                with traced_peak() as read_peak:
+                    run(path)
+                    peaks[run.__name__, rows] = read_peak()
         one_block = ROWS * 41 * 8
         assert peaks["evaluate", 8000] - peaks["evaluate", 2000] < one_block
         assert peaks["read", 8000] - peaks["read", 2000] < one_block
@@ -432,18 +430,22 @@ class TestReplacing:
                 out.symlink_to(previous, target_is_directory=True)
         return out
 
-    def _land(self, out, monkeypatch, fail_at):
+    def _land(self, out, monkeypatch, fail_at, fault=OSError):
         """Land a one-file run at ``out``; call number ``fail_at`` of
-        ``CALLS`` raises OSError. Returns the number of calls made, whether
-        the block raised, and the messages of the warnings it gave."""
+        ``CALLS`` raises ``fault``. An OSError is raised in place of the
+        call; a KeyboardInterrupt after it has done its work, as a signal
+        handler runs when the call returns. Returns the number of calls made,
+        whether the block raised, and the messages of the warnings it gave."""
         count, raised = [0], False
 
         def faulty(real):
             def call(*args, **kwargs):
                 count[0] += 1
-                if count[0] == fail_at:
-                    raise OSError("injected fault")
-                return real(*args, **kwargs)
+                if count[0] != fail_at:
+                    return real(*args, **kwargs)
+                if fault is KeyboardInterrupt:
+                    real(*args, **kwargs)
+                raise fault("injected fault")
             return call
 
         with monkeypatch.context() as patch:
@@ -455,10 +457,23 @@ class TestReplacing:
                     with replacing(out) as tmp:
                         with open(os.path.join(tmp, "new.txt"), "w") as fh:
                             fh.write("new run")
-            except OSError as exc:
-                assert str(exc) == "injected fault"
+            except (OSError, KeyboardInterrupt) as exc:
+                assert type(exc) is fault and str(exc) == "injected fault"
                 raised = True
         return count[0], raised, [str(w.message) for w in caught]
+
+    @staticmethod
+    def _holds(out, root, kind):
+        """Whether ``out`` holds the new run and whether it holds the previous one."""
+        files = {p.name: p.read_text() for p in out.iterdir()} if os.path.isdir(out) else None
+        new = not out.is_symlink() and files == {"new.txt": "new run"}
+        if kind == "fresh":
+            previous = not os.path.lexists(out)
+        else:
+            previous = files == {"old.txt": "previous run"} and (
+                os.readlink(out) == str(root / "real") if kind == "link"
+                else not out.is_symlink())
+        return new, previous
 
     @pytest.mark.parametrize("kind", ["fresh", "previous", "link"])
     def test_out_holds_the_previous_or_the_new_run_whatever_call_fails(
@@ -470,16 +485,8 @@ class TestReplacing:
             root = tmp_path / str(fail_at)
             out = self._prepare(root, kind)
             _, raised, warned = self._land(out, monkeypatch, fail_at)
-            files = ({p.name: p.read_text() for p in out.iterdir()}
-                     if os.path.isdir(out) else None)
-            new = not out.is_symlink() and files == {"new.txt": "new run"}
-            if kind == "fresh":
-                previous = not os.path.lexists(out)
-            else:
-                previous = files == {"old.txt": "previous run"} and (
-                    os.readlink(out) == str(root / "real") if kind == "link"
-                    else not out.is_symlink())
-            assert new or previous, (fail_at, files)
+            new, previous = self._holds(out, root, kind)
+            assert new or previous, fail_at
             # Once the new run is in place the call succeeds, and a previous
             # run it could not remove is named in a warning.
             if new:
@@ -487,6 +494,25 @@ class TestReplacing:
                 for p in root.iterdir():
                     if ".tmp-" in p.name:
                         assert any(str(p) in message for message in warned), (fail_at, p)
+            if kind == "link":
+                assert (root / "real" / "old.txt").read_text() == "previous run"
+
+    @pytest.mark.parametrize("kind", ["fresh", "previous", "link"])
+    def test_an_interrupt_after_any_call_leaves_one_run_and_no_sibling(
+            self, tmp_path, monkeypatch, kind):
+        # An interrupt just after a rename once stranded the previous run in
+        # the sibling it was moved to, or tried to move it back over the new one.
+        calls, _, _ = self._land(self._prepare(tmp_path / "0", kind), monkeypatch, fail_at=0)
+        for fail_at in range(1, calls + 1):
+            root = tmp_path / str(fail_at)
+            out = self._prepare(root, kind)
+            _, raised, _ = self._land(out, monkeypatch, fail_at, KeyboardInterrupt)
+            new, previous = self._holds(out, root, kind)
+            assert new or previous, fail_at
+            # The only call that completes without being interrupted is
+            # makedirs' mkdir of the existing parent, which fails.
+            assert raised or fail_at == 1, fail_at
+            assert [p.name for p in root.iterdir() if ".tmp-" in p.name] == [], fail_at
             if kind == "link":
                 assert (root / "real" / "old.txt").read_text() == "previous run"
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from deeplda.rng import BLOCK, SplitMix64
 
 # Oracle: pure-integer reference implementation of the same mixing
@@ -178,13 +179,10 @@ def test_blocked_draws_match_whole_array_form(seed, counter, n):
 
 
 def test_uniforms_peak_memory_is_near_its_output():
-    import tracemalloc
-
     n = 2**20
-    tracemalloc.start()
-    SplitMix64(3).uniforms(n)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    with traced_peak() as read_peak:
+        SplitMix64(3).uniforms(n)
+        peak = read_peak()
     assert peak < 1.5 * n * 8
 
 
