@@ -56,9 +56,10 @@ ROWS = 128
 # walk makes and consumes a block at a time in one buffer. A batch takes its
 # row count rounded up to a multiple of 64 (see _grad_rows), so a small batch
 # holds a small block. Batch 512 stops at 256, as the buffer holds its
-# 512 x 512 sigmoid scratch too. With one BLAS thread the blocks keep the
-# whole product's bits at the phase-1 and phase-2 shapes, one-unit output
-# layers included (tested), but not at every shape (see the README).
+# 512 x 512 sigmoid scratch too; a one-unit layer takes its DELTA_COLS rows
+# whole. With one BLAS thread the blocks keep the whole product's bits at the
+# phase-1 and phase-2 shapes, one-unit output layers included (tested), but
+# not at every shape (see the README).
 GRAD_ROWS = 256
 
 # Columns per block of a dense layer's input gradient ``dz @ W.T`` in the
@@ -68,7 +69,7 @@ GRAD_ROWS = 256
 # 100**3 multiply-adds; smaller products run through small-matrix kernels
 # that sum in another order, and a partial block ends in edge tiles.
 # Elsewhere the product is made whole, except an outer product (one-column
-# dz), which is elementwise.
+# dz), each of whose values is one product.
 DELTA_COLS = 512
 
 
@@ -368,13 +369,11 @@ class ForwardCache:
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``np.matmul(a, b, out=out)`` with its bits. With an inner dimension of
-    1, matmul's non-BLAS loop computes ``0 + a*b``; a broadcast multiply plus
-    0.0 gives the same bits in about half the time."""
+    1, matmul's non-BLAS loop computes ``0 + a*b``; ``np.dot``'s GEMM gives
+    the same bits, signed zeros included, in under half the time."""
     if a.shape[1] != 1:
         return np.matmul(a, b, out=out)
-    out = np.multiply(a, b, out=out)
-    out += 0.0
-    return out
+    return np.dot(a, b, out=out)
 
 
 def _checked_input(net: Network, x) -> np.ndarray:
@@ -457,41 +456,30 @@ def bce_loss(pred: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         )
     if not np.all((y == 0.0) | (y == 1.0)):
         raise DataError("labels must all be 0 or 1")
-    n = pred.shape[0]
-    p = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS)
-    loss = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    return _bce(pred, y)
+
+
+def _bce(pred: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """:func:`bce_loss` of float64 ``(n, 1)`` arrays whose labels are known
+    to be 0 or 1, unchecked. The ufuncs give the bits of ``np.clip`` and
+    ``np.mean`` without those functions' Python wrappers."""
+    n = len(pred)
+    p = np.minimum(np.maximum(pred, BCE_EPS), 1.0 - BCE_EPS)
+    q, r = 1.0 - y, 1.0 - p
+    terms = y * np.log(p)
+    terms += q * np.log(r)
     interior = (pred > BCE_EPS) & (pred < 1.0 - BCE_EPS)
-    grad = np.where(interior, -(y / p - (1.0 - y) / (1.0 - p)) / n, 0.0)
-    return loss, grad
-
-
-def _sum_squares(w: np.ndarray, scratch: np.ndarray | None = None) -> float:
-    """``float(np.sum(w * w))`` for a C-contiguous ``w``, with the same
-    bits but without the full-size temporary.
-
-    numpy sums a contiguous array pairwise: a run of n values longer than
-    its leaf size is cut at ``n2 = n//2 - (n//2) % 8`` and the two halves'
-    sums are added left to right. Cutting the same way down to pieces of
-    at most :data:`BLOCK` values, and squaring and summing each piece
-    through one block of ``scratch``, keeps that order.
-    """
-    flat = w.reshape(-1)
-    n = flat.size
-    if scratch is None:
-        scratch = np.empty(min(BLOCK, n))
-    if n <= BLOCK:
-        return float(np.sum(np.multiply(flat, flat, out=scratch[:n])))
-    n2 = n // 2 - (n // 2) % 8
-    return _sum_squares(flat[:n2], scratch) + _sum_squares(flat[n2:], scratch)
+    return -float(terms.sum() / n), np.where(interior, -(y / p - q / r) / n, 0.0)
 
 
 def l2_penalty(net: Network) -> float:
-    """Total L2 penalty: each dense layer's coefficient times its sum of
-    squared weights; biases are excluded. :func:`backward` adds its gradient."""
+    """Total L2 penalty: each dense layer's coefficient times one BLAS dot of
+    its flat weights with themselves, which makes no temporary; biases are
+    excluded. :func:`backward` adds its gradient."""
     total = 0.0
     for layer, w in zip(net.dense_layers(), net.weights):
         if layer.l2_lambda > 0.0:
-            total += layer.l2_lambda * _sum_squares(w)
+            total += layer.l2_lambda * float(np.dot(w.ravel(), w.ravel()))
     return total
 
 
@@ -540,9 +528,10 @@ def _backward_walk(net: Network, cache: ForwardCache, loss_grad: np.ndarray):
     it makes the input gradient ``dz @ W_k[R].T`` from rows not yet updated,
     yields the weight gradient ``a_in.T @ dz`` of rows R, made on the
     transposed view in blocks of at most :func:`_grad_rows` rows inside R
-    whose L2 term reads only their own rows, so the consumer may update each
-    block at once, and then writes the layer below's ``dz`` over that
-    layer's output columns R, which nothing reads again. Both kinds of block
+    (all of R at one unit) whose L2 term reads only their own rows, so the
+    consumer may update each block at once, and then writes the layer
+    below's ``dz`` over that layer's output columns R, which nothing reads
+    again. Both kinds of block
     go through one buffer each, so a consumer that drops each block holds
     the activations not yet read and the two.
     """
@@ -563,7 +552,7 @@ def _backward_walk(net: Network, cache: ForwardCache, loss_grad: np.ndarray):
     block = np.empty(max(max(min(fan_in, _grad_rows(n)) * units, n * width)
                          for (fan_in, units), width in zip(shapes, widths)))
     deltas = np.empty(n * max(widths[1:], default=0))
-    k, step = n_dense - 1, _grad_rows(n)
+    k = n_dense - 1
     a_in, a_out, masks = records.pop()
     for mask in reversed(masks):
         loss_grad = loss_grad * mask
@@ -572,6 +561,7 @@ def _backward_walk(net: Network, cache: ForwardCache, loss_grad: np.ndarray):
     while True:
         w, lam, width = net.weights[k], specs[k].l2_lambda, widths[k]
         units = w.shape[1]
+        step = width if units == 1 else _grad_rows(n)  # see GRAD_ROWS
         yield n_dense + k, 0, dz.sum(axis=0, keepdims=True)
         below = records.pop() if records else None  # its output becomes the next dz
         for start in range(0, len(w), width):
@@ -621,30 +611,34 @@ def backward(net: Network, cache: ForwardCache, loss_grad: np.ndarray) -> Gradie
 def _adam_apply(net: Network, blocks, learning_rate: float, scratch: np.ndarray) -> None:
     """Adam step ``t = net.version + 1`` of each ``(i, start, g)`` row block
     that ``blocks`` yields (see :func:`_backward_walk`), as it arrives. The
-    moments are made as zeros on first use; the version is bumped at the end."""
+    moments are made as zeros on first use; the version is bumped at the end.
+    The bias corrections are folded into the step size and epsilon once a
+    step (Kingma & Ba, arXiv:1412.6980, §2), which drops two divisions a value."""
     if net.moments is None:
         net.moments = [(np.zeros(p.shape), np.zeros(p.shape)) for p in net.weights + net.biases]
     t, params = net.version + 1, net.weights + net.biases
+    root_c2 = math.sqrt(1.0 - ADAM_BETA2**t)
+    alpha, eps_hat = learning_rate * root_c2 / (1.0 - ADAM_BETA1**t), ADAM_EPSILON * root_c2
     for i, start, g in blocks:
         rows = slice(start, start + len(g))
         m, v = net.moments[i]
-        _adam_update(params[i][rows], g, m[rows], v[rows], t, learning_rate, scratch)
+        _adam_update(params[i][rows], g, m[rows], v[rows], alpha, eps_hat, scratch)
         del g  # freed before the walk makes the next block
     net.version = t
 
 
-def _adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: int,
-                 learning_rate: float, scratch: np.ndarray) -> None:
-    """Adam step ``t`` of one parameter array and its moments, in place, in
-    blocks of :data:`BLOCK` values through ``scratch`` (shape (2, BLOCK)),
-    in the textbook operation order, so the bits equal the whole-array form.
-    """
+def _adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, alpha: float,
+                 eps_hat: float, scratch: np.ndarray) -> None:
+    """Adam update of one parameter array and its moments, in place, in the
+    folded form ``p -= alpha*m / (sqrt(v) + eps_hat)``, in blocks of
+    :data:`BLOCK` values through ``scratch`` (shape (2, BLOCK)), so the bits
+    equal the whole-array form."""
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    c1, c2 = 1.0 - b1**t, 1.0 - b2**t
     # Views, not copies: parameters and moments are C-contiguous.
-    flat = (p.reshape(-1), np.ravel(g), m.reshape(-1), v.reshape(-1))
+    p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
     for start in range(0, p.size, BLOCK):
-        pb, gb, mb, vb = (a[start : start + BLOCK] for a in flat)
+        rows = slice(start, start + BLOCK)
+        pb, gb, mb, vb = p[rows], g[rows], m[rows], v[rows]
         s1, s2 = scratch[:, : pb.size]
         mb *= b1  # m = b1*m + (1-b1)*g
         mb += np.multiply(1.0 - b1, gb, out=s1)
@@ -652,11 +646,9 @@ def _adam_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, t: 
         np.multiply(gb, gb, out=s1)
         s1 *= 1.0 - b2
         vb += s1
-        np.divide(mb, c1, out=s1)  # lr*mhat / (sqrt(vhat) + eps)
-        s1 *= learning_rate
-        np.divide(vb, c2, out=s2)
-        np.sqrt(s2, out=s2)
-        s2 += ADAM_EPSILON
+        np.sqrt(vb, out=s2)  # alpha*m / (sqrt(v) + eps_hat)
+        s2 += eps_hat
+        np.multiply(alpha, mb, out=s1)
         s1 /= s2
         pb -= s1
 
@@ -783,7 +775,7 @@ def fit(
             rows = order[start : start + config.batch_size]
             xb, yb = train.x[rows], y_train[rows]
             out, cache = forward(net, xb, mode="train", rng=rng)
-            bce, grad = bce_loss(out, yb)
+            bce, grad = _bce(out, yb)  # Dataset has checked the labels
             loss = bce + l2_penalty(net)
             if not math.isfinite(loss):
                 raise NumericalError(f"training loss is {loss} at epoch {epoch}, batch {batch}")
@@ -794,7 +786,7 @@ def fit(
             _adam_apply(net, _backward_walk(net, cache, grad), config.learning_rate, scratch)
         val_out, val_labels = predict(net, val.x, config.threshold)
         history.val_probs = val_out
-        val_bce, _ = bce_loss(val_out, y_val)
+        val_bce, _ = _bce(val_out, y_val)
         val_acc = float(np.mean((val_labels == 1) == val_truth))
         val_loss = val_bce + l2_penalty(net)
         if not math.isfinite(val_loss):
@@ -838,7 +830,8 @@ def save_network(net: Network, path, metadata: dict | None = None) -> None:
 def load_network(path) -> Network:
     """Load a network file written by :func:`save_network`; the network
     holds no Adam moments. A file that is not a well-formed
-    ``deeplda.network/2`` archive raises :class:`DataError`.
+    ``deeplda.network/2`` archive, or whose parameters are not all finite,
+    raises :class:`DataError`.
     """
     try:
         with open(path, "rb") as fh:
@@ -869,8 +862,13 @@ def load_network(path) -> Network:
                             f"the spec's {expected}")
         if any(a.dtype != np.float64 for a in arrays.values()):
             raise DataError("parameter arrays must be float64")
-        return Network(spec, [arrays[f"w{k}"] for k in range(n)],
-                       [arrays[f"b{k}"] for k in range(n)])
+        net = Network(spec, [arrays[f"w{k}"] for k in range(n)],
+                      [arrays[f"b{k}"] for k in range(n)])
+        # min and max make no bool temporary, and a NaN propagates through both.
+        bad = [k for k in expected if not -math.inf < arrays[k].min() <= arrays[k].max() < math.inf]
+        if bad:
+            raise DataError(f"parameter arrays {bad} hold a NaN or infinite value")
+        return net
     except FileNotFoundError:
         raise DataError(f"model file not found: {path}") from None
     # numpy re-reads a damaged version-1 .npy header with tokenize, which can raise TokenError.

@@ -616,6 +616,8 @@ class TestEvaluateCommand:
         "phase2_no_layers",
         "phase2_dropout_only",
         "phase2_two_unit_head",
+        "phase2_weight_nan",
+        "phase1_bias_infinite",
         "format_1_directory",
     ])
     def test_malformed_model_is_data_error(self, toy_csv, overfit_run, tmp_path,
@@ -681,6 +683,14 @@ class TestEvaluateCommand:
         elif damage == "phase2_two_unit_head":
             respec("phase2.npz", lambda layers: layers[:-1] + [dict(layers[-1], units=2)],
                    w1=np.ones((100, 2)), b1=np.zeros((1, 2)))
+        elif damage in ("phase2_weight_nan", "phase1_bias_infinite"):
+            # A NaN weight would score every row as class 0 and exit 0.
+            name, entry, value = (("phase2.npz", "w1", np.nan) if damage == "phase2_weight_nan"
+                                  else ("phase1.npz", "b2", -np.inf))
+            with np.load(model / name, allow_pickle=False) as npz:
+                poked = npz[entry].copy()
+            poked.flat[poked.size // 2] = value
+            rewrite(name, **{entry: poked})
         elif damage == "format_1_directory":
             # Format 1 kept a seed in each config and JSON networks.
             manifest["format"] = "deeplda.two-phase/1"
@@ -701,6 +711,8 @@ class TestEvaluateCommand:
             assert "'deeplda.two-phase/1'" in err and "'deeplda.two-phase/2'" in err
         if damage.startswith("manifest_"):
             assert str(model / "manifest.json") in err
+        if damage in ("phase2_weight_nan", "phase1_bias_infinite"):
+            assert "hold a NaN or infinite value" in err
 
     def test_missing_model_dir(self, toy_csv, tmp_path, capsys):
         csv_path, schema_path = toy_csv

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import struct
 import subprocess
@@ -11,6 +12,7 @@ import textwrap
 import time
 import tracemalloc
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +47,7 @@ from deeplda.network import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPSILON,
+    BCE_EPS,
     BLOCK,
     ROWS,
     _activation_gradient,
@@ -52,7 +55,6 @@ from deeplda.network import (
     _grad_rows,
     _matmul,
     _sigmoid,
-    _sum_squares,
 )
 from deeplda.rng import SplitMix64
 
@@ -459,13 +461,23 @@ def _two_branch_sigmoid(z):
 
 
 def _textbook_adam(p, g, m, v, t, lr):
-    """Whole-array Adam step ``t`` with temporaries, in the library's
+    """Whole-array Adam step ``t`` with temporaries, in Algorithm 1's
     operation order: the new parameters and moments."""
     m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
     v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
     mhat = m / (1.0 - ADAM_BETA1**t)
     vhat = v / (1.0 - ADAM_BETA2**t)
     return p - lr * mhat / (np.sqrt(vhat) + ADAM_EPSILON), m, v
+
+
+def _folded_adam(p, g, m, v, t, lr):
+    """The same step with the bias corrections folded into the step size and
+    epsilon (Kingma & Ba, section 2), in the library's operation order."""
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
+    root_c2 = math.sqrt(1.0 - ADAM_BETA2**t)
+    alpha = lr * root_c2 / (1.0 - ADAM_BETA1**t)
+    return p - alpha * m / (np.sqrt(v) + ADAM_EPSILON * root_c2), m, v
 
 
 class TestFastPathBits:
@@ -524,23 +536,53 @@ class TestFastPathBits:
     @pytest.mark.parametrize("shape", [(1024, 1024), (41, 1024), (1024, 1), (100, 1), (1, 100),
                                        (3, 5), (16385, 1), (1000, 1001), (7, 49157)])
     def test_sum_squares_matches_numpy_sum(self, shape):
-        w = np.random.default_rng(12).normal(size=shape)
-        assert _sum_squares(w) == float(np.sum(w * w))
+        # The L2 value is each regularised layer's coefficient times one BLAS
+        # dot of its flat weights; the unregularised middle layer adds nothing.
+        g = np.random.default_rng(12)
+        spec = NetworkSpec(shape[0], (dense(shape[1], "sigmoid", 0.01), dense(3, "relu"),
+                                      dense(1, "sigmoid", 0.003)))
+        net = Network(spec, [g.normal(size=shape), g.normal(size=(shape[1], 3)),
+                             g.normal(size=(3, 1))],
+                      [np.zeros((1, shape[1])), np.zeros((1, 3)), np.zeros((1, 1))])
+        want = 0.0
+        for lam, k in ((0.01, 0), (0.003, 2)):
+            flat = net.weights[k].ravel()
+            want += lam * float(np.dot(flat, flat))
+        assert l2_penalty(net) == want
 
-    @given(st.integers(0, 6 * BLOCK + 41), st.integers(0, 2**32 - 1))
+    @given(st.integers(1, 6 * BLOCK + 41), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_sum_squares_matches_numpy_sum_at_any_size(self, size, seed):
-        w = np.random.default_rng(seed).normal(0.0, 10.0, size=size)
-        assert _sum_squares(w) == float(np.sum(w * w))
+        # The dot sums in another order than np.sum's pairwise one, so the two
+        # agree within the error bound of a sum of n positive terms, n*2**-53
+        # relative each, and not always bit for bit.
+        w = np.random.default_rng(seed).normal(0.0, 10.0, size=(size, 1))
+        net = Network(NetworkSpec(size, (dense(1, "sigmoid", 0.01),)), [w], [np.zeros((1, 1))])
+        got, want = l2_penalty(net), 0.01 * float(np.sum(w * w))
+        assert abs(got - want) <= (2 * size + 8) * 2**-53 * want
 
     def test_sum_squares_holds_one_block_and_keeps_nothing(self):
-        w = np.random.default_rng(13).normal(size=(1024, 1024))
+        net = init_network(WIDE_SPEC, SplitMix64(13))
         with traced_peak():
-            _sum_squares(w)
+            l2_penalty(net)
             current, peak = tracemalloc.get_traced_memory()
-        assert peak < 2 * BLOCK * 8
-        # Nothing, the scratch block included, waits for the cycle collector.
+        # No weight-sized temporary, and no block of one either.
+        assert peak < BLOCK * 8
         assert current < BLOCK * 8
+
+    def test_bce_matches_clip_and_mean_form(self):
+        g = np.random.default_rng(14)
+        for n in (1, 4, 49, 64, 108, 1000):
+            pred = g.uniform(size=(n, 1))
+            pred[:4, 0] = [0.0, 1.0, 1e-9, 1.0 - 1e-9][:n]  # clamped, zero gradient
+            y = (g.uniform(size=(n, 1)) < 0.3) * 1.0
+            p = np.clip(pred, BCE_EPS, 1.0 - BCE_EPS)
+            want = float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+            interior = (pred > BCE_EPS) & (pred < 1.0 - BCE_EPS)
+            want_grad = np.where(interior, -(y / p - (1.0 - y) / (1.0 - p)) / n, 0.0)
+            loss, grad = bce_loss(pred, y)
+            assert loss == want
+            assert np.array_equal(grad.view(np.uint64), want_grad.view(np.uint64))
 
     def test_sigmoid_works_in_place(self):
         z = np.array([[-2.0, 0.0, 3.0]])
@@ -548,28 +590,36 @@ class TestFastPathBits:
         assert out is z
 
     def test_adam_matches_textbook_form_over_five_steps(self):
+        # Bit for bit against the whole-array folded form, and within one
+        # unit in the last place of |p| + t*lr per step of Algorithm 1's form.
         shape = (203, 211)  # 42,833 values: several blocks and a partial one
         assert shape[0] * shape[1] > 2 * BLOCK
         assert shape[0] * shape[1] % BLOCK != 0
         spec = NetworkSpec(203, (dense(211, "sigmoid"), dense(1, "sigmoid")))
-        g = np.random.default_rng(8)
+        g, lr = np.random.default_rng(8), 0.003
         net = Network(spec, [g.normal(size=shape), g.normal(size=(211, 1))],
                       [g.normal(size=(1, 211)), g.normal(size=(1, 1))])
         params = [w.copy() for w in net.weights] + [b.copy() for b in net.biases]
+        textbook = [p.copy() for p in params]
         moments = [(np.zeros(p.shape), np.zeros(p.shape)) for p in params]
         for t in range(1, 6):
             grads = Gradients(weights=[g.normal(size=shape), g.normal(size=(211, 1))],
                               biases=[g.normal(size=(1, 211)), g.normal(size=(1, 1))])
-            adam_step(net, grads, 0.003)
+            adam_step(net, grads, lr)
             for i, grad in enumerate(grads.weights + grads.biases):
-                params[i], *moments[i] = _textbook_adam(params[i], grad, *moments[i], t, 0.003)
+                textbook[i] = _textbook_adam(textbook[i], grad, *moments[i], t, lr)[0]
+                params[i], *moments[i] = _folded_adam(params[i], grad, *moments[i], t, lr)
         assert net.version == 5
         assert len(net.moments) == len(params)
-        for got, (m, v), want, (ref_m, ref_v) in zip(net.weights + net.biases, net.moments,
-                                                     params, moments):
-            assert np.array_equal(got, want)
+        drifted = 0
+        for got, (m, v), want, (ref_m, ref_v), slow in zip(
+                net.weights + net.biases, net.moments, params, moments, textbook):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
             assert np.array_equal(m, ref_m)
             assert np.array_equal(v, ref_v)
+            assert np.all(np.abs(got - slow) <= 5 * np.spacing(np.abs(slow) + 5 * lr))
+            drifted += int(np.count_nonzero(got != slow))
+        assert drifted > 0  # the reference is the folded form, not the textbook one
 
     def test_add_scaled_matches_whole_array_form(self):
         g = np.random.default_rng(9)
@@ -663,7 +713,9 @@ class TestFastPathBits:
         g = np.random.default_rng(n)
         a = g.normal(size=(n, 1))
         a[::2] = 0.0
-        for b in (g.normal(size=(1, 100)), g.normal(size=(1, 1024))):
+        # The walk multiplies by a transposed row block of the (1024, 1) weights.
+        w = g.normal(size=(1024, 1))
+        for b in (g.normal(size=(1, 100)), g.normal(size=(1, 1024)), w[512:].T):
             want = np.matmul(a, b).view(np.uint64)
             assert np.array_equal(_matmul(a, b).view(np.uint64), want)
             out = np.empty((n, b.shape[1]))
@@ -676,7 +728,8 @@ class TestFastPathBits:
 
     def test_backward_keeps_the_copy_everything_bits(self):
         # backward makes each weight gradient on the transposed view of a_in
-        # in blocks of _grad_rows weight rows, makes the input gradient in
+        # in blocks of _grad_rows weight rows (a one-unit layer's in its
+        # _delta_cols blocks), makes the input gradient in
         # blocks of DELTA_COLS columns where _delta_cols allows, writes each
         # activation gradient over the activations, and skips the first
         # layer's input gradient. The reference copies a_in.T where dz has
@@ -747,9 +800,9 @@ class TestFastPathBits:
         # to 8 and 33 rows. Here the walk's blocks keep them at the phase-1
         # shapes: fan-in 41 and 1024 into 1024 units, and the one-unit output
         # layers of both phases, fan-in 1024 and 100, whose whole product is
-        # a gemv on the transposed view; at the batch sizes 64 and 512, a
-        # trailing 49 and odd counts. One BLAS thread, where the bits are
-        # promised.
+        # a gemv on the transposed view made in _delta_cols blocks; at the
+        # batch sizes 64 and 512, a trailing 49 and odd counts. One BLAS
+        # thread, where the bits are promised.
         assert [_grad_rows(n) for n in (1, 49, 64, 65, 113, 150, 512, 513)] == [
             64, 64, 64, 128, 128, 192, 256, 256]
         code = textwrap.dedent("""
@@ -761,7 +814,8 @@ class TestFastPathBits:
                     g = np.random.default_rng(n)
                     a, dz = g.normal(size=(n, fan_in)), g.normal(size=(n, units))
                     whole = (a.T if units == 1 else np.ascontiguousarray(a.T)) @ dz
-                    width, step = min(_delta_cols(n, units, fan_in), fan_in), _grad_rows(n)
+                    width = min(_delta_cols(n, units, fan_in), fan_in)
+                    step = width if units == 1 else _grad_rows(n)
                     covered = []
                     for outer in range(0, fan_in, width):
                         end = min(outer + width, fan_in)
@@ -934,7 +988,7 @@ class TestSerialization:
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "net.npz")
             save_network(net, path)
-            blob = bytearray(open(path, "rb").read())
+            blob = bytearray(Path(path).read_bytes())
             for where, value in edits:
                 blob[int(where * len(blob))] = value
             if keep is not None:
