@@ -19,7 +19,6 @@ from .data import (
     clean,
     fit_standardizer,
     load_csv,
-    load_dataset,
     load_schema,
     load_split,
     stratified_split,

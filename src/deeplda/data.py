@@ -5,11 +5,12 @@ A small schema (JSON with keys ``target``, ``drop``, ``positive_label``)
 names the label column, the columns to discard (identifiers, empty
 columns), and the token that maps to class 1. Everything else is treated
 as a numeric feature: cells that do not parse as finite numbers count as
-missing. Files are parsed row by row into flat float64 buffers, never held
-as strings. :func:`load_split` fits the column medians that fill missing
-cells, and the standardizer, on the training rows only; :func:`read_blocks`
-fills and standardizes a scored file with them by the same code, a block at
-a time. :func:`load_dataset` fills a whole table with its own medians.
+missing. :func:`load_split` and :func:`read_blocks` parse a file row by row
+into flat float64 buffers, never holding it as strings. :func:`load_split`
+fits the column medians that fill missing cells, and the standardizer, on
+the training rows only; :func:`read_blocks` fills and standardizes a scored
+file with them by the same code, a block at a time. :func:`clean` fills a
+table that :func:`load_csv` holds as strings with the table's own medians.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ def load_csv(path, schema: DataSchema) -> RawTable:
     """Parse a CSV file and validate it against the schema.
 
     The target and all drop columns must exist, and every data row must
-    have exactly as many cells as the header. Unlike :func:`load_dataset`,
+    have exactly as many cells as the header. Unlike :func:`load_split`,
     it holds the whole file, as strings.
     """
     with _csv_rows(path) as (header, rows):
@@ -173,12 +174,14 @@ class Dataset:
             raise ShapeError(f"{x.shape[0]} feature rows but {y.shape[0]} labels")
         if not np.all((y == 0.0) | (y == 1.0)):
             raise DataError("labels must all be 0 or 1")
-        if not np.all(np.isfinite(x)):
-            raise DataError("features contain non-finite values after cleaning")
         if self.feature_names and len(self.feature_names) != x.shape[1]:
             raise ShapeError(
                 f"{len(self.feature_names)} feature names for {x.shape[1]} columns"
             )
+        if not np.all(np.isfinite(x)):
+            names = self.feature_names or range(x.shape[1])
+            name = names[int(np.argmin(np.isfinite(x).all(axis=0)))]
+            raise DataError(f"column {name!r} holds non-finite values after cleaning")
         x.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "x", x)
@@ -252,29 +255,17 @@ def _row_blocks(header: list[str], rows, schema: DataSchema, size: int | None = 
         yield values, labels
 
 
-def _dataset(names: tuple[str, ...], values: array, labels: array,
-             standardizer: Standardizer | None = None,
-             medians: np.ndarray | None = None) -> Dataset:
+def _dataset(names: tuple[str, ...], values: array, labels: array, medians: np.ndarray,
+             standardizer: Standardizer | None = None) -> Dataset:
     """Rows that :func:`_row_blocks` parsed, or a gather of them, as a
     :class:`Dataset` over the same buffers. Missing cells (NaN, and the
-    infinities the parse kept) take ``medians`` or, when None, their
-    column's median over these rows. With a ``standardizer`` the features are
-    then standardized in place by :func:`_standardize`."""
+    infinities the parse kept) take ``medians``. With a ``standardizer`` the
+    features are then standardized in place by :func:`_standardize`."""
     x = np.frombuffer(values).reshape(-1, len(names))
-    x[np.isinf(x)] = np.nan
-    if medians is None:
-        medians = _medians(x, names)
-    np.copyto(x, medians, where=np.isnan(x))
+    np.copyto(x, medians, where=~np.isfinite(x))
     if standardizer is not None:
         _standardize(standardizer, x)
     return Dataset(x=x, y=np.frombuffer(labels), feature_names=names)
-
-
-def _table(header: list[str], rows, schema: DataSchema) -> Dataset:
-    """Every data row in one :class:`Dataset`, its missing cells imputed
-    with the table's own column medians (see :func:`_dataset`)."""
-    ((values, labels),) = _row_blocks(header, rows, schema)
-    return _dataset(_feature_names(header, schema), values, labels)
 
 
 def _medians(x: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
@@ -300,17 +291,10 @@ def clean(raw: RawTable, schema: DataSchema) -> Dataset:
     contain at most two distinct tokens. The header and row widths are
     checked as :func:`load_csv` checks them.
     """
-    return _table(raw.header, raw.cells, schema)
-
-
-def load_dataset(path, schema: DataSchema) -> Dataset:
-    """``clean(load_csv(path, schema), schema)`` with the same result and
-    errors for any file with one defect, read a row at a time: the file's
-    cells are never held as strings, so memory is the feature matrix's.
-    Blank cells take the file's own medians, not a model's (see :func:`read_blocks`).
-    """
-    with _csv_rows(path) as (header, rows):
-        return _table(header, rows, schema)
+    names = _feature_names(raw.header, schema)
+    ((values, labels),) = _row_blocks(raw.header, raw.cells, schema)
+    x = np.frombuffer(values).reshape(-1, len(names))
+    return _dataset(names, values, labels, _medians(x, names))
 
 
 def load_split(path, schema: DataSchema, val_fraction: float, rng: SplitMix64) -> tuple:
@@ -318,7 +302,10 @@ def load_split(path, schema: DataSchema, val_fraction: float, rng: SplitMix64) -
     rule, the standardizer and the column medians, both fitted on the training rows
     only. A column whose training cells have no usable value, or a median past the
     float64 range, raises :class:`DataError` naming it. Both parts are filled and
-    standardized in place, as :func:`read_blocks` fills and standardizes a scored file."""
+    standardized in place, as :func:`read_blocks` fills and standardizes a scored file,
+    except that a validation cell that leaves the float64 range when standardized takes
+    its column's median, where a scored one raises: no validation cell decides whether
+    the split loads."""
     with _csv_rows(path) as (header, rows):
         names = _feature_names(header, schema)
         ((values, labels),) = _row_blocks(header, rows, schema)
@@ -329,8 +316,14 @@ def load_split(path, schema: DataSchema, val_fraction: float, rng: SplitMix64) -
     for name, median in zip(names, medians):
         if not math.isfinite(median):
             raise DataError(f"column {name!r} has no finite median to record")
-    std = fit_standardizer(_dataset(names, x[train_idx], y[train_idx], None, medians))
-    train, val = (_dataset(names, x[i], y[i], std, medians) for i in (train_idx, val_idx))
+    std = fit_standardizer(_dataset(names, x[train_idx], y[train_idx], medians))
+    # The fitted record judges the validation cells too: one that leaves the
+    # float64 range when standardized is missing, as one past it when parsed is.
+    val_x = x[val_idx]
+    with np.errstate(over="ignore"):
+        val_x[np.isinf((val_x - std.mean) / std.std)] = np.nan
+    train = _dataset(names, x[train_idx], y[train_idx], medians, std)
+    val = _dataset(names, val_x, y[val_idx], medians, std)
     return train, val, std, medians
 
 
@@ -361,9 +354,9 @@ def read_blocks(path, schema: DataSchema, size: int, medians: np.ndarray,
                 held[1].extend(block[1])
                 continue
             if held is not None:
-                yield _dataset(found, *held, standardizer, medians)
+                yield _dataset(found, *held, medians, standardizer)
             held = block
-        yield _dataset(found, *held, standardizer, medians)
+        yield _dataset(found, *held, medians, standardizer)
 
 
 class Standardizer:
@@ -395,10 +388,15 @@ def fit_standardizer(train: Dataset) -> Standardizer:
     """Fit per-feature mean and standard deviation on the training split.
 
     Constant columns get a substitute deviation of 1 so they standardize
-    to exactly zero.
+    to exactly zero. A column whose mean or deviation passes the float64
+    range raises :class:`DataError` naming it.
     """
-    mean = train.x.mean(axis=0)
-    std = train.x.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.x.mean(axis=0)
+        std = train.x.std(axis=0)
+    for name, m, d in zip(train.feature_names or range(train.n_features), mean, std):
+        if not (math.isfinite(m) and math.isfinite(d)):
+            raise DataError(f"column {name!r} has no finite mean and deviation to record")
     std = np.where(std > 0, std, 1.0)
     return Standardizer(mean, std)
 
@@ -409,8 +407,9 @@ def _standardize(s: Standardizer, x: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"standardizer was fitted on {s.n_features} features, dataset has {x.shape[1]}"
         )
-    x -= s.mean
-    x /= s.std
+    with np.errstate(over="ignore"):  # Dataset names a column that left the float64 range
+        x -= s.mean
+        x /= s.std
     return x
 
 

@@ -544,6 +544,22 @@ class TestEvaluateCommand:
         assert code == 2
         assert "do not match the model's" in err and "row 101" not in err
 
+    @pytest.mark.filterwarnings("default::RuntimeWarning")  # as outside the test suite
+    def test_a_cell_that_overflows_when_standardized_is_one_data_error(
+            self, toy_csv, overfit_run, tmp_path, capsys):
+        model = self._edited_model(overfit_run, tmp_path,
+                                   lambda d: d["standardizer"]["std"].__setitem__(0, 0.01))
+        csv_path, schema_path = toy_csv
+        header, first, rest = csv_path.read_text(encoding="utf-8").split("\n", 2)
+        first = first.split(",")
+        first[header.split(",").index("a")] = "1.7e308"
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join([header, ",".join(first), rest]), encoding="utf-8")
+        code, _, err = _run(capsys, "evaluate", "--model", str(model), "--data", str(path),
+                            "--schema", str(schema_path))
+        assert code == 2
+        assert err == "deeplda: data error: column 'a' holds non-finite values after cleaning\n"
+
     @staticmethod
     def _blank_weight_row(clinical_csv, tmp_path):
         """The clinical file's header and first row, with that row's weight blank."""
@@ -925,6 +941,23 @@ class TestExitCodes:
         assert code == 2
         assert err == "deeplda: data error: column 'a' has no usable values\n"
         assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["schema.json", "t.csv"]
+
+    @pytest.mark.filterwarnings("default::RuntimeWarning")  # as outside the test suite
+    @pytest.mark.parametrize("command", ["train", "baseline"])
+    def test_a_column_whose_mean_overflows_is_one_data_error(self, tmp_path, capsys, command):
+        # Its median over the training rows is finite, its mean is not.
+        data = tmp_path / "t.csv"
+        data.write_text("a,b,label\n" + "".join(f"{a},{i},{i % 2}\n" for i, a in
+                                                 enumerate(["1.7e308"] * 5 + ["0"] * 2)))
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"target": "label"}))
+        args = ["--out", str(tmp_path / "run")] if command == "train" else []
+        code, _, err = _run(capsys, command, "--data", str(data), "--schema", str(schema),
+                            *args)
+        assert code == 2
+        assert err == ("deeplda: data error: column 'a' has no finite mean and deviation "
+                       "to record\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["schema.json", "t.csv"]
 
     def test_help_exits_zero(self, capsys):

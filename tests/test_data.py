@@ -9,7 +9,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deeplda import (
@@ -24,13 +24,12 @@ from deeplda import (
     clean,
     fit_standardizer,
     load_csv,
-    load_dataset,
     load_schema,
     load_split,
     stratified_split,
 )
 from conftest import traced_peak, write_clinical_csv
-from deeplda.data import _medians, _parse_cell, read_blocks
+from deeplda.data import _csv_rows, _feature_names, _medians, _parse_cell, read_blocks
 from deeplda.rng import SplitMix64
 
 
@@ -155,7 +154,7 @@ class TestClean:
         tokens = itertools.product(self.PARSE_TOKENS, repeat=2)
         cells = [[str(i), a, b, str(i % 2)] for i, (a, b) in enumerate(tokens)]
         path = _write_rows(tmp_path / "t.csv", [["id", "a", "b", "label"]] + cells)
-        got = load_dataset(path, SCHEMA).x
+        got = clean(load_csv(path, SCHEMA), SCHEMA).x
         want = _cell_by_cell(cells, [1, 2])
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -246,7 +245,8 @@ SINGLE_DEFECTS = {
     "empty target": ("id,a,label\n1,0.5,1\n2,0.6, \n", "row 2: empty target cell"),
     "third target token": ("id,a,label\n1,0.5,1\n2,0.6,0\n3,0.7,maybe\n",
                            "row 3: target token 'maybe' (already saw '0'"),
-    "no usable values": ("id,a,b,label\n1,,2,1\n2,x,3,0\n", "column 'a' has no usable values"),
+    "no usable values": ("id,a,b,label\n1,,2,1\n2,x,3,0\n3,,4,1\n4,y,5,0\n",
+                         "column 'a' has no usable values"),
     "no feature columns": ("id,label\n1,1\n", "no feature columns remain"),
     "no data rows": ("id,a,label\n", "table has no data rows"),
     "empty file": ("", "t.csv is empty"),
@@ -257,40 +257,25 @@ SINGLE_DEFECTS = {
 
 
 class TestLoadDataset:
-    @given(st.lists(st.tuples(st.sampled_from(TestClean.PARSE_TOKENS),
-                              st.sampled_from(TestClean.PARSE_TOKENS),
-                              st.sampled_from(["0", "1"])), min_size=1, max_size=16))
-    @settings(max_examples=150, deadline=None)
-    def test_equals_clean_of_load_csv(self, rows):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = _write_rows(os.path.join(tmp, "t.csv"), [["id", "a", "b", "label"]]
-                               + [[str(i), *row] for i, row in enumerate(rows)])
-            outcomes = []
-            for read in (lambda: load_dataset(path, SCHEMA),
-                         lambda: clean(load_csv(path, SCHEMA), SCHEMA)):
-                try:
-                    ds = read()
-                except DataError as exc:
-                    outcomes.append(str(exc))
-                else:
-                    outcomes.append((ds.x.view(np.uint64).tolist(), ds.y.tolist(),
-                                     ds.feature_names))
-        assert outcomes[0] == outcomes[1]
+    """Whole-file reads: :func:`load_split`, which reads a row at a time and
+    fits on the training rows, against ``clean(load_csv(...))``, which holds
+    the file as strings and fills it from its own medians."""
 
     @pytest.mark.parametrize("text, message", SINGLE_DEFECTS.values(), ids=SINGLE_DEFECTS)
     def test_single_defect_gives_the_same_error_as_clean(self, tmp_path, text, message):
         path = _write(tmp_path, text)
         with pytest.raises(DataError, match=re.escape(message)) as streamed:
-            load_dataset(path, SCHEMA)
+            load_split(path, SCHEMA, 0.25, SplitMix64(0))
         with pytest.raises(DataError) as whole:
             clean(load_csv(path, SCHEMA), SCHEMA)
         assert str(streamed.value) == str(whole.value)
 
     def test_header_defect_is_reported_before_row_widths(self, tmp_path):
         path = _write(tmp_path, "id,a,b\n1,0.5\n")
-        for read in (load_dataset, load_csv):
+        for read in (lambda: load_split(path, SCHEMA, 0.25, SplitMix64(0)),
+                     lambda: load_csv(path, SCHEMA)):
             with pytest.raises(DataError, match="target column 'label' not found"):
-                read(path, SCHEMA)
+                read()
 
     def test_memory_grows_by_the_feature_matrix_only(self, tmp_path):
         peaks = []
@@ -300,12 +285,13 @@ class TestLoadDataset:
                 n_positive=rows // 3)
             schema = load_schema(schema_path)
             with traced_peak() as read_peak:
-                ds = load_dataset(csv_path, schema)
+                train, val, _, _ = load_split(csv_path, schema, 0.25, SplitMix64(0))
                 peaks.append(read_peak())
-            assert ds.n_rows == rows
-        # 41 features and a label are 336 bytes a row; the strings of a
-        # whole-file read take about 2.4 KB a row.
-        assert peaks[1] - peaks[0] < 6000 * 600
+            assert train.n_rows + val.n_rows == rows
+        # 41 features and a label are 336 bytes a row, held once as read and
+        # once as the two parts: about 670 bytes a row. The strings of a
+        # whole-file read take about 2.6 KB a row.
+        assert peaks[1] - peaks[0] < 6000 * 1000
 
     @given(st.lists(st.tuples(st.sampled_from(TestClean.PARSE_TOKENS),
                               st.sampled_from(TestClean.PARSE_TOKENS),
@@ -323,7 +309,7 @@ class TestLoadDataset:
             outcomes = []
             for read in (lambda: next(read_blocks(path, SCHEMA, len(rows) + 1,
                                                   _own_medians(rows), s, FEATURES)),
-                         lambda: apply_standardizer(s, load_dataset(path, SCHEMA))):
+                         lambda: apply_standardizer(s, clean(load_csv(path, SCHEMA), SCHEMA))):
                 try:
                     ds = read()
                 except DataError as exc:
@@ -337,7 +323,7 @@ class TestLoadDataset:
         path = _write(tmp_path, "id,a,b,label\n1,0.5,2,1\n2,x,3,0\n")
         s = Standardizer(np.zeros(3), np.ones(3))
         with pytest.raises(ShapeError, match="fitted on 3 features, dataset has 2"):
-            apply_standardizer(s, load_dataset(path, SCHEMA))
+            apply_standardizer(s, clean(load_csv(path, SCHEMA), SCHEMA))
         with pytest.raises(ShapeError, match="fitted on 3 features, dataset has 2"):
             next(read_blocks(path, SCHEMA, 4, np.zeros(2), s, FEATURES))
         # Row defects are reported first, as apply_standardizer after a load reports them.
@@ -352,7 +338,7 @@ _ROWS = st.lists(st.tuples(st.sampled_from(TestClean.PARSE_TOKENS),
 
 
 def _own_medians(rows):
-    """The medians :func:`load_dataset` fills blank cells with in a file of
+    """The medians :func:`clean` fills blank cells with in a file of
     ``rows``, each an "a" and a "b" cell and a label."""
     return _medians(np.array([[_parse_cell(c) for c in row[:2]] for row in rows]), FEATURES)
 
@@ -391,13 +377,13 @@ class TestReadBlocks:
     @given(_ROWS, st.integers(2, 5), st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2),
            st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=2))
     @settings(max_examples=150, deadline=None)
-    def test_the_files_own_medians_give_load_datasets_features(self, rows, size, mean, std):
+    def test_the_files_own_medians_give_cleans_features(self, rows, size, mean, std):
         s = Standardizer(mean, std)
         with tempfile.TemporaryDirectory() as tmp:
             path = _write_rows(os.path.join(tmp, "t.csv"), [["id", "a", "b", "label"]]
                                + [[str(i), *row] for i, row in enumerate(rows)])
             try:
-                whole = apply_standardizer(s, load_dataset(path, SCHEMA))
+                whole = apply_standardizer(s, clean(load_csv(path, SCHEMA), SCHEMA))
             except DataError as exc:
                 assert "has no usable values" in str(exc)
                 return
@@ -445,7 +431,8 @@ class TestLoadSplit:
         path = _write_labeled(tmp_path / "t.csv", g.normal(size=(40, 2)).tolist(),
                               [int(y) for y in labels])
         train, val, std, medians = load_split(path, SCHEMA, 0.25, SplitMix64(7))
-        want_train, want_val = stratified_split(load_dataset(path, SCHEMA), 0.25, SplitMix64(7))
+        want_train, want_val = stratified_split(clean(load_csv(path, SCHEMA), SCHEMA), 0.25,
+                                                SplitMix64(7))
         want_std = fit_standardizer(want_train)
         for got, want in ((train, want_train), (val, want_val)):
             want = apply_standardizer(want_std, want)
@@ -497,12 +484,36 @@ class TestLoadSplit:
                 assert medians[0] == outcome
                 assert val.x[:, 0].tolist() == [0.0] * val.n_rows  # filled, then centred
 
+    @pytest.mark.filterwarnings("default::RuntimeWarning")  # as outside the test suite
+    def test_a_validation_cell_that_overflows_when_standardized_takes_the_median(
+            self, tmp_path, recwarn):
+        # Column b's training deviation is about 1e-91, so 1.9e217 standardizes past
+        # the float64 range; a blank validation cell takes the same median.
+        labels = [i % 2 for i in range(11)]
+        _, val_rows = _split_rows(labels, 0.2, 0)
+        cells = [["0.0", "0.0"] for _ in labels]
+        cells[3][1] = "3.3e-91"
+        tables = []
+        for big in ("", "1.9e217"):
+            for i in val_rows:
+                cells[i] = ["0.0", big]
+            tables.append(load_split(_write_labeled(tmp_path / "t.csv", cells, labels),
+                                     SCHEMA, 0.2, SplitMix64(0)))
+        assert 3 not in val_rows
+        (train, val, std, medians), (train2, val2, std2, medians2) = tables
+        assert std.std[1] < 1e-90
+        for got, want in ((val2.x, val.x), (train2.x, train.x), (std2.mean, std.mean),
+                          (std2.std, std.std), (medians2, medians)):
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert not recwarn.list
+
     def test_an_overflowing_median_is_not_recorded(self, tmp_path):
         # Eight training rows: the median averages two values near the float64 limit.
         cells = [["1e308", "0"], ["1.5e308", "1"]] * 5
         labels = [i % 2 for i in range(10)]
         path = _write_labeled(tmp_path / "t.csv", cells, labels)
-        assert load_dataset(path, SCHEMA).n_rows == 10  # no cell is blank, so none is filled
+        # No cell is blank, so none is filled.
+        assert clean(load_csv(path, SCHEMA), SCHEMA).n_rows == 10
         with pytest.raises(DataError, match="column 'a' has no finite median to record"):
             load_split(path, SCHEMA, 0.2, SplitMix64(0))
 
@@ -703,11 +714,29 @@ _csv_bytes = st.one_of(
 )
 
 
+def _scored(path, schema):
+    """Every block :func:`read_blocks` gives for ``path``, scored as by a model
+    of the file's own feature names with zero medians and deviations of 0.01."""
+    with _csv_rows(path) as (header, _):
+        names = _feature_names(header, schema)
+    s = Standardizer(np.zeros(len(names)), np.full(len(names), 0.01))
+    return list(read_blocks(path, schema, 2, np.zeros(len(names)), s, names))
+
+
+_LABEL_ONLY = b'{"target": "label"}'
+
+
 @given(schema_bytes=_schema_bytes, csv_bytes=_csv_bytes)
+# A finite median whose training mean overflows, as train and baseline read it.
+@example(schema_bytes=_LABEL_ONLY,
+         csv_bytes=b"a,label\n" + b"1.7e308,0\n1.7e308,1\n" * 2 + b"1.7e308,0\n0,1\n0,0\n")
+# A cell that overflows when standardized with a small deviation, as evaluate reads it.
+@example(schema_bytes=_LABEL_ONLY, csv_bytes=b"a,label\n1.7e308,0\n0,1\n")
 @settings(max_examples=300, deadline=None)
 def test_loaders_raise_only_package_errors_on_arbitrary_bytes(schema_bytes, csv_bytes):
     """Whatever bytes the files hold, the loaders either succeed or raise a
-    DeepLdaError subclass (or an OSError); nothing else escapes."""
+    DeepLdaError subclass (or an OSError); nothing else escapes, and numpy
+    warns of nothing (the suite runs RuntimeWarning as an error)."""
     with tempfile.TemporaryDirectory() as tmp:
         schema_path = os.path.join(tmp, "schema.json")
         csv_path = os.path.join(tmp, "data.csv")
@@ -720,7 +749,8 @@ def test_loaders_raise_only_package_errors_on_arbitrary_bytes(schema_bytes, csv_
         except (DeepLdaError, OSError):
             schema = SCHEMA  # keep exercising the CSV path
         for read in (lambda: clean(load_csv(csv_path, schema), schema),
-                     lambda: load_dataset(csv_path, schema)):
+                     lambda: load_split(csv_path, schema, 0.25, SplitMix64(0)),
+                     lambda: _scored(csv_path, schema)):
             try:
                 read()
             except (DeepLdaError, OSError):

@@ -34,7 +34,7 @@ def test_every_name_the_benchmark_imports_exists():
 
 
 GUARDED = {"json.load", "json.dump", "os.replace", "os.fsync", "np.savez", "_adam_update",
-           "np.median"}
+           "np.median", "np.copyto"}
 
 
 class _GuardedCalls(ast.NodeVisitor):
@@ -79,7 +79,8 @@ def test_json_files_and_directory_swaps_each_have_one_implementation():
     # Copies of these drifted apart in their error handling before; network
     # headers are parsed in memory with json.loads, which is not guarded, and
     # model archives are written by save_network alone.
-    found = {call for call in _guarded_calls() if call[2] not in {"_adam_update", "np.median"}}
+    found = {call for call in _guarded_calls()
+             if call[2] not in {"_adam_update", "np.median", "np.copyto"}}
     assert found == {("data", "read_json", "json.load"), ("data", "write_json", "json.dump"),
                      ("pipeline", "replacing", "os.replace"), ("pipeline", "_fsync", "os.fsync"),
                      ("network", "save_network", "np.savez")}
@@ -94,8 +95,17 @@ def test_adam_is_applied_in_one_place():
 
 
 def test_column_medians_are_taken_in_one_place():
-    # train, baseline and a whole-table load all take their medians from
-    # _medians. A second np.median once read the stored medians back from a
-    # table imputed over all its rows, so validation cells reached the model.
+    # train, baseline and clean all take their medians from _medians. A
+    # second np.median once read the stored medians back from a table imputed
+    # over all its rows, so validation cells reached the model.
     assert {call for call in _guarded_calls() if call[2] == "np.median"} == {
         ("data", "_medians", "np.median")}
+
+
+def test_missing_cells_are_filled_in_one_place():
+    # clean, load_split and read_blocks all fill through _dataset, each with
+    # the medians it fitted or loaded, so a scored file is filled as the
+    # training rows were.
+    assert {call for call in _guarded_calls()
+            if call[0] == "data" and call[2] == "np.copyto"} == {
+        ("data", "_dataset", "np.copyto")}

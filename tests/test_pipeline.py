@@ -24,13 +24,14 @@ from deeplda import (
     apply_standardizer,
     build_phase1_spec,
     build_phase2_spec,
+    clean,
     confusion,
     dense,
     fit,
     fit_standardizer,
     init_network,
     layer_param_counts,
-    load_dataset,
+    load_csv,
     load_schema,
     load_two_phase,
     param_count,
@@ -247,7 +248,8 @@ class TestEvaluateTwoPhase:
         model.standardizer = fit_standardizer(ds)
         model.feature_names = ds.feature_names
         model.medians = _medians(ds.x, ds.feature_names)
-        x = apply_standardizer(model.standardizer, load_dataset(path, self.SCHEMA)).x
+        x = apply_standardizer(model.standardizer, clean(load_csv(path, self.SCHEMA),
+                                                         self.SCHEMA)).x
         probs, _ = predict_two_phase(model, x)
         # A threshold inside the probabilities, so both labels occur.
         model.config2 = TrainConfig(threshold=float(np.median(probs)))
@@ -259,7 +261,7 @@ class TestEvaluateTwoPhase:
                                           n_rows=rows, n_positive=rows // 3)[0]
                  for rows in (2000, 8000)}
         schema = load_schema(tmp_path / "schema.json")
-        ds = load_dataset(paths[2000], schema)
+        ds = clean(load_csv(paths[2000], schema), schema)
         model = _model(input_dim=41, seed=11)
         model.standardizer = fit_standardizer(ds)
         model.feature_names = ds.feature_names
