@@ -42,13 +42,12 @@ def main() -> None:
     print(f"data: {train_s.n_rows} train / {val_s.n_rows} validation, "
           f"{train_s.n_features} features")
 
+    # A model records the preprocessing that fresh rows need: the scaler and
+    # the training medians that fill blank cells (the synthetic rows have
+    # none, so the medians are those of the raw training columns).
     config = TrainConfig(learning_rate=1e-3, epochs=12)
     model, hist1, hist2 = train_two_phase(
-        train_s, val_s, config, config, SplitMix64(0))
-    # A saved model records the preprocessing that fresh rows need: the
-    # scaler and the training medians that fill blank cells (the synthetic
-    # rows have none, so the medians are those of the raw training columns).
-    model.standardizer, model.medians = std, np.median(train.x, axis=0)
+        train_s, val_s, config, config, SplitMix64(0), std, np.median(train.x, axis=0))
 
     print("\nphase-1 curve (last three epochs):")
     for rec in hist1.records[-3:]:

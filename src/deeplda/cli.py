@@ -163,8 +163,8 @@ def cmd_train(data, schema, config, seed, val_fraction, lr, epochs, batch_size, 
 
     rng = SplitMix64(seed)
     train_ds, val_ds, std, medians = load_split(data, load_schema(schema), val_fraction, rng)
-    model, history1, history2 = train_two_phase(train_ds, val_ds, config1, config2, rng)
-    model.seed, model.standardizer, model.medians = seed, std, medians
+    model, history1, history2 = train_two_phase(train_ds, val_ds, config1, config2, rng,
+                                                std, medians, seed)
 
     # Phase 2's last validation pass scored the validation rows end to end.
     labels = history2.val_probs[:, 0] >= config2.threshold

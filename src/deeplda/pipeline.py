@@ -73,25 +73,38 @@ def build_phase2_spec() -> NetworkSpec:
     )
 
 
-@dataclass
+def _check_inputs(width: int, feature_names, standardizer, medians) -> None:
+    """Refuse preprocessing without a feature name, a standardizer mean and deviation
+    and a finite median for each of phase 1's ``width`` inputs."""
+    for what, values in (("feature names", feature_names),
+                         ("standardizer means", getattr(standardizer, "mean", None)),
+                         ("medians", medians)):
+        if np.shape(values) != (width,):
+            got = "none" if values is None else f"shape {np.shape(values)}"
+            raise ShapeError(f"phase 1's {width} inputs need {width} {what}, got {got}")
+    if not np.all(np.isfinite(medians)):
+        raise ValueError("medians must be finite")
+
+
+@dataclass(frozen=True)
 class TwoPhaseModel:
     """Both trained networks plus the preprocessing used to feed them.
 
-    ``standardizer`` and ``feature_names`` describe what phase 1 expects, and
+    ``feature_names`` and ``standardizer`` describe what phase 1 expects, and
     ``medians`` fill missing cells of a file the model scores (:func:`evaluate_two_phase`);
-    ``train`` fits both medians and standardizer on the training rows only. They may
-    be None in memory, for :func:`predict_two_phase`, but :func:`save_two_phase` and
-    :func:`evaluate_two_phase` refuse a model without all three.
+    ``train`` fits both medians and standardizer on the training rows only. Construction
+    refuses networks that do not chain and preprocessing without one value per phase-1
+    input or with a non-finite median, and the model is frozen, so it stays as checked.
     """
 
     phase1: Network
     phase2: Network
+    feature_names: tuple[str, ...]
+    standardizer: Standardizer
+    medians: np.ndarray
     config1: TrainConfig = field(default_factory=TrainConfig)
     config2: TrainConfig = field(default_factory=TrainConfig)
-    standardizer: Standardizer | None = None
-    feature_names: tuple[str, ...] | None = None
     seed: int | None = None
-    medians: np.ndarray | None = None
 
     def __post_init__(self):
         for phase, net in ((1, self.phase1), (2, self.phase2)):
@@ -99,7 +112,8 @@ class TwoPhaseModel:
                 raise ShapeError(f"phase {phase} must end in one sigmoid unit")
         if self.phase2.spec.input_dim != 1:
             raise ShapeError("phase 2 must consume a single column")
-        self.feature_names = tuple(self.feature_names or ()) or None
+        _check_inputs(self.phase1.spec.input_dim, self.feature_names, self.standardizer,
+                      self.medians)
 
 
 def transform_phase1(model: TwoPhaseModel, x: np.ndarray) -> np.ndarray:
@@ -120,6 +134,9 @@ def train_two_phase(
     config1: TrainConfig,
     config2: TrainConfig,
     rng: SplitMix64,
+    standardizer: Standardizer,
+    medians: np.ndarray,
+    seed: int | None = None,
 ) -> tuple[TwoPhaseModel, TrainingHistory, TrainingHistory]:
     """Train both phases in sequence from one random stream.
 
@@ -131,24 +148,23 @@ def train_two_phase(
     Phase 1 drops its Adam moments once fitted, as :func:`load_two_phase` gives
     it back, so phase 2 and a save (``np.savez`` copies each array) stay below
     phase 1's peak. The datasets are used as given, as
-    :func:`~deeplda.data.load_split` returns them; the model records their
-    feature names, and no standardizer or medians.
+    :func:`~deeplda.data.load_split` returns them with the ``standardizer`` and
+    ``medians`` the model records, beside the training feature names and ``seed``;
+    preprocessing :class:`TwoPhaseModel` refuses is refused before phase 1 is made.
     A loss that goes non-finite raises :class:`NumericalError` naming the phase.
     """
-    if train.n_features != val.n_features:
-        raise ShapeError(
-            f"train has {train.n_features} features, validation has {val.n_features}"
-        )
+    _check_inputs(train.n_features, train.feature_names, standardizer, medians)
     phase1 = init_network(build_phase1_spec(train.n_features, config1.l2_lambda), rng)
     phase1, history1 = _fit_phase(1, phase1, train, val, config1, rng)
     phase1.moments = None  # twice phase 1's parameters, never read again
     model = TwoPhaseModel(phase1=phase1, phase2=init_network(build_phase2_spec(), rng),
-                          config1=config1, config2=config2, feature_names=train.feature_names)
+                          feature_names=train.feature_names, standardizer=standardizer,
+                          medians=medians, config1=config1, config2=config2, seed=seed)
     # fit's last validation pass already scored val.x with the final weights.
     train2 = Dataset(x=transform_phase1(model, train.x), y=train.y,
                      feature_names=("phase1_prob",))
     val2 = Dataset(x=history1.val_probs, y=val.y, feature_names=("phase1_prob",))
-    _, history2 = _fit_phase(2, model.phase2, train2, val2, config2, rng)
+    _, history2 = _fit_phase(2, model.phase2, train2, val2, config2, rng)  # in place
     return model, history1, history2
 
 
@@ -169,7 +185,6 @@ def evaluate_two_phase(model: TwoPhaseModel, path, schema: DataSchema) -> Confus
     scores a file of any length in the memory of one block. The labels
     equal :func:`predict_two_phase`'s on the same features.
     """
-    _check_preprocessing(model)
     truth = []  # the labels of the block being scored: each walk yields a block as it reads one
 
     def features():
@@ -187,13 +202,6 @@ def evaluate_two_phase(model: TwoPhaseModel, path, schema: DataSchema) -> Confus
 PHASE_FILES = ("phase1.npz", "phase2.npz")
 MANIFEST_FILE = "manifest.json"
 PREPROCESSING = ("feature_names", "standardizer", "medians")
-
-
-def _check_preprocessing(model: TwoPhaseModel) -> None:
-    """Refuse a model without the :data:`PREPROCESSING` that saving and scoring need."""
-    missing = [key for key in PREPROCESSING if getattr(model, key) is None]
-    if missing:
-        raise ValueError(f"the model lacks {', '.join(missing)}, which saving and scoring need")
 
 
 def _fsync(path) -> None:
@@ -276,11 +284,10 @@ def save_two_phase(model: TwoPhaseModel, directory) -> None:
 
     The manifest records the per-phase configs, the seed, the feature
     names, the standardizer and the medians, so a saved run can be reloaded
-    and applied to fresh raw data; a model without the last three raises
-    ``ValueError`` before anything is written. The directory lands through
-    :func:`replacing`, so a save that fails leaves no partial model.
+    and applied to fresh raw data; every model holds them. The directory
+    lands through :func:`replacing`, so a save that fails leaves no partial
+    model.
     """
-    _check_preprocessing(model)
     with replacing(directory) as tmp:
         _write_two_phase(model, tmp)
 
@@ -310,9 +317,11 @@ def load_two_phase(directory) -> TwoPhaseModel:
 
     A missing or malformed manifest or network file, or a manifest of
     another format, raises :class:`DataError`. The manifest must hold
-    :data:`PREPROCESSING`: the feature names, one for each of phase 1's
-    inputs, and a standardizer mean and deviation and a median for each
-    name, all finite JSON numbers.
+    :data:`PREPROCESSING` as JSON: a list of feature names, and standardizer
+    means and deviations and medians as flat lists of finite JSON numbers.
+    Networks and preprocessing that :class:`TwoPhaseModel` refuses, such as
+    a name count other than phase 1's inputs or a phase-2 file that is not a
+    scalar-input head, raise :class:`DataError` naming the directory.
     """
     path = os.path.join(directory, MANIFEST_FILE)
     manifest = read_json(path, "model manifest")
@@ -332,12 +341,8 @@ def load_two_phase(directory) -> TwoPhaseModel:
                             ("standardizer deviations", std["std"]), ("medians", medians)):
             if not (isinstance(value, list) and all(type(v) in (int, float) for v in value)):
                 raise TypeError(f"{what} must be a flat list of JSON numbers")
-            if len(value) != len(names):
-                raise ValueError(f"{len(value)} {what} for {len(names)} feature names")
         standardizer = Standardizer(std["mean"], std["std"])  # which refuses NaN and infinities
         medians = np.array(medians, dtype=np.float64)
-        if not np.all(np.isfinite(medians)):
-            raise ValueError("medians must be finite")
         seed = manifest["seed"]
         if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
             raise TypeError(f"seed must be an integer or null, got {seed!r}")
@@ -345,17 +350,10 @@ def load_two_phase(directory) -> TwoPhaseModel:
         raise DataError(f"model manifest {path} lacks the key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: 10**400
         raise DataError(f"model manifest {path} is malformed: {exc}") from None
-    phase1 = load_network(os.path.join(directory, PHASE_FILES[0]))
-    if len(names) != phase1.spec.input_dim:
-        raise DataError(f"model manifest {path} is malformed: {len(names)} feature names "
-                        f"for phase 1's {phase1.spec.input_dim} inputs")
-    return TwoPhaseModel(
-        phase1=phase1,
-        phase2=load_network(os.path.join(directory, PHASE_FILES[1])),
-        config1=config1,
-        config2=config2,
-        standardizer=standardizer,
-        feature_names=tuple(names),
-        seed=seed,
-        medians=medians,
-    )
+    phase1, phase2 = (load_network(os.path.join(directory, name)) for name in PHASE_FILES)
+    try:
+        return TwoPhaseModel(phase1=phase1, phase2=phase2, feature_names=tuple(names),
+                             standardizer=standardizer, medians=medians, config1=config1,
+                             config2=config2, seed=seed)
+    except ValueError as exc:  # ShapeError is one
+        raise DataError(f"{path} does not describe the networks in {directory}: {exc}") from None

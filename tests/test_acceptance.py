@@ -287,7 +287,8 @@ def test_end_to_end_synthetic():
     train_s = apply_standardizer(std, train)
     val_s = apply_standardizer(std, val)
     config = TrainConfig(learning_rate=1e-3)
-    model, _, _ = train_two_phase(train_s, val_s, config, config, SplitMix64(0))
+    model, _, _ = train_two_phase(train_s, val_s, config, config, SplitMix64(0),
+                                  std, np.median(train.x, axis=0))
     _, labels = predict_two_phase(model, val_s.x)
     acc = accuracy(confusion(labels, val_s.y))
     _verdict(

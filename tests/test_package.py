@@ -5,6 +5,8 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 import deeplda
 
 BENCHMARK = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
@@ -33,8 +35,30 @@ def test_every_name_the_benchmark_imports_exists():
     assert missing == []
 
 
+def test_every_model_attribute_the_benchmark_reads_exists(tmp_path):
+    # The evaluate oracle reads a loaded model's fields, and apply_standardizer
+    # the standardizer's, so a rename would otherwise surface only there.
+    oracle = next(node for node in ast.walk(ast.parse(BENCHMARK.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.FunctionDef) and node.name == "expected_evaluate_report")
+    read = {ast.unparse(node) for node in ast.walk(oracle) if isinstance(node, ast.Attribute)
+            and ast.unparse(node).startswith("model.")}
+    assert {"model.standardizer", "model.config2.threshold"} <= read  # the walk sees them
+    width = 3
+    deeplda.save_two_phase(deeplda.TwoPhaseModel(
+        phase1=deeplda.init_network(deeplda.build_phase1_spec(width), deeplda.SplitMix64(0)),
+        phase2=deeplda.init_network(deeplda.build_phase2_spec(), deeplda.SplitMix64(1)),
+        feature_names=("a", "b", "c"), medians=np.zeros(width),
+        standardizer=deeplda.Standardizer(np.zeros(width), np.ones(width))), tmp_path / "m")
+    model = deeplda.load_two_phase(tmp_path / "m")
+    for chain in read | {"model.standardizer.mean", "model.standardizer.std"}:
+        value = model
+        for attr in chain.split(".")[1:]:
+            assert hasattr(value, attr), chain
+            value = getattr(value, attr)
+
+
 GUARDED = {"json.load", "json.dump", "os.replace", "os.fsync", "np.savez", "_adam_update",
-           "np.median", "np.copyto"}
+           "np.median", "np.copyto", "_check_inputs"}
 
 
 class _GuardedCalls(ast.NodeVisitor):
@@ -80,7 +104,7 @@ def test_json_files_and_directory_swaps_each_have_one_implementation():
     # headers are parsed in memory with json.loads, which is not guarded, and
     # model archives are written by save_network alone.
     found = {call for call in _guarded_calls()
-             if call[2] not in {"_adam_update", "np.median", "np.copyto"}}
+             if call[2] not in {"_adam_update", "np.median", "np.copyto", "_check_inputs"}}
     assert found == {("data", "read_json", "json.load"), ("data", "write_json", "json.dump"),
                      ("pipeline", "replacing", "os.replace"), ("pipeline", "_fsync", "os.fsync"),
                      ("network", "save_network", "np.savez")}
@@ -109,3 +133,12 @@ def test_missing_cells_are_filled_in_one_place():
     assert {call for call in _guarded_calls()
             if call[0] == "data" and call[2] == "np.copyto"} == {
         ("data", "_dataset", "np.copyto")}
+
+
+def test_a_models_preprocessing_is_checked_by_one_rule():
+    # A model checks its preprocessing when it is made, and train_two_phase
+    # applies the same rule before it trains; a second copy of the rule once
+    # let a model save that load_two_phase then refused.
+    assert {call for call in _guarded_calls() if call[2] == "_check_inputs"} == {
+        ("pipeline", "__post_init__", "_check_inputs"),
+        ("pipeline", "train_two_phase", "_check_inputs")}

@@ -1,5 +1,6 @@
 """Two-phase composition: specs, transform, training, serialization."""
 
+import dataclasses
 import json
 import os
 import re
@@ -50,14 +51,23 @@ from deeplda.rng import SplitMix64
 FAST = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=64)
 
 
+def _identity(width):
+    """The identity preprocessing of ``width`` features, as TwoPhaseModel's keywords."""
+    return dict(feature_names=tuple(f"f{i}" for i in range(width)),
+                standardizer=Standardizer(np.zeros(width), np.ones(width)),
+                medians=np.zeros(width))
+
+
 def _model(input_dim=5, seed=0):
-    """A model with the identity preprocessing that saving and scoring need."""
+    """A model with the identity preprocessing."""
     p1 = init_network(build_phase1_spec(input_dim), SplitMix64(seed))
     p2 = init_network(build_phase2_spec(), SplitMix64(seed + 1))
-    return TwoPhaseModel(phase1=p1, phase2=p2,
-                         standardizer=Standardizer(np.zeros(input_dim), np.ones(input_dim)),
-                         feature_names=tuple(f"f{i}" for i in range(input_dim)),
-                         medians=np.zeros(input_dim))
+    return TwoPhaseModel(phase1=p1, phase2=p2, **_identity(input_dim))
+
+
+def _fitted(train):
+    """A training set's standardizer and medians, as load_split fits them."""
+    return fit_standardizer(train), _medians(train.x, train.feature_names)
 
 
 class TestSpecs:
@@ -93,7 +103,24 @@ class TestSpecs:
                 phase2=init_network(
                     NetworkSpec(2, (dense(1, "sigmoid"),)), SplitMix64(1)
                 ),
+                **_identity(3),
             )
+
+    def test_mismatched_preprocessing_is_refused_before_anything_is_written(self, tmp_path):
+        # Two feature names, a three-feature standardizer and five medians
+        # once made a model that saved but did not load.
+        with pytest.raises(ShapeError, match="phase 1's 2 inputs need 2 standardizer means"):
+            save_two_phase(TwoPhaseModel(phase1=init_network(build_phase1_spec(2), SplitMix64(0)),
+                                         phase2=_model().phase2, feature_names=("a", "b"),
+                                         standardizer=Standardizer(np.zeros(3), np.ones(3)),
+                                         medians=np.zeros(5)),
+                           tmp_path / "model")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_model_is_frozen(self):
+        model = _model()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.medians = np.ones(5)
 
 
 class TestTransform:
@@ -109,7 +136,7 @@ class TestTransform:
         shapes = spec.dense_shapes()
         net = Network(spec, [np.zeros(s) for s in shapes],
                       [np.zeros((1, s[1])) for s in shapes])
-        model = TwoPhaseModel(phase1=net, phase2=_model().phase2)
+        model = TwoPhaseModel(phase1=net, phase2=_model().phase2, **_identity(3))
         z = transform_phase1(model, np.random.default_rng(1).normal(size=(4, 3)))
         assert np.all(z == 0.5)
 
@@ -133,7 +160,7 @@ class TestTrainTwoPhase:
     def test_history_lengths_follow_configs(self):
         train, val = self._sets()
         cfg2 = TrainConfig(learning_rate=1e-3, epochs=5, batch_size=64)
-        _, h1, h2 = train_two_phase(train, val, FAST, cfg2, SplitMix64(0))
+        _, h1, h2 = train_two_phase(train, val, FAST, cfg2, SplitMix64(0), *_fitted(train))
         assert len(h1) == FAST.epochs
         assert len(h2) == 5
 
@@ -141,7 +168,7 @@ class TestTrainTwoPhase:
         train, val = self._sets(seed=1)
 
         def run():
-            _, h1, h2 = train_two_phase(train, val, FAST, FAST, SplitMix64(21))
+            _, h1, h2 = train_two_phase(train, val, FAST, FAST, SplitMix64(21), *_fitted(train))
             return ([(r.loss, r.val_loss) for r in h1],
                     [(r.loss, r.val_loss) for r in h2])
 
@@ -149,7 +176,7 @@ class TestTrainTwoPhase:
 
     def test_phase2_history_measured_on_transformed_validation(self):
         train, val = self._sets(seed=2)
-        model, _, h2 = train_two_phase(train, val, FAST, FAST, SplitMix64(5))
+        model, _, h2 = train_two_phase(train, val, FAST, FAST, SplitMix64(5), *_fitted(train))
         z_val = transform_phase1(model, val.x)
         probs, _ = predict(model.phase2, z_val, model.config2.threshold)
         acc = float(np.mean((probs[:, 0] >= 0.5) == (val.y >= 0.5)))
@@ -157,16 +184,15 @@ class TestTrainTwoPhase:
 
     def test_histories_keep_the_final_validation_probabilities(self):
         train, val = self._sets(seed=3)
-        model, h1, h2 = train_two_phase(train, val, FAST, FAST, SplitMix64(6))
+        model, h1, h2 = train_two_phase(train, val, FAST, FAST, SplitMix64(6), *_fitted(train))
         assert np.array_equal(h1.val_probs, transform_phase1(model, val.x))
         assert np.array_equal(h2.val_probs, predict_two_phase(model, val.x)[0])
 
     def test_phase1_is_returned_without_adam_moments(self, tmp_path):
         # As load_two_phase gives it back; phase 2 keeps its moments.
         train, val = self._sets(seed=5)
-        model, h1, h2 = train_two_phase(train, val, FAST, FAST, SplitMix64(7))
+        model, h1, h2 = train_two_phase(train, val, FAST, FAST, SplitMix64(7), *_fitted(train))
         assert model.phase1.moments is None and model.phase2.moments is not None
-        model.standardizer, model.medians = fit_standardizer(train), np.zeros(5)
         save_two_phase(model, tmp_path / "m")
         back = load_two_phase(tmp_path / "m")
         assert back.phase1.moments is None
@@ -177,17 +203,34 @@ class TestTrainTwoPhase:
         train, val = self._sets(seed=4)
         wild = TrainConfig(learning_rate=1e300, epochs=2, batch_size=16)
         with pytest.raises(NumericalError, match=r"phase 1: .*epoch 1, batch 2"):
-            train_two_phase(train, val, wild, FAST, SplitMix64(0))
+            train_two_phase(train, val, wild, FAST, SplitMix64(0), *_fitted(train))
 
     def test_feature_width_mismatch_rejected(self):
         train, _ = self._sets()
         bad_val = make_gaussians(5, 4, 1.0, seed=9)
         with pytest.raises(ShapeError):
-            train_two_phase(train, bad_val, FAST, FAST, SplitMix64(0))
+            train_two_phase(train, bad_val, FAST, FAST, SplitMix64(0), *_fitted(train))
+
+    @pytest.mark.parametrize("key, value", [
+        ("standardizer", Standardizer(np.zeros(4), np.ones(4))),
+        ("medians", np.zeros(6)),
+        ("medians", np.full(5, np.inf)),
+    ])
+    def test_preprocessing_the_model_refuses_costs_no_training(self, monkeypatch, key, value):
+        # train_two_phase refuses it before phase 1 is made, by the model's own rule.
+        train, val = self._sets()
+        given = dict(zip(("standardizer", "medians"), _fitted(train)), **{key: value})
+        with pytest.raises(ValueError) as built:
+            dataclasses.replace(_model(), **{key: value})
+        made = []
+        monkeypatch.setattr(deeplda.pipeline, "init_network", lambda *args: made.append(args))
+        with pytest.raises(type(built.value), match=re.escape(str(built.value))):
+            train_two_phase(train, val, FAST, FAST, SplitMix64(0), **given)
+        assert made == []
 
     def test_phase1_untouched_by_phase2_retraining(self, tmp_path):
         train, val = self._sets(seed=3)
-        model, _, _ = train_two_phase(train, val, FAST, FAST, SplitMix64(8))
+        model, _, _ = train_two_phase(train, val, FAST, FAST, SplitMix64(8), *_fitted(train))
         before = tmp_path / "before.npz"
         save_network(model.phase1, before)
         z_train = transform_phase1(model, train.x)
@@ -244,15 +287,14 @@ class TestEvaluateTwoPhase:
         ds = make_gaussians(n, 5, 1.0, seed=n)  # n rows a class, of which n are kept
         ds = Dataset(x=ds.x[:n], y=ds.y[:n], feature_names=ds.feature_names)
         path = _write_csv(ds, tmp_path / "t.csv")
-        model = _model(seed=n)
-        model.standardizer = fit_standardizer(ds)
-        model.feature_names = ds.feature_names
-        model.medians = _medians(ds.x, ds.feature_names)
+        model = dataclasses.replace(_model(seed=n), feature_names=ds.feature_names,
+                                    standardizer=fit_standardizer(ds),
+                                    medians=_medians(ds.x, ds.feature_names))
         x = apply_standardizer(model.standardizer, clean(load_csv(path, self.SCHEMA),
                                                          self.SCHEMA)).x
         probs, _ = predict_two_phase(model, x)
         # A threshold inside the probabilities, so both labels occur.
-        model.config2 = TrainConfig(threshold=float(np.median(probs)))
+        model = dataclasses.replace(model, config2=TrainConfig(threshold=float(np.median(probs))))
         labels = probs[:, 0] >= model.config2.threshold
         assert evaluate_two_phase(model, path, self.SCHEMA) == confusion(labels, ds.y)
 
@@ -262,10 +304,10 @@ class TestEvaluateTwoPhase:
                  for rows in (2000, 8000)}
         schema = load_schema(tmp_path / "schema.json")
         ds = clean(load_csv(paths[2000], schema), schema)
-        model = _model(input_dim=41, seed=11)
-        model.standardizer = fit_standardizer(ds)
-        model.feature_names = ds.feature_names
-        model.medians = _medians(ds.x, ds.feature_names)
+        model = dataclasses.replace(_model(input_dim=41, seed=11),
+                                    feature_names=ds.feature_names,
+                                    standardizer=fit_standardizer(ds),
+                                    medians=_medians(ds.x, ds.feature_names))
         del ds
 
         def read(path):
@@ -292,8 +334,8 @@ class TestEvaluateTwoPhase:
 
 class TestSaveLoad:
     def test_medians_round_trip_exactly(self, tmp_path):
-        model = _model(seed=12)
-        model.medians = np.random.default_rng(7).normal(size=5) * 1e3
+        model = dataclasses.replace(_model(seed=12),
+                                    medians=np.random.default_rng(7).normal(size=5) * 1e3)
         save_two_phase(model, tmp_path / "m")
         back = load_two_phase(tmp_path / "m").medians
         assert back.view(np.uint64).tolist() == model.medians.view(np.uint64).tolist()
@@ -301,30 +343,27 @@ class TestSaveLoad:
     @pytest.mark.parametrize("key", PREPROCESSING)
     @pytest.mark.parametrize("existing", [False, True])
     def test_a_model_without_preprocessing_is_refused(self, tmp_path, key, existing):
+        # At construction, of a built model or a loaded one, so no model
+        # without it reaches save_two_phase or evaluate_two_phase.
         out = tmp_path / "model"
         if existing:
             save_two_phase(_model(seed=16), out)
         before = {p.name: p.read_bytes() for p in out.iterdir()} if existing else None
-        model = _model(seed=17)
-        setattr(model, key, None)
-        message = f"the model lacks {key}, which saving and scoring need"
-        with pytest.raises(ValueError, match=message):
-            save_two_phase(model, out)
+        model = load_two_phase(out) if existing else _model(seed=17)
+        what = {"feature_names": "feature names",
+                "standardizer": "standardizer means"}.get(key, key)
+        message = f"phase 1's 5 inputs need 5 {what}, got none"
+        with pytest.raises(ShapeError, match=message):
+            dataclasses.replace(model, **{key: None})
         assert sorted(p.name for p in tmp_path.iterdir()) == (["model"] if existing else [])
         if existing:
             assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-        # evaluate_two_phase refuses it before it opens the file, which is not there.
-        with pytest.raises(ValueError, match=message):
-            evaluate_two_phase(model, tmp_path / "missing.csv", DataSchema(target="label"))
 
     def test_directory_round_trip(self, tmp_path):
         train = make_gaussians(20, 4, 2.0, seed=30)
         val = make_gaussians(8, 4, 2.0, seed=31)
-        std = fit_standardizer(train)
-        model, _, _ = train_two_phase(train, val, FAST, FAST, SplitMix64(2))
-        assert model.standardizer is None and model.medians is None
-        model.seed, model.standardizer = 2, std
-        model.medians = _medians(train.x, train.feature_names)
+        std, medians = _fitted(train)
+        model, _, _ = train_two_phase(train, val, FAST, FAST, SplitMix64(2), std, medians, 2)
         out = tmp_path / "model"
         save_two_phase(model, out)
         assert sorted(p.name for p in out.iterdir()) == [
@@ -589,8 +628,8 @@ class TestMalformedModel:
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("saved") / "model"
-        model = _model(seed=15)
-        model.standardizer = fit_standardizer(make_gaussians(10, 5, 1.0, seed=34))
+        model = dataclasses.replace(
+            _model(seed=15), standardizer=fit_standardizer(make_gaussians(10, 5, 1.0, seed=34)))
         save_two_phase(model, out)
         return out
 
@@ -678,6 +717,17 @@ class TestMalformedModel:
         (copy / "phase2.npz").unlink()
         with pytest.raises(DataError, match="phase2.npz"):
             load_two_phase(copy)
+
+    @pytest.mark.parametrize("source, target, refusal", [
+        ("phase1.npz", "phase2.npz", "phase 2 must consume a single column"),
+        ("phase2.npz", "phase1.npz", "phase 1's 1 inputs need 1 feature names, got shape (5,)"),
+    ], ids=["phase1-as-phase2", "phase2-as-phase1"])
+    def test_a_network_in_the_wrong_phase_is_data_error(self, copy, source, target, refusal):
+        (copy / target).write_bytes((copy / source).read_bytes())
+        with pytest.raises(DataError) as info:
+            load_two_phase(copy)
+        assert str(info.value) == (f"{copy / 'manifest.json'} does not describe the networks "
+                                   f"in {copy}: {refusal}")
 
     def test_truncated_network_file_is_data_error(self, copy):
         blob = (copy / "phase1.npz").read_bytes()
