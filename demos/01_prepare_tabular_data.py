@@ -11,15 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from deeplda.data import (
-    apply_standardizer,
-    clean,
-    fit_standardizer,
-    load_csv,
-    load_schema,
-    load_split,
-    stratified_split,
-)
+from deeplda.data import clean, load_csv, load_schema, load_split, stratified_split
 from deeplda.rng import SplitMix64
 
 
@@ -59,7 +51,7 @@ def main() -> None:
         ds = clean(raw, schema)
         # What `deeplda train` does: split first, then fit the medians and the
         # scaler on the training rows, so no validation cell reaches either.
-        _, _, _, train_medians = load_split(csv_path, schema, 0.2, SplitMix64(0))
+        train_s, val_s, std = load_split(csv_path, schema, 0.2, SplitMix64(0))
     print(f"cleaned: {ds.n_rows} rows, {ds.n_features} features "
           f"({', '.join(ds.feature_names)})")
     print(f"positives: {int(ds.y.sum())} of {ds.n_rows} "
@@ -69,17 +61,14 @@ def main() -> None:
     print(f"split: {train.n_rows} train / {val.n_rows} validation, "
           f"val positives {int(val.y.sum())}")
 
-    std = fit_standardizer(train)
-    train_s = apply_standardizer(std, train)
-    val_s = apply_standardizer(std, val)
-    print("standardized with training statistics only:")
+    print("load_split standardizes both parts with training statistics only:")
     print(f"  train feature means  {np.round(train_s.x.mean(axis=0), 6)}")
     print(f"  val feature means    {np.round(val_s.x.mean(axis=0), 3)} "
           "(not zero, and that is the point)")
     print("clean imputed with medians over all rows; load_split takes them "
-          "from the training rows only:")
+          "from the training rows only and records them in its standardizer:")
     print(f"  all-row medians      {np.round(np.median(ds.x, axis=0), 3)}")
-    print(f"  training medians     {np.round(train_medians, 3)}")
+    print(f"  training medians     {np.round(std.medians, 3)} for {', '.join(std.names)}")
 
 
 if __name__ == "__main__":

@@ -36,18 +36,18 @@ def two_gaussians(n_per_class: int, d: int, sep: float, seed: int) -> Dataset:
 def main() -> None:
     ds = two_gaussians(n_per_class=150, d=41, sep=2.0, seed=5)
     train, val = stratified_split(ds, 0.2, SplitMix64(5))
-    std = fit_standardizer(train)
+    # A model records the preprocessing that fresh rows need in one
+    # standardizer: the feature names, the scaler and the training medians
+    # that fill blank cells (the synthetic rows have none, so the medians
+    # are those of the raw training columns).
+    std = fit_standardizer(train, np.median(train.x, axis=0))
     train_s = apply_standardizer(std, train)
     val_s = apply_standardizer(std, val)
     print(f"data: {train_s.n_rows} train / {val_s.n_rows} validation, "
           f"{train_s.n_features} features")
 
-    # A model records the preprocessing that fresh rows need: the scaler and
-    # the training medians that fill blank cells (the synthetic rows have
-    # none, so the medians are those of the raw training columns).
     config = TrainConfig(learning_rate=1e-3, epochs=12)
-    model, hist1, hist2 = train_two_phase(
-        train_s, val_s, config, config, SplitMix64(0), std, np.median(train.x, axis=0))
+    model, hist1, hist2 = train_two_phase(train_s, val_s, config, config, SplitMix64(0), std)
 
     print("\nphase-1 curve (last three epochs):")
     for rec in hist1.records[-3:]:

@@ -162,9 +162,9 @@ def cmd_train(data, schema, config, seed, val_fraction, lr, epochs, batch_size, 
         raise DataError(f"--out {out} is not absent, an empty directory or a previous run")
 
     rng = SplitMix64(seed)
-    train_ds, val_ds, std, medians = load_split(data, load_schema(schema), val_fraction, rng)
+    train_ds, val_ds, std = load_split(data, load_schema(schema), val_fraction, rng)
     model, history1, history2 = train_two_phase(train_ds, val_ds, config1, config2, rng,
-                                                std, medians, seed)
+                                                std, seed)
 
     # Phase 2's last validation pass scored the validation rows end to end.
     labels = history2.val_probs[:, 0] >= config2.threshold
@@ -251,7 +251,7 @@ def cmd_baseline(data, schema, config, seed, val_fraction, ridge):
     if not 0 <= ridge < math.inf:  # fit_fisher checks too, but only after the data is read
         raise click.UsageError(f"ridge must be finite and >= 0, got {ridge}")
     rng = SplitMix64(seed)
-    train_ds, val_ds, _, _ = load_split(data, load_schema(schema), val_fraction, rng)
+    train_ds, val_ds, _ = load_split(data, load_schema(schema), val_fraction, rng)
     model = fit_fisher(train_ds, ridge)
     scores, labels = predict_lda(model, val_ds.x)
     click.echo(f"fisher baseline on {val_ds.n_rows} validation rows (seed {seed})")

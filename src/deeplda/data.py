@@ -8,9 +8,10 @@ as a numeric feature: cells that do not parse as finite numbers count as
 missing. :func:`load_split` and :func:`read_blocks` parse a file row by row
 into flat float64 buffers, never holding it as strings. :func:`load_split`
 fits the column medians that fill missing cells, and the standardizer, on
-the training rows only; :func:`read_blocks` fills and standardizes a scored
-file with them by the same code, a block at a time. :func:`clean` fills a
-table that :func:`load_csv` holds as strings with the table's own medians.
+the training rows only, as one :class:`Standardizer`; :func:`read_blocks`
+fills and standardizes a scored file with it by the same code, a block at a
+time. :func:`clean` fills a table that :func:`load_csv` holds as strings
+with the table's own medians.
 """
 
 from __future__ import annotations
@@ -299,13 +300,13 @@ def clean(raw: RawTable, schema: DataSchema) -> Dataset:
 
 def load_split(path, schema: DataSchema, val_fraction: float, rng: SplitMix64) -> tuple:
     """A CSV file's training and validation parts, drawn by :func:`stratified_split`'s
-    rule, the standardizer and the column medians, both fitted on the training rows
-    only. A column whose training cells have no usable value, or a median past the
-    float64 range, raises :class:`DataError` naming it. Both parts are filled and
-    standardized in place, as :func:`read_blocks` fills and standardizes a scored file,
-    except that a validation cell that leaves the float64 range when standardized takes
-    its column's median, where a scored one raises: no validation cell decides whether
-    the split loads."""
+    rule, and the :class:`Standardizer` fitted on the training rows only, with the
+    column medians that filled them. A column whose training cells have no usable
+    value, or a median past the float64 range, raises :class:`DataError` naming it.
+    Both parts are filled and standardized in place, as :func:`read_blocks` fills and
+    standardizes a scored file, except that a validation cell that leaves the float64
+    range when standardized takes its column's median, where a scored one raises: no
+    validation cell decides whether the split loads."""
     with _csv_rows(path) as (header, rows):
         names = _feature_names(header, schema)
         ((values, labels),) = _row_blocks(header, rows, schema)
@@ -316,7 +317,7 @@ def load_split(path, schema: DataSchema, val_fraction: float, rng: SplitMix64) -
     for name, median in zip(names, medians):
         if not math.isfinite(median):
             raise DataError(f"column {name!r} has no finite median to record")
-    std = fit_standardizer(_dataset(names, x[train_idx], y[train_idx], medians))
+    std = fit_standardizer(_dataset(names, x[train_idx], y[train_idx], medians), medians)
     # The fitted record judges the validation cells too: one that leaves the
     # float64 range when standardized is missing, as one past it when parsed is.
     val_x = x[val_idx]
@@ -324,29 +325,25 @@ def load_split(path, schema: DataSchema, val_fraction: float, rng: SplitMix64) -
         val_x[np.isinf((val_x - std.mean) / std.std)] = np.nan
     train = _dataset(names, x[train_idx], y[train_idx], medians, std)
     val = _dataset(names, val_x, y[val_idx], medians, std)
-    return train, val, std, medians
+    return train, val, std
 
 
-def read_blocks(path, schema: DataSchema, size: int, medians: np.ndarray,
-                standardizer: Standardizer, names: tuple[str, ...]):
+def read_blocks(path, schema: DataSchema, size: int, standardizer: Standardizer):
     """The rows of a CSV file as :class:`Dataset` blocks of ``size`` rows (at
-    least 2), to be scored by a model that records its feature ``names``,
-    imputation ``medians`` and ``standardizer``.
+    least 2), to be scored by a model that records its preprocessing in
+    ``standardizer``.
 
-    The header is checked before any row: its feature names must equal
-    ``names``. A last block of one row joins the one before, so one block is
-    held back. Each block's missing cells take the medians, and it is
-    standardized in its own buffer by :func:`_standardize`, so memory does
-    not grow with the file; a row defect is raised when its block is read.
+    The header is checked before any row: its feature names must equal the
+    standardizer's. A last block of one row joins the one before, so one block
+    is held back. Each block's missing cells take the standardizer's medians,
+    and it is standardized in its own buffer by :func:`_standardize`, so memory
+    does not grow with the file; a row defect is raised when its block is read.
     """
     with _csv_rows(path) as (header, rows):
         found = _feature_names(header, schema)
-        if found != tuple(names):
+        if found != standardizer.names:
             raise DataError(f"dataset features {list(found)} do not match "
-                            f"the model's {list(names)}")
-        if len(medians) != len(found):
-            raise ShapeError(f"the model has {len(medians)} medians, dataset has "
-                             f"{len(found)} features")
+                            f"the model's {list(standardizer.names)}")
         held = None
         for block in _row_blocks(header, rows, schema, size):
             if held is not None and len(block[1]) == 1:  # the last block, as size > 1
@@ -354,38 +351,45 @@ def read_blocks(path, schema: DataSchema, size: int, medians: np.ndarray,
                 held[1].extend(block[1])
                 continue
             if held is not None:
-                yield _dataset(found, *held, medians, standardizer)
+                yield _dataset(found, *held, standardizer.medians, standardizer)
             held = block
-        yield _dataset(found, *held, medians, standardizer)
+        yield _dataset(found, *held, standardizer.medians, standardizer)
 
 
 class Standardizer:
-    """Per-feature z-scoring with statistics frozen at fit time.
+    """A model's fitted preprocessing: the column medians that fill missing cells,
+    then the per-feature means and deviations that scale them, for the features
+    ``names`` (none, or one a feature, as :class:`Dataset` holds them).
 
     Create one with :func:`fit_standardizer` on the training split; there
     is no API that updates the statistics from later data, which is what
-    keeps validation rows out of the normalization.
+    keeps validation rows out of the normalization. Construction refuses
+    arrays of unequal lengths, a non-finite value and a deviation not above 0.
     """
 
-    def __init__(self, mean: np.ndarray, std: np.ndarray):
-        mean = np.asarray(mean, dtype=np.float64).reshape(-1)
-        std = np.asarray(std, dtype=np.float64).reshape(-1)
-        if mean.shape != std.shape:
-            raise ShapeError(f"mean shape {mean.shape} differs from std shape {std.shape}")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
-            raise DataError("standardizer means and standard deviations must be finite")
-        if not np.all(std > 0):
+    def __init__(self, mean: np.ndarray, std: np.ndarray, medians: np.ndarray, names=()):
+        self.mean, self.std, self.medians = (np.asarray(a, dtype=np.float64).reshape(-1)
+                                             for a in (mean, std, medians))
+        self.names = tuple(names)
+        if not self.mean.shape == self.std.shape == self.medians.shape:
+            raise ShapeError("standardizer means, deviations and medians have shapes "
+                             f"{self.mean.shape}, {self.std.shape} and {self.medians.shape}")
+        if self.names and len(self.names) != self.n_features:
+            raise ShapeError(f"{len(self.names)} feature names for {self.n_features} features")
+        if not np.all(np.isfinite([self.mean, self.std, self.medians])):
+            raise DataError("standardizer means, deviations and medians must be finite")
+        if not np.all(self.std > 0):
             raise DataError("standard deviations must be positive")
-        self.mean = mean
-        self.std = std
 
     @property
     def n_features(self) -> int:
         return self.mean.shape[0]
 
 
-def fit_standardizer(train: Dataset) -> Standardizer:
-    """Fit per-feature mean and standard deviation on the training split.
+def fit_standardizer(train: Dataset, medians: np.ndarray) -> Standardizer:
+    """Fit per-feature mean and standard deviation on the training split, and
+    record them with the ``medians`` that filled its missing cells and its
+    feature names.
 
     Constant columns get a substitute deviation of 1 so they standardize
     to exactly zero. A column whose mean or deviation passes the float64
@@ -397,8 +401,7 @@ def fit_standardizer(train: Dataset) -> Standardizer:
     for name, m, d in zip(train.feature_names or range(train.n_features), mean, std):
         if not (math.isfinite(m) and math.isfinite(d)):
             raise DataError(f"column {name!r} has no finite mean and deviation to record")
-    std = np.where(std > 0, std, 1.0)
-    return Standardizer(mean, std)
+    return Standardizer(mean, np.where(std > 0, std, 1.0), medians, train.feature_names)
 
 
 def _standardize(s: Standardizer, x: np.ndarray) -> np.ndarray:

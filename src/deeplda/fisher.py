@@ -84,12 +84,20 @@ def fisher_ratio(w: np.ndarray, ds: Dataset) -> float:
     """Fisher criterion of the projection onto w.
 
     Squared gap between projected class means over the summed
-    within-class scatter of the projections.
+    within-class scatter of the projections. A ``w`` of another width than
+    the features raises :class:`ShapeError`, and a dataset without both
+    classes :class:`DataError`.
     """
     w = np.asarray(w, dtype=np.float64).reshape(-1)
+    if w.shape != (ds.n_features,):
+        raise ShapeError(f"direction has shape {w.shape}, dataset expects ({ds.n_features},)")
     proj = ds.x @ w
     p0 = proj[ds.y == 0.0]
     p1 = proj[ds.y == 1.0]
+    if p0.size == 0 or p1.size == 0:
+        raise DataError(
+            f"both classes required: got {p0.size} negative and {p1.size} positive rows"
+        )
     between = (p0.mean() - p1.mean()) ** 2
     within = float(np.sum((p0 - p0.mean()) ** 2) + np.sum((p1 - p1.mean()) ** 2))
     if within == 0.0:

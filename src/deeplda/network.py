@@ -259,7 +259,10 @@ class TrainConfig:
     """Hyperparameters of one training run.
 
     Defaults follow the reference experiment: learning rate 1e-5, 100
-    epochs, batches of 64, L2 coefficient 0.01 on regularized kernels.
+    epochs, batches of 64, L2 coefficient 0.01. :func:`fit` never reads
+    ``l2_lambda``: each layer's coefficient comes from its spec.
+    :func:`~deeplda.pipeline.train_two_phase` builds phase 1's spec from
+    ``config1.l2_lambda``, and ``config2.l2_lambda`` is only recorded.
     At least one epoch is required. The counts must be integers and the
     rates numbers, never bools (TypeError otherwise); the rates are
     stored as floats.
@@ -751,16 +754,10 @@ def fit(
     validation loss that is not finite raises :class:`NumericalError`
     naming the epoch and batch.
     """
-    if train.n_features != net.spec.input_dim:
-        raise ShapeError(
-            f"training features have width {train.n_features}, "
-            f"network expects {net.spec.input_dim}"
-        )
-    if val.n_features != net.spec.input_dim:
-        raise ShapeError(
-            f"validation features have width {val.n_features}, "
-            f"network expects {net.spec.input_dim}"
-        )
+    for what, ds in (("training", train), ("validation", val)):
+        if ds.n_features != net.spec.input_dim:
+            raise ShapeError(f"{what} features have width {ds.n_features}, "
+                             f"network expects {net.spec.input_dim}")
     n = train.n_rows
     y_train = train.y.reshape(-1, 1)
     y_val = val.y.reshape(-1, 1)

@@ -73,35 +73,29 @@ def build_phase2_spec() -> NetworkSpec:
     )
 
 
-def _check_inputs(width: int, feature_names, standardizer, medians) -> None:
-    """Refuse preprocessing without a feature name, a standardizer mean and deviation
-    and a finite median for each of phase 1's ``width`` inputs."""
-    for what, values in (("feature names", feature_names),
-                         ("standardizer means", getattr(standardizer, "mean", None)),
-                         ("medians", medians)):
-        if np.shape(values) != (width,):
-            got = "none" if values is None else f"shape {np.shape(values)}"
-            raise ShapeError(f"phase 1's {width} inputs need {width} {what}, got {got}")
-    if not np.all(np.isfinite(medians)):
-        raise ValueError("medians must be finite")
+def _check_inputs(width: int, standardizer: Standardizer) -> None:
+    """Refuse preprocessing without a feature name for each of phase 1's ``width``
+    inputs; the :class:`Standardizer` holds a mean, a deviation and a median for each."""
+    names = getattr(standardizer, "names", None)
+    if names is None or len(names) != width:
+        got = "none" if names is None else len(names)
+        raise ShapeError(f"phase 1's {width} inputs need {width} feature names, got {got}")
 
 
 @dataclass(frozen=True)
 class TwoPhaseModel:
     """Both trained networks plus the preprocessing used to feed them.
 
-    ``feature_names`` and ``standardizer`` describe what phase 1 expects, and
-    ``medians`` fill missing cells of a file the model scores (:func:`evaluate_two_phase`);
-    ``train`` fits both medians and standardizer on the training rows only. Construction
-    refuses networks that do not chain and preprocessing without one value per phase-1
-    input or with a non-finite median, and the model is frozen, so it stays as checked.
+    ``standardizer`` names the features phase 1 expects, and holds the medians
+    that fill missing cells of a file the model scores (:func:`evaluate_two_phase`)
+    and the statistics that scale them; ``train`` fits it on the training rows only.
+    Construction refuses networks that do not chain and a standardizer without one
+    feature name per phase-1 input, and the model is frozen, so it stays as checked.
     """
 
     phase1: Network
     phase2: Network
-    feature_names: tuple[str, ...]
     standardizer: Standardizer
-    medians: np.ndarray
     config1: TrainConfig = field(default_factory=TrainConfig)
     config2: TrainConfig = field(default_factory=TrainConfig)
     seed: int | None = None
@@ -112,8 +106,7 @@ class TwoPhaseModel:
                 raise ShapeError(f"phase {phase} must end in one sigmoid unit")
         if self.phase2.spec.input_dim != 1:
             raise ShapeError("phase 2 must consume a single column")
-        _check_inputs(self.phase1.spec.input_dim, self.feature_names, self.standardizer,
-                      self.medians)
+        _check_inputs(self.phase1.spec.input_dim, self.standardizer)
 
 
 def transform_phase1(model: TwoPhaseModel, x: np.ndarray) -> np.ndarray:
@@ -135,7 +128,6 @@ def train_two_phase(
     config2: TrainConfig,
     rng: SplitMix64,
     standardizer: Standardizer,
-    medians: np.ndarray,
     seed: int | None = None,
 ) -> tuple[TwoPhaseModel, TrainingHistory, TrainingHistory]:
     """Train both phases in sequence from one random stream.
@@ -148,18 +140,17 @@ def train_two_phase(
     Phase 1 drops its Adam moments once fitted, as :func:`load_two_phase` gives
     it back, so phase 2 and a save (``np.savez`` copies each array) stay below
     phase 1's peak. The datasets are used as given, as
-    :func:`~deeplda.data.load_split` returns them with the ``standardizer`` and
-    ``medians`` the model records, beside the training feature names and ``seed``;
-    preprocessing :class:`TwoPhaseModel` refuses is refused before phase 1 is made.
+    :func:`~deeplda.data.load_split` returns them with the ``standardizer`` the model
+    records, beside ``seed``; a standardizer :class:`TwoPhaseModel` refuses is refused
+    before phase 1 is made.
     A loss that goes non-finite raises :class:`NumericalError` naming the phase.
     """
-    _check_inputs(train.n_features, train.feature_names, standardizer, medians)
+    _check_inputs(train.n_features, standardizer)
     phase1 = init_network(build_phase1_spec(train.n_features, config1.l2_lambda), rng)
     phase1, history1 = _fit_phase(1, phase1, train, val, config1, rng)
     phase1.moments = None  # twice phase 1's parameters, never read again
     model = TwoPhaseModel(phase1=phase1, phase2=init_network(build_phase2_spec(), rng),
-                          feature_names=train.feature_names, standardizer=standardizer,
-                          medians=medians, config1=config1, config2=config2, seed=seed)
+                          standardizer=standardizer, config1=config1, config2=config2, seed=seed)
     # fit's last validation pass already scored val.x with the final weights.
     train2 = Dataset(x=transform_phase1(model, train.x), y=train.y,
                      feature_names=("phase1_prob",))
@@ -179,17 +170,15 @@ def evaluate_two_phase(model: TwoPhaseModel, path, schema: DataSchema) -> Confus
     """The confusion counts of ``model``'s labels on a CSV file.
 
     The file is read by :func:`~deeplda.data.read_blocks` with the model's
-    feature names, medians and standardizer, in blocks of
-    :data:`~deeplda.network.ROWS` rows, and each block is scored as it
-    comes, through one pair of buffers per phase, so a model with medians
-    scores a file of any length in the memory of one block. The labels
+    standardizer, in blocks of :data:`~deeplda.network.ROWS` rows, and each
+    block is scored as it comes, through one pair of buffers per phase, so a
+    model scores a file of any length in the memory of one block. The labels
     equal :func:`predict_two_phase`'s on the same features.
     """
     truth = []  # the labels of the block being scored: each walk yields a block as it reads one
 
     def features():
-        for block in read_blocks(path, schema, ROWS, model.medians, model.standardizer,
-                                 model.feature_names):
+        for block in read_blocks(path, schema, ROWS, model.standardizer):
             truth.append(block.y)
             yield block.x
 
@@ -300,12 +289,12 @@ def _write_two_phase(model: TwoPhaseModel, directory) -> None:
         "config1": model.config1.to_dict(),
         "config2": model.config2.to_dict(),
         "seed": model.seed,
-        "feature_names": list(model.feature_names),
+        "feature_names": list(model.standardizer.names),
         "standardizer": {
             "mean": model.standardizer.mean.tolist(),
             "std": model.standardizer.std.tolist(),
         },
-        "medians": model.medians.tolist(),
+        "medians": model.standardizer.medians.tolist(),
     }
     save_network(model.phase1, os.path.join(directory, PHASE_FILES[0]), {"phase": 1})
     save_network(model.phase2, os.path.join(directory, PHASE_FILES[1]), {"phase": 2})
@@ -318,7 +307,8 @@ def load_two_phase(directory) -> TwoPhaseModel:
     A missing or malformed manifest or network file, or a manifest of
     another format, raises :class:`DataError`. The manifest must hold
     :data:`PREPROCESSING` as JSON: a list of feature names, and standardizer
-    means and deviations and medians as flat lists of finite JSON numbers.
+    means and deviations and medians as flat lists of finite JSON numbers of
+    one length.
     Networks and preprocessing that :class:`TwoPhaseModel` refuses, such as
     a name count other than phase 1's inputs or a phase-2 file that is not a
     scalar-input head, raise :class:`DataError` naming the directory.
@@ -341,8 +331,7 @@ def load_two_phase(directory) -> TwoPhaseModel:
                             ("standardizer deviations", std["std"]), ("medians", medians)):
             if not (isinstance(value, list) and all(type(v) in (int, float) for v in value)):
                 raise TypeError(f"{what} must be a flat list of JSON numbers")
-        standardizer = Standardizer(std["mean"], std["std"])  # which refuses NaN and infinities
-        medians = np.array(medians, dtype=np.float64)
+        standardizer = Standardizer(std["mean"], std["std"], medians, names)  # which checks it
         seed = manifest["seed"]
         if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
             raise TypeError(f"seed must be an integer or null, got {seed!r}")
@@ -352,8 +341,7 @@ def load_two_phase(directory) -> TwoPhaseModel:
         raise DataError(f"model manifest {path} is malformed: {exc}") from None
     phase1, phase2 = (load_network(os.path.join(directory, name)) for name in PHASE_FILES)
     try:
-        return TwoPhaseModel(phase1=phase1, phase2=phase2, feature_names=tuple(names),
-                             standardizer=standardizer, medians=medians, config1=config1,
-                             config2=config2, seed=seed)
+        return TwoPhaseModel(phase1=phase1, phase2=phase2, standardizer=standardizer,
+                             config1=config1, config2=config2, seed=seed)
     except ValueError as exc:  # ShapeError is one
         raise DataError(f"{path} does not describe the networks in {directory}: {exc}") from None

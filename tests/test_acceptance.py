@@ -184,7 +184,7 @@ def test_property_suites(clinical_csv):
                   and val.n_rows - int(val.y.sum()) == want0)
 
     # standardizer fits on train only and cannot be refitted
-    std = fit_standardizer(train)
+    std = fit_standardizer(train, np.median(train.x, axis=0))
     val_s = apply_standardizer(std, val)
     leak_free = np.array_equal(val_s.x, (val.x - std.mean) / std.std)
     no_refit = not any(hasattr(Standardizer, a)
@@ -241,7 +241,7 @@ def test_capacity_sanity(clinical_csv):
     idx = np.concatenate([np.flatnonzero(ds.y == 0)[:16],
                           np.flatnonzero(ds.y == 1)[:16]])
     sub = Dataset(x=ds.x[idx], y=ds.y[idx], feature_names=ds.feature_names)
-    sub = apply_standardizer(fit_standardizer(sub), sub)
+    sub = apply_standardizer(fit_standardizer(sub, np.median(sub.x, axis=0)), sub)
 
     rng = SplitMix64(0)
     net = init_network(build_phase1_spec(input_dim=sub.n_features), rng)
@@ -283,12 +283,11 @@ def test_end_to_end_synthetic():
     # seed-sensitive collapse region under default weight decay
     ds = make_gaussians(n_per_class=250, d=41, sep=2.0, seed=6)
     train, val = stratified_split(ds, 0.2, SplitMix64(6))
-    std = fit_standardizer(train)
+    std = fit_standardizer(train, np.median(train.x, axis=0))
     train_s = apply_standardizer(std, train)
     val_s = apply_standardizer(std, val)
     config = TrainConfig(learning_rate=1e-3)
-    model, _, _ = train_two_phase(train_s, val_s, config, config, SplitMix64(0),
-                                  std, np.median(train.x, axis=0))
+    model, _, _ = train_two_phase(train_s, val_s, config, config, SplitMix64(0), std)
     _, labels = predict_two_phase(model, val_s.x)
     acc = accuracy(confusion(labels, val_s.y))
     _verdict(

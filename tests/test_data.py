@@ -285,7 +285,7 @@ class TestLoadDataset:
                 n_positive=rows // 3)
             schema = load_schema(schema_path)
             with traced_peak() as read_peak:
-                train, val, _, _ = load_split(csv_path, schema, 0.25, SplitMix64(0))
+                train, val, _ = load_split(csv_path, schema, 0.25, SplitMix64(0))
                 peaks.append(read_peak())
             assert train.n_rows + val.n_rows == rows
         # 41 features and a label are 336 bytes a row, held once as read and
@@ -302,14 +302,14 @@ class TestLoadDataset:
     def test_standardizing_as_read_equals_apply_standardizer(self, rows, mean, std):
         # read_blocks standardizes each block in the buffer it is parsed into,
         # apply_standardizer a copy of a loaded table; errors included, they agree.
-        s = Standardizer(mean, std)
         with tempfile.TemporaryDirectory() as tmp:
             path = _write_rows(os.path.join(tmp, "t.csv"), [["id", "a", "b", "label"]]
                                + [[str(i), *row] for i, row in enumerate(rows)])
             outcomes = []
-            for read in (lambda: next(read_blocks(path, SCHEMA, len(rows) + 1,
-                                                  _own_medians(rows), s, FEATURES)),
-                         lambda: apply_standardizer(s, clean(load_csv(path, SCHEMA), SCHEMA))):
+            for read in (lambda: next(read_blocks(path, SCHEMA, len(rows) + 1, Standardizer(
+                             mean, std, _own_medians(rows), FEATURES))),
+                         lambda: apply_standardizer(Standardizer(mean, std, np.zeros(2)),
+                                                    clean(load_csv(path, SCHEMA), SCHEMA))):
                 try:
                     ds = read()
                 except DataError as exc:
@@ -321,15 +321,14 @@ class TestLoadDataset:
 
     def test_a_width_other_than_the_standardizers_is_a_shape_error(self, tmp_path):
         path = _write(tmp_path, "id,a,b,label\n1,0.5,2,1\n2,x,3,0\n")
-        s = Standardizer(np.zeros(3), np.ones(3))
+        s = Standardizer(np.zeros(3), np.ones(3), np.zeros(3), ("a", "b", "c"))
         with pytest.raises(ShapeError, match="fitted on 3 features, dataset has 2"):
             apply_standardizer(s, clean(load_csv(path, SCHEMA), SCHEMA))
-        with pytest.raises(ShapeError, match="fitted on 3 features, dataset has 2"):
-            next(read_blocks(path, SCHEMA, 4, np.zeros(2), s, FEATURES))
-        # Row defects are reported first, as apply_standardizer after a load reports them.
+        # read_blocks compares the names, so another width is refused by its header,
+        # before any row defect.
         path = _write(tmp_path, "id,a,b,label\n1,0.5,2,1\n2,x\n")
-        with pytest.raises(DataError, match="row 2: expected 4 cells"):
-            next(read_blocks(path, SCHEMA, 4, np.zeros(2), s, FEATURES))
+        with pytest.raises(DataError, match=re.escape("['a', 'b'] do not match the model's")):
+            next(read_blocks(path, SCHEMA, 4, s))
 
 
 _ROWS = st.lists(st.tuples(st.sampled_from(TestClean.PARSE_TOKENS),
@@ -343,6 +342,9 @@ def _own_medians(rows):
     return _medians(np.array([[_parse_cell(c) for c in row[:2]] for row in rows]), FEATURES)
 
 
+_IDENTITY = (np.zeros(2), np.ones(2), np.zeros(2))  # two features' means, deviations, medians
+
+
 def _bits(blocks):
     return [(b.x.view(np.uint64).tolist(), b.y.tolist(), b.feature_names) for b in blocks]
 
@@ -353,17 +355,16 @@ class TestReadBlocks:
            st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=2))
     @settings(max_examples=150, deadline=None)
     def test_blocks_equal_the_rows_read_one_at_a_time(self, rows, size, medians, mean, std):
-        s = Standardizer(mean, std)
-        medians = np.array(medians)
+        s = Standardizer(mean, std, medians, FEATURES)
         header = ["id", "a", "b", "label"]
         with tempfile.TemporaryDirectory() as tmp:
             path = _write_rows(os.path.join(tmp, "t.csv"),
                                [header] + [[str(i), *row] for i, row in enumerate(rows)])
-            blocks = list(read_blocks(path, SCHEMA, size, medians, s, FEATURES))
+            blocks = list(read_blocks(path, SCHEMA, size, s))
             one_at_a_time = []
             for i, row in enumerate(rows):
                 one = _write_rows(os.path.join(tmp, f"{i}.csv"), [header, [str(i), *row]])
-                one_at_a_time += read_blocks(one, SCHEMA, size, medians, s, FEATURES)
+                one_at_a_time += read_blocks(one, SCHEMA, size, s)
         got = np.concatenate([b.x for b in blocks])
         want = np.concatenate([b.x for b in one_at_a_time])
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
@@ -378,7 +379,7 @@ class TestReadBlocks:
            st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=2))
     @settings(max_examples=150, deadline=None)
     def test_the_files_own_medians_give_cleans_features(self, rows, size, mean, std):
-        s = Standardizer(mean, std)
+        s = Standardizer(mean, std, np.zeros(2))
         with tempfile.TemporaryDirectory() as tmp:
             path = _write_rows(os.path.join(tmp, "t.csv"), [["id", "a", "b", "label"]]
                                + [[str(i), *row] for i, row in enumerate(rows)])
@@ -387,25 +388,23 @@ class TestReadBlocks:
             except DataError as exc:
                 assert "has no usable values" in str(exc)
                 return
-            blocks = list(read_blocks(path, SCHEMA, size, _own_medians(rows), s, FEATURES))
+            own = Standardizer(mean, std, _own_medians(rows), FEATURES)
+            blocks = list(read_blocks(path, SCHEMA, size, own))
         got = np.concatenate([b.x for b in blocks])
         assert got.view(np.uint64).tolist() == whole.x.view(np.uint64).tolist()
 
     def test_the_header_is_checked_before_any_row(self, tmp_path):
         path = _write(tmp_path, "id,a,b,label\n1,0.5\n")
-        s = Standardizer(np.zeros(2), np.ones(2))
+        s = Standardizer(np.zeros(2), np.ones(2), np.zeros(2), ("a", "c"))
         with pytest.raises(DataError, match=re.escape("['a', 'b'] do not match the model's")):
-            next(read_blocks(path, SCHEMA, 4, np.zeros(2), s, ("a", "c")))
-        with pytest.raises(ShapeError, match="3 medians, dataset has 2 features"):
-            next(read_blocks(path, SCHEMA, 4, np.zeros(3), s, FEATURES))
+            next(read_blocks(path, SCHEMA, 4, s))
         with pytest.raises(DataError, match="row 1: expected 4 cells"):
-            next(read_blocks(path, SCHEMA, 4, np.zeros(2), s, FEATURES))
+            next(read_blocks(path, SCHEMA, 4, Standardizer(*_IDENTITY, FEATURES)))
 
     def test_a_row_defect_names_its_row_in_a_later_block(self, tmp_path):
         path = _write(tmp_path, "id,a,b,label\n" + "1,0.5,2,0\n" * 9 + "2,x,3,y\n")
-        s = Standardizer(np.zeros(2), np.ones(2))
         with pytest.raises(DataError, match="row 10: target token 'y'"):
-            list(read_blocks(path, SCHEMA, 4, np.zeros(2), s, FEATURES))
+            list(read_blocks(path, SCHEMA, 4, Standardizer(*_IDENTITY, FEATURES)))
 
 
 def _split_rows(labels, val_fraction, seed):
@@ -430,19 +429,19 @@ class TestLoadSplit:
         labels = [i % 3 == 0 for i in range(40)]
         path = _write_labeled(tmp_path / "t.csv", g.normal(size=(40, 2)).tolist(),
                               [int(y) for y in labels])
-        train, val, std, medians = load_split(path, SCHEMA, 0.25, SplitMix64(7))
+        train, val, std = load_split(path, SCHEMA, 0.25, SplitMix64(7))
         want_train, want_val = stratified_split(clean(load_csv(path, SCHEMA), SCHEMA), 0.25,
                                                 SplitMix64(7))
-        want_std = fit_standardizer(want_train)
+        want_std = fit_standardizer(want_train, [np.median(col) for col in want_train.x.T])
         for got, want in ((train, want_train), (val, want_val)):
             want = apply_standardizer(want_std, want)
             assert got.x.view(np.uint64).tolist() == want.x.view(np.uint64).tolist()
             assert got.y.tolist() == want.y.tolist()
             assert got.feature_names == ("a", "b")
         for got, want in ((std.mean, want_std.mean), (std.std, want_std.std),
-                          (medians, [np.median(col) for col in want_train.x.T])):
-            assert np.asarray(got).view(np.uint64).tolist() == \
-                np.asarray(want).view(np.uint64).tolist()
+                          (std.medians, want_std.medians)):
+            assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert std.names == ("a", "b")
 
     @given(st.data(), st.lists(st.tuples(_TRAINING_CELL, _TRAINING_CELL), min_size=6,
                                max_size=20),
@@ -461,12 +460,13 @@ class TestLoadSplit:
             for k, table in enumerate((cells, changed)):
                 path = _write_labeled(os.path.join(tmp, f"{k}.csv"), table, labels)
                 try:
-                    train, _, std, medians = load_split(path, SCHEMA, frac, SplitMix64(seed))
+                    train, _, std = load_split(path, SCHEMA, frac, SplitMix64(seed))
                 except DataError as exc:
                     outcomes.append(str(exc))
                 else:
                     outcomes.append([a.view(np.uint64).tolist()
-                                     for a in (medians, std.mean, std.std, train.x, train.y)])
+                                     for a in (std.medians, std.mean, std.std, train.x,
+                                               train.y)])
         assert outcomes[0] == outcomes[1]
 
     def test_a_column_is_judged_by_its_training_cells_only(self, tmp_path):
@@ -480,8 +480,8 @@ class TestLoadSplit:
                 with pytest.raises(DataError, match="column 'a' has no usable values"):
                     load_split(path, SCHEMA, 0.2, SplitMix64(0))
             else:
-                _, val, _, medians = load_split(path, SCHEMA, 0.2, SplitMix64(0))
-                assert medians[0] == outcome
+                _, val, std = load_split(path, SCHEMA, 0.2, SplitMix64(0))
+                assert std.medians[0] == outcome
                 assert val.x[:, 0].tolist() == [0.0] * val.n_rows  # filled, then centred
 
     @pytest.mark.filterwarnings("default::RuntimeWarning")  # as outside the test suite
@@ -500,10 +500,10 @@ class TestLoadSplit:
             tables.append(load_split(_write_labeled(tmp_path / "t.csv", cells, labels),
                                      SCHEMA, 0.2, SplitMix64(0)))
         assert 3 not in val_rows
-        (train, val, std, medians), (train2, val2, std2, medians2) = tables
+        (train, val, std), (train2, val2, std2) = tables
         assert std.std[1] < 1e-90
         for got, want in ((val2.x, val.x), (train2.x, train.x), (std2.mean, std.mean),
-                          (std2.std, std.std), (medians2, medians)):
+                          (std2.std, std.std), (std2.medians, std.medians)):
             assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
         assert not recwarn.list
 
@@ -541,30 +541,44 @@ class TestDataset:
             ds.x[0, 0] = 5.0
 
 
+def _fit(ds):
+    """The standardizer of a dataset without blank cells, with its own medians."""
+    return fit_standardizer(ds, np.median(ds.x, axis=0))
+
+
 class TestStandardizer:
     def test_fit_gives_zero_mean_unit_std(self):
         g = np.random.default_rng(1)
         ds = Dataset(x=g.normal(3, 7, (50, 4)), y=(g.random(50) > 0.5).astype(float))
-        z = apply_standardizer(fit_standardizer(ds), ds)
+        z = apply_standardizer(_fit(ds), ds)
         assert np.all(np.abs(z.x.mean(axis=0)) < 1e-9)
         assert np.all(np.abs(z.x.std(axis=0) - 1.0) < 1e-9)
 
     def test_constant_column_maps_to_zeros(self):
         ds = Dataset(x=np.array([[5.0, 1.0], [5.0, 2.0]]), y=np.array([0.0, 1.0]))
-        z = apply_standardizer(fit_standardizer(ds), ds)
+        z = apply_standardizer(_fit(ds), ds)
         assert z.x[:, 0].tolist() == [0.0, 0.0]
 
     def test_validation_uses_train_statistics(self):
         train = Dataset(x=np.array([[0.0], [2.0]]), y=np.array([0.0, 1.0]))
         val = Dataset(x=np.array([[10.0]]), y=np.array([1.0]))
-        s = fit_standardizer(train)
+        s = _fit(train)
         out = apply_standardizer(s, val)
         assert out.x[0, 0] == (10.0 - 1.0) / 1.0
 
     def test_feature_width_mismatch(self):
-        s = fit_standardizer(Dataset(x=np.ones((2, 3)) * [[1], [2]], y=np.array([0.0, 1.0])))
+        s = _fit(Dataset(x=np.ones((2, 3)) * [[1], [2]], y=np.array([0.0, 1.0])))
         with pytest.raises(ShapeError):
             apply_standardizer(s, Dataset(x=np.ones((1, 2)), y=np.array([0.0])))
+
+    def test_fit_records_the_medians_it_is_given_and_the_names(self):
+        ds = Dataset(x=np.array([[1.0, 4.0], [3.0, 8.0]]), y=np.array([0.0, 1.0]),
+                     feature_names=("a", "b"))
+        medians = np.array([0.1, -7.5])  # not the filled rows' medians
+        s = fit_standardizer(ds, medians)
+        assert s.medians.view(np.uint64).tolist() == medians.view(np.uint64).tolist()
+        assert s.names == ("a", "b")
+        assert s.mean.tolist() == [2.0, 6.0] and s.std.tolist() == [1.0, 2.0]
 
     def test_no_refit_api_exists(self):
         assert not any(
@@ -575,7 +589,7 @@ class TestStandardizer:
     def test_apply_keeps_the_bits_of_the_whole_expression(self):
         g = np.random.default_rng(8)
         ds = Dataset(x=g.normal(3.0, 50.0, size=(300, 7)), y=np.zeros(300))
-        s = Standardizer(g.normal(size=7), g.uniform(0.1, 10.0, size=7))
+        s = Standardizer(g.normal(size=7), g.uniform(0.1, 10.0, size=7), np.zeros(7))
         want = (ds.x - s.mean) / s.std
         got = apply_standardizer(s, ds).x
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -587,7 +601,29 @@ class TestStandardizer:
                           ([0.0, 0.0], [1.0, np.inf]), ([0.0, 0.0], [np.nan, 1.0]),
                           ([np.nan, 0.0], [1.0, 1.0]), ([0.0, -np.inf], [1.0, 1.0])):
             with pytest.raises(DataError):
-                Standardizer(mean=np.array(mean), std=np.array(std))
+                Standardizer(mean=np.array(mean), std=np.array(std), medians=np.zeros(2))
+
+    @pytest.mark.parametrize("median", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_median(self, median):
+        # A scored file's blank cell would take it and fail as bad data.
+        with pytest.raises(DataError, match="means, deviations and medians must be finite"):
+            Standardizer(np.zeros(2), np.ones(2), [0.0, median], ("a", "b"))
+
+    @pytest.mark.parametrize("mean, std, medians", [
+        ([0.0] * 3, [1.0] * 2, [0.0] * 2),
+        ([0.0] * 2, [1.0] * 3, [0.0] * 2),
+        ([0.0] * 2, [1.0] * 2, [0.0] * 3),  # more medians than the file's two features
+        ([0.0] * 2, [1.0] * 2, [0.0]),
+    ])
+    def test_rejects_arrays_of_unequal_lengths(self, mean, std, medians):
+        with pytest.raises(ShapeError, match="means, deviations and medians have shapes"):
+            Standardizer(mean, std, medians, FEATURES)
+
+    @pytest.mark.parametrize("names", [("a",), ("a", "b", "c")])
+    def test_rejects_a_name_count_other_than_none_or_the_width(self, names):
+        with pytest.raises(ShapeError, match=f"{len(names)} feature names for 2 features"):
+            Standardizer(*_IDENTITY, names)
+        assert Standardizer(*_IDENTITY).names == ()
 
 
 def _balanced_dataset(n0, n1, seed=0):
@@ -719,8 +755,9 @@ def _scored(path, schema):
     of the file's own feature names with zero medians and deviations of 0.01."""
     with _csv_rows(path) as (header, _):
         names = _feature_names(header, schema)
-    s = Standardizer(np.zeros(len(names)), np.full(len(names), 0.01))
-    return list(read_blocks(path, schema, 2, np.zeros(len(names)), s, names))
+    zeros = np.zeros(len(names))
+    s = Standardizer(zeros, np.full(len(names), 0.01), zeros, names)
+    return list(read_blocks(path, schema, 2, s))
 
 
 _LABEL_ONLY = b'{"target": "label"}'

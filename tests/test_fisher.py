@@ -119,6 +119,18 @@ class TestFisherOptimality:
             randoms = g.normal(size=(1000, 4))
             assert all(fisher_ratio(r, ds) <= fitted * (1 + 1e-9) for r in randoms)
 
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_ratio_of_one_class_is_a_data_error(self, label):
+        # The mean of the empty class once warned and gave nan or inf.
+        ds = Dataset(x=HAND_X, y=np.full(6, label))
+        with pytest.raises(DataError, match="both classes required"):
+            fisher_ratio(np.ones(2), ds)
+
+    @pytest.mark.parametrize("w", [np.ones(3), np.ones(1), np.ones((2, 2))])
+    def test_ratio_of_a_direction_of_another_width_is_a_shape_error(self, w):
+        with pytest.raises(ShapeError, match=r"dataset expects \(2,\)"):
+            fisher_ratio(w, _hand_dataset())
+
 
 class TestLdaModel:
     def test_non_finite_model_rejected(self):

@@ -1,9 +1,13 @@
 """The package's export list, and the names the benchmark imports from it."""
 
 import ast
+import dataclasses
 import importlib
+import importlib.util
 import inspect
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -35,7 +39,17 @@ def test_every_name_the_benchmark_imports_exists():
     assert missing == []
 
 
-def test_every_model_attribute_the_benchmark_reads_exists(tmp_path):
+def _benchmark_module(monkeypatch):
+    """perfbench/run.py, loaded by its path; its dataclasses need it in sys.modules
+    while it runs, and monkeypatch takes it out again."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", BENCHMARK)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_model_attribute_the_benchmark_reads_exists(tmp_path, monkeypatch):
     # The evaluate oracle reads a loaded model's fields, and apply_standardizer
     # the standardizer's, so a rename would otherwise surface only there.
     oracle = next(node for node in ast.walk(ast.parse(BENCHMARK.read_text(encoding="utf-8")))
@@ -43,18 +57,36 @@ def test_every_model_attribute_the_benchmark_reads_exists(tmp_path):
     read = {ast.unparse(node) for node in ast.walk(oracle) if isinstance(node, ast.Attribute)
             and ast.unparse(node).startswith("model.")}
     assert {"model.standardizer", "model.config2.threshold"} <= read  # the walk sees them
-    width = 3
-    deeplda.save_two_phase(deeplda.TwoPhaseModel(
-        phase1=deeplda.init_network(deeplda.build_phase1_spec(width), deeplda.SplitMix64(0)),
+    g = np.random.default_rng(5)
+    x = g.normal(size=(40, 3)) * [1.0, 10.0, 100.0]
+    y = np.arange(40) % 2
+    standardizer = deeplda.Standardizer(x.mean(axis=0), x.std(axis=0), np.median(x, axis=0),
+                                        ("a", "b", "c"))
+    model = deeplda.TwoPhaseModel(
+        phase1=deeplda.init_network(deeplda.build_phase1_spec(3), deeplda.SplitMix64(0)),
         phase2=deeplda.init_network(deeplda.build_phase2_spec(), deeplda.SplitMix64(1)),
-        feature_names=("a", "b", "c"), medians=np.zeros(width),
-        standardizer=deeplda.Standardizer(np.zeros(width), np.ones(width))), tmp_path / "m")
-    model = deeplda.load_two_phase(tmp_path / "m")
+        standardizer=standardizer)
+    # A threshold inside the probabilities, so the report has both labels.
+    probs, _ = deeplda.predict_two_phase(model, (x - standardizer.mean) / standardizer.std)
+    model = dataclasses.replace(model, config2=deeplda.TrainConfig(
+        threshold=float(np.median(probs))))
+    deeplda.save_two_phase(model, tmp_path / "m")
+    (tmp_path / "schema.json").write_text('{"target": "label"}', encoding="utf-8")
+    (tmp_path / "eval.csv").write_text("a,b,c,label\n" + "".join(
+        f"{r[0]!r},{r[1]!r},{r[2]!r},{t}\n" for r, t in zip(x.tolist(), y)), encoding="utf-8")
+    loaded = deeplda.load_two_phase(tmp_path / "m")
     for chain in read | {"model.standardizer.mean", "model.standardizer.std"}:
-        value = model
+        value = loaded
         for attr in chain.split(".")[1:]:
             assert hasattr(value, attr), chain
             value = getattr(value, attr)
+    # The oracle's own call, on the one preprocessing record.
+    report = _benchmark_module(monkeypatch).expected_evaluate_report(
+        SimpleNamespace(model_dir=tmp_path / "m", directory=tmp_path))
+    counts = deeplda.evaluate_two_phase(loaded, tmp_path / "eval.csv",
+                                        deeplda.load_schema(tmp_path / "schema.json"))
+    assert counts.tp and counts.tn  # both labels predicted and right at least once
+    assert report == deeplda.format_report(counts) + "\n"
 
 
 GUARDED = {"json.load", "json.dump", "os.replace", "os.fsync", "np.savez", "_adam_update",
@@ -136,9 +168,9 @@ def test_missing_cells_are_filled_in_one_place():
 
 
 def test_a_models_preprocessing_is_checked_by_one_rule():
-    # A model checks its preprocessing when it is made, and train_two_phase
-    # applies the same rule before it trains; a second copy of the rule once
-    # let a model save that load_two_phase then refused.
+    # A model checks that its standardizer names each phase-1 input when it is
+    # made, and train_two_phase applies the same rule before it trains; a second
+    # copy of the rule once let a model save that load_two_phase then refused.
     assert {call for call in _guarded_calls() if call[2] == "_check_inputs"} == {
         ("pipeline", "__post_init__", "_check_inputs"),
         ("pipeline", "train_two_phase", "_check_inputs")}

@@ -53,9 +53,8 @@ FAST = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=64)
 
 def _identity(width):
     """The identity preprocessing of ``width`` features, as TwoPhaseModel's keywords."""
-    return dict(feature_names=tuple(f"f{i}" for i in range(width)),
-                standardizer=Standardizer(np.zeros(width), np.ones(width)),
-                medians=np.zeros(width))
+    return dict(standardizer=Standardizer(np.zeros(width), np.ones(width), np.zeros(width),
+                                          tuple(f"f{i}" for i in range(width))))
 
 
 def _model(input_dim=5, seed=0):
@@ -66,8 +65,8 @@ def _model(input_dim=5, seed=0):
 
 
 def _fitted(train):
-    """A training set's standardizer and medians, as load_split fits them."""
-    return fit_standardizer(train), _medians(train.x, train.feature_names)
+    """A training set's standardizer, with its medians, as load_split fits it."""
+    return fit_standardizer(train, _medians(train.x, train.feature_names))
 
 
 class TestSpecs:
@@ -108,19 +107,18 @@ class TestSpecs:
 
     def test_mismatched_preprocessing_is_refused_before_anything_is_written(self, tmp_path):
         # Two feature names, a three-feature standardizer and five medians
-        # once made a model that saved but did not load.
-        with pytest.raises(ShapeError, match="phase 1's 2 inputs need 2 standardizer means"):
+        # once made a model that saved but did not load; now a standardizer for
+        # another width than phase 1's is the one mismatch left.
+        with pytest.raises(ShapeError, match="phase 1's 2 inputs need 2 feature names, got 3"):
             save_two_phase(TwoPhaseModel(phase1=init_network(build_phase1_spec(2), SplitMix64(0)),
-                                         phase2=_model().phase2, feature_names=("a", "b"),
-                                         standardizer=Standardizer(np.zeros(3), np.ones(3)),
-                                         medians=np.zeros(5)),
+                                         phase2=_model().phase2, **_identity(3)),
                            tmp_path / "model")
         assert list(tmp_path.iterdir()) == []
 
     def test_a_model_is_frozen(self):
         model = _model()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            model.medians = np.ones(5)
+            model.standardizer = _identity(5)["standardizer"]
 
 
 class TestTransform:
@@ -160,7 +158,7 @@ class TestTrainTwoPhase:
     def test_history_lengths_follow_configs(self):
         train, val = self._sets()
         cfg2 = TrainConfig(learning_rate=1e-3, epochs=5, batch_size=64)
-        _, h1, h2 = train_two_phase(train, val, FAST, cfg2, SplitMix64(0), *_fitted(train))
+        _, h1, h2 = train_two_phase(train, val, FAST, cfg2, SplitMix64(0), _fitted(train))
         assert len(h1) == FAST.epochs
         assert len(h2) == 5
 
@@ -168,7 +166,7 @@ class TestTrainTwoPhase:
         train, val = self._sets(seed=1)
 
         def run():
-            _, h1, h2 = train_two_phase(train, val, FAST, FAST, SplitMix64(21), *_fitted(train))
+            _, h1, h2 = train_two_phase(train, val, FAST, FAST, SplitMix64(21), _fitted(train))
             return ([(r.loss, r.val_loss) for r in h1],
                     [(r.loss, r.val_loss) for r in h2])
 
@@ -176,7 +174,7 @@ class TestTrainTwoPhase:
 
     def test_phase2_history_measured_on_transformed_validation(self):
         train, val = self._sets(seed=2)
-        model, _, h2 = train_two_phase(train, val, FAST, FAST, SplitMix64(5), *_fitted(train))
+        model, _, h2 = train_two_phase(train, val, FAST, FAST, SplitMix64(5), _fitted(train))
         z_val = transform_phase1(model, val.x)
         probs, _ = predict(model.phase2, z_val, model.config2.threshold)
         acc = float(np.mean((probs[:, 0] >= 0.5) == (val.y >= 0.5)))
@@ -184,14 +182,14 @@ class TestTrainTwoPhase:
 
     def test_histories_keep_the_final_validation_probabilities(self):
         train, val = self._sets(seed=3)
-        model, h1, h2 = train_two_phase(train, val, FAST, FAST, SplitMix64(6), *_fitted(train))
+        model, h1, h2 = train_two_phase(train, val, FAST, FAST, SplitMix64(6), _fitted(train))
         assert np.array_equal(h1.val_probs, transform_phase1(model, val.x))
         assert np.array_equal(h2.val_probs, predict_two_phase(model, val.x)[0])
 
     def test_phase1_is_returned_without_adam_moments(self, tmp_path):
         # As load_two_phase gives it back; phase 2 keeps its moments.
         train, val = self._sets(seed=5)
-        model, h1, h2 = train_two_phase(train, val, FAST, FAST, SplitMix64(7), *_fitted(train))
+        model, h1, h2 = train_two_phase(train, val, FAST, FAST, SplitMix64(7), _fitted(train))
         assert model.phase1.moments is None and model.phase2.moments is not None
         save_two_phase(model, tmp_path / "m")
         back = load_two_phase(tmp_path / "m")
@@ -203,34 +201,32 @@ class TestTrainTwoPhase:
         train, val = self._sets(seed=4)
         wild = TrainConfig(learning_rate=1e300, epochs=2, batch_size=16)
         with pytest.raises(NumericalError, match=r"phase 1: .*epoch 1, batch 2"):
-            train_two_phase(train, val, wild, FAST, SplitMix64(0), *_fitted(train))
+            train_two_phase(train, val, wild, FAST, SplitMix64(0), _fitted(train))
 
     def test_feature_width_mismatch_rejected(self):
         train, _ = self._sets()
         bad_val = make_gaussians(5, 4, 1.0, seed=9)
         with pytest.raises(ShapeError):
-            train_two_phase(train, bad_val, FAST, FAST, SplitMix64(0), *_fitted(train))
+            train_two_phase(train, bad_val, FAST, FAST, SplitMix64(0), _fitted(train))
 
-    @pytest.mark.parametrize("key, value", [
-        ("standardizer", Standardizer(np.zeros(4), np.ones(4))),
-        ("medians", np.zeros(6)),
-        ("medians", np.full(5, np.inf)),
-    ])
-    def test_preprocessing_the_model_refuses_costs_no_training(self, monkeypatch, key, value):
+    @pytest.mark.parametrize("standardizer", [
+        _identity(4)["standardizer"],
+        Standardizer(np.zeros(5), np.ones(5), np.zeros(5)),  # without names
+    ], ids=["standardizer-narrow", "standardizer-unnamed"])
+    def test_preprocessing_the_model_refuses_costs_no_training(self, monkeypatch, standardizer):
         # train_two_phase refuses it before phase 1 is made, by the model's own rule.
         train, val = self._sets()
-        given = dict(zip(("standardizer", "medians"), _fitted(train)), **{key: value})
         with pytest.raises(ValueError) as built:
-            dataclasses.replace(_model(), **{key: value})
+            dataclasses.replace(_model(), standardizer=standardizer)
         made = []
         monkeypatch.setattr(deeplda.pipeline, "init_network", lambda *args: made.append(args))
         with pytest.raises(type(built.value), match=re.escape(str(built.value))):
-            train_two_phase(train, val, FAST, FAST, SplitMix64(0), **given)
+            train_two_phase(train, val, FAST, FAST, SplitMix64(0), standardizer)
         assert made == []
 
     def test_phase1_untouched_by_phase2_retraining(self, tmp_path):
         train, val = self._sets(seed=3)
-        model, _, _ = train_two_phase(train, val, FAST, FAST, SplitMix64(8), *_fitted(train))
+        model, _, _ = train_two_phase(train, val, FAST, FAST, SplitMix64(8), _fitted(train))
         before = tmp_path / "before.npz"
         save_network(model.phase1, before)
         z_train = transform_phase1(model, train.x)
@@ -287,9 +283,7 @@ class TestEvaluateTwoPhase:
         ds = make_gaussians(n, 5, 1.0, seed=n)  # n rows a class, of which n are kept
         ds = Dataset(x=ds.x[:n], y=ds.y[:n], feature_names=ds.feature_names)
         path = _write_csv(ds, tmp_path / "t.csv")
-        model = dataclasses.replace(_model(seed=n), feature_names=ds.feature_names,
-                                    standardizer=fit_standardizer(ds),
-                                    medians=_medians(ds.x, ds.feature_names))
+        model = dataclasses.replace(_model(seed=n), standardizer=_fitted(ds))
         x = apply_standardizer(model.standardizer, clean(load_csv(path, self.SCHEMA),
                                                          self.SCHEMA)).x
         probs, _ = predict_two_phase(model, x)
@@ -304,15 +298,11 @@ class TestEvaluateTwoPhase:
                  for rows in (2000, 8000)}
         schema = load_schema(tmp_path / "schema.json")
         ds = clean(load_csv(paths[2000], schema), schema)
-        model = dataclasses.replace(_model(input_dim=41, seed=11),
-                                    feature_names=ds.feature_names,
-                                    standardizer=fit_standardizer(ds),
-                                    medians=_medians(ds.x, ds.feature_names))
+        model = dataclasses.replace(_model(input_dim=41, seed=11), standardizer=_fitted(ds))
         del ds
 
         def read(path):
-            for _ in read_blocks(path, schema, ROWS, model.medians, model.standardizer,
-                                 model.feature_names):
+            for _ in read_blocks(path, schema, ROWS, model.standardizer):
                 pass
 
         def evaluate(path):
@@ -334,11 +324,13 @@ class TestEvaluateTwoPhase:
 
 class TestSaveLoad:
     def test_medians_round_trip_exactly(self, tmp_path):
-        model = dataclasses.replace(_model(seed=12),
-                                    medians=np.random.default_rng(7).normal(size=5) * 1e3)
+        s = _identity(5)["standardizer"]
+        medians = np.random.default_rng(7).normal(size=5) * 1e3
+        model = dataclasses.replace(_model(seed=12), standardizer=Standardizer(
+            s.mean, s.std, medians, s.names))
         save_two_phase(model, tmp_path / "m")
-        back = load_two_phase(tmp_path / "m").medians
-        assert back.view(np.uint64).tolist() == model.medians.view(np.uint64).tolist()
+        back = load_two_phase(tmp_path / "m").standardizer.medians
+        assert back.view(np.uint64).tolist() == medians.view(np.uint64).tolist()
 
     @pytest.mark.parametrize("key", PREPROCESSING)
     @pytest.mark.parametrize("existing", [False, True])
@@ -350,11 +342,18 @@ class TestSaveLoad:
             save_two_phase(_model(seed=16), out)
         before = {p.name: p.read_bytes() for p in out.iterdir()} if existing else None
         model = load_two_phase(out) if existing else _model(seed=17)
-        what = {"feature_names": "feature names",
-                "standardizer": "standardizer means"}.get(key, key)
-        message = f"phase 1's 5 inputs need 5 {what}, got none"
-        with pytest.raises(ShapeError, match=message):
-            dataclasses.replace(model, **{key: None})
+        s = model.standardizer
+        without = {  # each part of the one record, left out
+            "feature_names": lambda: dataclasses.replace(
+                model, standardizer=Standardizer(s.mean, s.std, s.medians)),
+            "standardizer": lambda: dataclasses.replace(model, standardizer=None),
+            "medians": lambda: Standardizer(s.mean, s.std, None, s.names),
+        }
+        message = {"feature_names": "phase 1's 5 inputs need 5 feature names, got 0",
+                   "standardizer": "phase 1's 5 inputs need 5 feature names, got none",
+                   "medians": "means, deviations and medians have shapes"}[key]
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            without[key]()
         assert sorted(p.name for p in tmp_path.iterdir()) == (["model"] if existing else [])
         if existing:
             assert {p.name: p.read_bytes() for p in out.iterdir()} == before
@@ -362,8 +361,8 @@ class TestSaveLoad:
     def test_directory_round_trip(self, tmp_path):
         train = make_gaussians(20, 4, 2.0, seed=30)
         val = make_gaussians(8, 4, 2.0, seed=31)
-        std, medians = _fitted(train)
-        model, _, _ = train_two_phase(train, val, FAST, FAST, SplitMix64(2), std, medians, 2)
+        std = _fitted(train)
+        model, _, _ = train_two_phase(train, val, FAST, FAST, SplitMix64(2), std, 2)
         out = tmp_path / "model"
         save_two_phase(model, out)
         assert sorted(p.name for p in out.iterdir()) == [
@@ -378,10 +377,10 @@ class TestSaveLoad:
         assert back.config1 == model.config1
         assert back.config2 == model.config2
         assert back.seed == 2
-        assert back.feature_names == model.feature_names
+        assert back.standardizer.names == std.names == train.feature_names
         assert np.array_equal(back.standardizer.mean, std.mean)
         assert np.array_equal(back.standardizer.std, std.std)
-        assert np.array_equal(back.medians, model.medians)
+        assert np.array_equal(back.standardizer.medians, std.medians)
 
     def test_param_parity_after_round_trip(self, tmp_path):
         model = _model(input_dim=41, seed=9)
@@ -629,7 +628,7 @@ class TestMalformedModel:
     def saved(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("saved") / "model"
         model = dataclasses.replace(
-            _model(seed=15), standardizer=fit_standardizer(make_gaussians(10, 5, 1.0, seed=34)))
+            _model(seed=15), standardizer=_fitted(make_gaussians(10, 5, 1.0, seed=34)))
         save_two_phase(model, out)
         return out
 
@@ -698,7 +697,10 @@ class TestMalformedModel:
         # The manifest save writes loads whole, and without any one of its
         # keys it is refused, naming that key.
         manifest = json.loads((saved / "manifest.json").read_text())
-        assert set(manifest) == {"format", "config1", "config2", "seed", *PREPROCESSING}
+        assert set(manifest) == {"format", "config1", "config2", "seed", "feature_names",
+                                 "standardizer", "medians"}
+        assert set(manifest["standardizer"]) == {"mean", "std"}
+        assert set(PREPROCESSING) == set(manifest) - {"format", "config1", "config2", "seed"}
         load_two_phase(saved)
         for key in manifest:
             (copy / "manifest.json").write_text(
@@ -720,7 +722,7 @@ class TestMalformedModel:
 
     @pytest.mark.parametrize("source, target, refusal", [
         ("phase1.npz", "phase2.npz", "phase 2 must consume a single column"),
-        ("phase2.npz", "phase1.npz", "phase 1's 1 inputs need 1 feature names, got shape (5,)"),
+        ("phase2.npz", "phase1.npz", "phase 1's 1 inputs need 1 feature names, got 5"),
     ], ids=["phase1-as-phase2", "phase2-as-phase1"])
     def test_a_network_in_the_wrong_phase_is_data_error(self, copy, source, target, refusal):
         (copy / target).write_bytes((copy / source).read_bytes())
