@@ -74,7 +74,6 @@ from .pipeline import (
     predict_two_phase,
     save_two_phase,
     train_two_phase,
-    transform_phase1,
 )
 from .rng import SplitMix64
 

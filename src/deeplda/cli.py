@@ -93,18 +93,20 @@ def _given(flag, cfg: dict, key: str, default=None):
     return flag if flag is not None else cfg.get(key, default)
 
 
-def _resolve_common(cfg: dict, data, schema, seed, val_fraction, out):
-    val_fraction = _given(val_fraction, cfg, "val_fraction", DEFAULT_VAL_FRACTION)
-    if not 0.0 < val_fraction < 1.0:
-        raise click.UsageError(f"val-fraction must lie in (0, 1), got {val_fraction}")
-    return (_given(data, cfg, "data"), _given(schema, cfg, "schema"),
-            _given(seed, cfg, "seed", DEFAULT_SEED), val_fraction, _given(out, cfg, "out"))
-
-
 def _require(value, flag: str):
     if value is None:
         raise click.UsageError(f"missing required option {flag}")
     return value
+
+
+def _resolve_common(cfg: dict, data, schema, seed, val_fraction, out):
+    """The shared options, flag over config: ``--data`` and ``--schema`` are required."""
+    val_fraction = _given(val_fraction, cfg, "val_fraction", DEFAULT_VAL_FRACTION)
+    if not 0.0 < val_fraction < 1.0:
+        raise click.UsageError(f"val-fraction must lie in (0, 1), got {val_fraction}")
+    return (_require(_given(data, cfg, "data"), "--data"),
+            _require(_given(schema, cfg, "schema"), "--schema"),
+            _given(seed, cfg, "seed", DEFAULT_SEED), val_fraction, _given(out, cfg, "out"))
 
 
 def _evaluation_report(labels, truth) -> str:
@@ -150,8 +152,6 @@ def cmd_train(data, schema, config, seed, val_fraction, lr, epochs, batch_size, 
     data, schema, seed, val_fraction, out = _resolve_common(
         cfg, data, schema, seed, val_fraction, out
     )
-    _require(data, "--data")
-    _require(schema, "--schema")
     _require(out, "--out")
     flags = {"lr": lr, "epochs": epochs, "batch_size": batch_size, "l2": l2}
     config1 = _resolve_phase(cfg, "phase1", flags)
@@ -246,8 +246,6 @@ def cmd_baseline(data, schema, config, seed, val_fraction, ridge):
     data, schema, seed, val_fraction, _ = _resolve_common(
         cfg, data, schema, seed, val_fraction, None
     )
-    _require(data, "--data")
-    _require(schema, "--schema")
     if not 0 <= ridge < math.inf:  # fit_fisher checks too, but only after the data is read
         raise click.UsageError(f"ridge must be finite and >= 0, got {ridge}")
     rng = SplitMix64(seed)

@@ -126,6 +126,10 @@ def _columns(header: list[str], schema: DataSchema) -> tuple[int, list[int]]:
     feature_cols = [i for i, h in enumerate(header) if i != target_col and h not in dropped]
     if not feature_cols:
         raise DataError("no feature columns remain after schema drops")
+    names = [header[i] for i in feature_cols]
+    if len(set(names)) < len(names):
+        twice = next(name for name in names if names.count(name) > 1)
+        raise DataError(f"feature column {twice!r} appears more than once")
     return target_col, feature_cols
 
 

@@ -806,16 +806,16 @@ NETWORK_FORMAT = "deeplda.network/2"
 _ZIP_MAGIC = b"PK\x03\x04"
 
 
-def save_network(net: Network, path, metadata: dict | None = None) -> None:
+def save_network(net: Network, path) -> None:
     """Write a ``deeplda.network/2`` file: an uncompressed ``.npz`` archive.
 
     Entries ``w0, b0, w1, b1, ...`` hold the raw float64 parameters, so a
     round trip is bit-exact. Entry ``header`` is a 0-d unicode array with
-    the sorted-key JSON of the format tag, the spec and ``metadata``. No
-    clock value is stored, so equal networks give equal bytes. The file is
-    written at ``path`` as given, whatever its suffix.
+    the sorted-key JSON of the format tag and the spec. No clock value is
+    stored, so equal networks give equal bytes. The file is written at
+    ``path`` as given, whatever its suffix.
     """
-    header = {"format": NETWORK_FORMAT, "spec": net.spec.to_dict(), "metadata": metadata or {}}
+    header = {"format": NETWORK_FORMAT, "spec": net.spec.to_dict()}
     arrays = {"header": np.array(json.dumps(header, sort_keys=True, allow_nan=False))}
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
         arrays[f"w{k}"] = w
@@ -826,7 +826,8 @@ def save_network(net: Network, path, metadata: dict | None = None) -> None:
 
 def load_network(path) -> Network:
     """Load a network file written by :func:`save_network`; the network
-    holds no Adam moments. A file that is not a well-formed
+    holds no Adam moments. The header's other keys are not read (older
+    files carry a ``metadata`` object). A file that is not a well-formed
     ``deeplda.network/2`` archive, or whose parameters are not all finite,
     raises :class:`DataError`.
     """

@@ -109,11 +109,6 @@ class TwoPhaseModel:
         _check_inputs(self.phase1.spec.input_dim, self.standardizer)
 
 
-def transform_phase1(model: TwoPhaseModel, x: np.ndarray) -> np.ndarray:
-    """Infer-mode phase-1 probabilities: the (n, 1) input for phase 2."""
-    return predict(model.phase1, x)[0]
-
-
 def _fit_phase(phase: int, net: Network, *args) -> tuple[Network, TrainingHistory]:
     try:
         return fit(net, *args)
@@ -152,7 +147,7 @@ def train_two_phase(
     model = TwoPhaseModel(phase1=phase1, phase2=init_network(build_phase2_spec(), rng),
                           standardizer=standardizer, config1=config1, config2=config2, seed=seed)
     # fit's last validation pass already scored val.x with the final weights.
-    train2 = Dataset(x=transform_phase1(model, train.x), y=train.y,
+    train2 = Dataset(x=predict(phase1, train.x)[0], y=train.y,
                      feature_names=("phase1_prob",))
     val2 = Dataset(x=history1.val_probs, y=val.y, feature_names=("phase1_prob",))
     _, history2 = _fit_phase(2, model.phase2, train2, val2, config2, rng)  # in place
@@ -163,7 +158,7 @@ def predict_two_phase(
     model: TwoPhaseModel, x: np.ndarray, threshold: float = 0.5
 ) -> tuple[np.ndarray, np.ndarray]:
     """End-to-end probabilities and labels: phase 2 on phase-1 output."""
-    return predict(model.phase2, transform_phase1(model, x), threshold)
+    return predict(model.phase2, predict(model.phase1, x)[0], threshold)
 
 
 def evaluate_two_phase(model: TwoPhaseModel, path, schema: DataSchema) -> ConfusionMatrix:
@@ -296,8 +291,8 @@ def _write_two_phase(model: TwoPhaseModel, directory) -> None:
         },
         "medians": model.standardizer.medians.tolist(),
     }
-    save_network(model.phase1, os.path.join(directory, PHASE_FILES[0]), {"phase": 1})
-    save_network(model.phase2, os.path.join(directory, PHASE_FILES[1]), {"phase": 2})
+    for net, name in zip((model.phase1, model.phase2), PHASE_FILES):
+        save_network(net, os.path.join(directory, name))
     write_json(manifest, os.path.join(directory, MANIFEST_FILE))
 
 

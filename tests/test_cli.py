@@ -339,6 +339,19 @@ class TestTrainCommand:
         assert f"unknown keys in '{phase}': ['epoch']" in err
         assert not (tmp_path / "run").exists()
 
+    def test_a_feature_column_named_twice_is_data_error(self, toy_csv, tmp_path, capsys):
+        # Recorded as two names alike, its columns could be swapped unnoticed.
+        csv_path, schema_path = toy_csv
+        header, rest = csv_path.read_text(encoding="utf-8").split("\n", 1)
+        assert header.startswith("id,a,b,")
+        twice = tmp_path / "twice.csv"
+        twice.write_text(header.replace("id,a,b,", "id,a,a,", 1) + "\n" + rest, encoding="utf-8")
+        out = tmp_path / "run"
+        code, _, err = _run(capsys, *_train_args((twice, schema_path), out, *FAST))
+        assert code == 2
+        assert "feature column 'a' appears more than once" in err
+        assert not out.exists()
+
     def test_missing_required_option(self, toy_csv, tmp_path, capsys):
         csv_path, schema_path = toy_csv
         code, _, err = _run(capsys, "train", "--data", str(csv_path),

@@ -242,6 +242,8 @@ SINGLE_DEFECTS = {
     "missing target": ("id,a,b\n1,0.5,0.2\n", "target column 'label' not found in header"),
     "missing drop": ("a,label\n0.5,1\n", "drop column 'id' not found in header"),
     "duplicate target": ("id,a,label,label\n1,0.5,1,1\n", "target column 'label' appears more"),
+    "duplicate feature": ("id,a,a,label\n1,0.5,0.6,1\n",
+                          "feature column 'a' appears more than once"),
     "empty target": ("id,a,label\n1,0.5,1\n2,0.6, \n", "row 2: empty target cell"),
     "third target token": ("id,a,label\n1,0.5,1\n2,0.6,0\n3,0.7,maybe\n",
                            "row 3: target token 'maybe' (already saw '0'"),
@@ -424,6 +426,15 @@ _VALIDATION_CELL = st.just("") | st.floats().map(repr) | st.sampled_from(TestCle
 
 
 class TestLoadSplit:
+    def test_a_dropped_name_may_appear_more_than_once(self, tmp_path):
+        # Two unnamed trailing columns, both dropped by the one "" entry.
+        path = _write(tmp_path, "id,a,b,label,,\n" + "".join(
+            f"{i},{i}.5,{i % 3},{i % 2},,\n" for i in range(8)))
+        train, val, std = load_split(path, DataSchema(target="label", drop=("id", "")),
+                                     0.25, SplitMix64(0))
+        assert train.feature_names == val.feature_names == std.names == ("a", "b")
+        assert train.n_rows + val.n_rows == 8
+
     def test_without_blank_cells_it_is_the_standardized_stratified_split(self, tmp_path):
         g = np.random.default_rng(3)
         labels = [i % 3 == 0 for i in range(40)]

@@ -903,8 +903,8 @@ class TestSerialization:
     @pytest.mark.parametrize("spec", [HEAD_SPEC, WIDE_SPEC], ids=["head", "wide"])
     def test_file_bytes_equal_np_savez(self, tmp_path, spec):
         net = init_network(spec, SplitMix64(14))
-        save_network(net, tmp_path / "net.npz", {"phase": 1})
-        header = {"format": "deeplda.network/2", "spec": spec.to_dict(), "metadata": {"phase": 1}}
+        save_network(net, tmp_path / "net.npz")
+        header = {"format": "deeplda.network/2", "spec": spec.to_dict()}
         entries = {"header": np.array(json.dumps(header, sort_keys=True))}
         for k, (w, b) in enumerate(zip(net.weights, net.biases)):
             entries[f"w{k}"], entries[f"b{k}"] = w, b
@@ -915,7 +915,7 @@ class TestSerialization:
     def test_file_layout(self, tmp_path):
         net = init_network(HEAD_SPEC, SplitMix64(12))
         path = tmp_path / "net.npz"
-        save_network(net, path, {"phase": 2})
+        save_network(net, path)
         with np.load(path, allow_pickle=False) as npz:
             assert sorted(npz.files) == ["b0", "b1", "header", "w0", "w1"]
             assert np.array_equal(npz["w1"], net.weights[1])
@@ -924,8 +924,20 @@ class TestSerialization:
         text = str(header[()])
         doc = json.loads(text)
         assert text == json.dumps(doc, sort_keys=True)
-        assert doc == {"format": "deeplda.network/2", "spec": HEAD_SPEC.to_dict(),
-                       "metadata": {"phase": 2}}
+        assert doc == {"format": "deeplda.network/2", "spec": HEAD_SPEC.to_dict()}
+
+    @pytest.mark.parametrize("metadata", [{}, {"phase": 2}], ids=["empty", "phase"])
+    def test_a_header_with_the_old_metadata_field_loads(self, tmp_path, metadata):
+        # Files written before the header lost its unread "metadata" object.
+        net = init_network(HEAD_SPEC, SplitMix64(12))
+        save_network(net, tmp_path / "net.npz")
+        header = {"format": "deeplda.network/2", "spec": HEAD_SPEC.to_dict(), "metadata": metadata}
+        _rewrite_npz(tmp_path / "net.npz", tmp_path / "old.npz",
+                     header=np.array(json.dumps(header, sort_keys=True)))
+        back = load_network(tmp_path / "old.npz")
+        assert back.spec == HEAD_SPEC
+        for a, b in zip(net.weights + net.biases, back.weights + back.biases):
+            assert np.array_equal(a, b)
 
     def test_written_at_the_given_name(self, tmp_path):
         # np.savez given a path would append ".npz"; the file goes exactly here

@@ -41,7 +41,6 @@ from deeplda import (
     save_network,
     save_two_phase,
     train_two_phase,
-    transform_phase1,
 )
 from deeplda.data import _medians, read_blocks
 from deeplda.network import ROWS, NetworkSpec
@@ -122,10 +121,12 @@ class TestSpecs:
 
 
 class TestTransform:
+    """Phase 1's infer-mode probabilities, the (n, 1) input phase 2 takes."""
+
     def test_output_width_one_and_in_unit_interval(self):
         model = _model()
         x = np.random.default_rng(0).normal(size=(17, 5))
-        z = transform_phase1(model, x)
+        z = predict(model.phase1, x)[0]
         assert z.shape == (17, 1)
         assert np.all((z > 0.0) & (z < 1.0))
 
@@ -135,18 +136,8 @@ class TestTransform:
         net = Network(spec, [np.zeros(s) for s in shapes],
                       [np.zeros((1, s[1])) for s in shapes])
         model = TwoPhaseModel(phase1=net, phase2=_model().phase2, **_identity(3))
-        z = transform_phase1(model, np.random.default_rng(1).normal(size=(4, 3)))
+        z = predict(model.phase1, np.random.default_rng(1).normal(size=(4, 3)))[0]
         assert np.all(z == 0.5)
-
-    def test_equals_phase1_predict_probs(self):
-        model = _model(seed=3)
-        x = np.random.default_rng(2).normal(size=(9, 5))
-        probs, _ = predict(model.phase1, x)
-        assert np.array_equal(transform_phase1(model, x), probs)
-
-    def test_width_mismatch(self):
-        with pytest.raises(ShapeError):
-            transform_phase1(_model(input_dim=4), np.ones((2, 5)))
 
 
 class TestTrainTwoPhase:
@@ -175,7 +166,7 @@ class TestTrainTwoPhase:
     def test_phase2_history_measured_on_transformed_validation(self):
         train, val = self._sets(seed=2)
         model, _, h2 = train_two_phase(train, val, FAST, FAST, SplitMix64(5), _fitted(train))
-        z_val = transform_phase1(model, val.x)
+        z_val = predict(model.phase1, val.x)[0]
         probs, _ = predict(model.phase2, z_val, model.config2.threshold)
         acc = float(np.mean((probs[:, 0] >= 0.5) == (val.y >= 0.5)))
         assert abs(h2[-1].val_accuracy - acc) < 1e-12
@@ -183,7 +174,7 @@ class TestTrainTwoPhase:
     def test_histories_keep_the_final_validation_probabilities(self):
         train, val = self._sets(seed=3)
         model, h1, h2 = train_two_phase(train, val, FAST, FAST, SplitMix64(6), _fitted(train))
-        assert np.array_equal(h1.val_probs, transform_phase1(model, val.x))
+        assert np.array_equal(h1.val_probs, predict(model.phase1, val.x)[0])
         assert np.array_equal(h2.val_probs, predict_two_phase(model, val.x)[0])
 
     def test_phase1_is_returned_without_adam_moments(self, tmp_path):
@@ -229,8 +220,8 @@ class TestTrainTwoPhase:
         model, _, _ = train_two_phase(train, val, FAST, FAST, SplitMix64(8), _fitted(train))
         before = tmp_path / "before.npz"
         save_network(model.phase1, before)
-        z_train = transform_phase1(model, train.x)
-        z_val = transform_phase1(model, val.x)
+        z_train = predict(model.phase1, train.x)[0]
+        z_val = predict(model.phase1, val.x)[0]
         retrain = init_network(build_phase2_spec(), SplitMix64(999))
         fit(retrain,
             Dataset(x=z_train, y=train.y, feature_names=("p",)),
@@ -246,7 +237,7 @@ class TestPredictTwoPhase:
         model = _model(seed=6)
         x = np.random.default_rng(3).normal(size=(11, 5))
         probs, labels = predict_two_phase(model, x, 0.5)
-        ref_probs, ref_labels = predict(model.phase2, transform_phase1(model, x), 0.5)
+        ref_probs, ref_labels = predict(model.phase2, predict(model.phase1, x)[0], 0.5)
         assert np.array_equal(probs, ref_probs)
         assert np.array_equal(labels, ref_labels)
 
@@ -435,11 +426,11 @@ class TestSaveLoad:
         real = deeplda.pipeline.save_network
         calls = []
 
-        def save_then_fail(net, path, metadata=None):
+        def save_then_fail(net, path):
             if calls:
                 raise OSError("disk full")
             calls.append(path)
-            real(net, path, metadata)
+            real(net, path)
 
         monkeypatch.setattr(deeplda.pipeline, "save_network", save_then_fail)
         with pytest.raises(OSError, match="disk full"):
