@@ -42,7 +42,6 @@ from .metrics import (
     history_to_csv,
     precision,
     recall,
-    report_dict,
 )
 from .network import (
     Gradients,

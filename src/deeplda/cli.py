@@ -118,17 +118,6 @@ def cli():
     """Two-phase deep discriminant classifier for tabular binary data."""
 
 
-def _phase_flag_options(fn):
-    for args, kwargs in reversed([
-        (("--lr",), dict(type=float, default=None, help="Learning rate for both phases.")),
-        (("--epochs",), dict(type=int, default=None, help="Epochs for both phases.")),
-        (("--batch-size",), dict(type=int, default=None, help="Mini-batch size.")),
-        (("--l2",), dict(type=float, default=None, help="L2 kernel coefficient (phase 1).")),
-    ]):
-        fn = click.option(*args, **kwargs)(fn)
-    return fn
-
-
 def _common_options(fn):
     for args, kwargs in reversed([
         (("--data",), dict(default=None, help="Training CSV path.")),
@@ -144,7 +133,10 @@ def _common_options(fn):
 
 @cli.command(name="train")
 @_common_options
-@_phase_flag_options
+@click.option("--lr", type=float, default=None, help="Learning rate for both phases.")
+@click.option("--epochs", type=int, default=None, help="Epochs for both phases.")
+@click.option("--batch-size", type=int, default=None, help="Mini-batch size.")
+@click.option("--l2", type=float, default=None, help="L2 kernel coefficient (phase 1).")
 @click.option("--out", default=None, help="Output directory for run artifacts.")
 def cmd_train(data, schema, config, seed, val_fraction, lr, epochs, batch_size, l2, out):
     """Train both phases and write a self-describing run directory."""
@@ -166,9 +158,16 @@ def cmd_train(data, schema, config, seed, val_fraction, lr, epochs, batch_size, 
     model, history1, history2 = train_two_phase(train_ds, val_ds, config1, config2, rng,
                                                 std, seed)
 
-    # Phase 2's last validation pass scored the validation rows end to end.
-    labels = history2.val_probs[:, 0] >= config2.threshold
-    report = _evaluation_report(labels, val_ds.y)
+    # Each phase's last validation pass scored the validation rows; phase 2's end to end.
+    labels = {phase: history.val_probs[:, 0] >= config.threshold for phase, history, config
+              in (("phase1", history1, config1), ("phase2", history2, config2))}
+    degenerate = {phase: bool(pred.all() or not pred.any()) for phase, pred in labels.items()}
+    for phase, pred in labels.items():
+        if degenerate[phase]:
+            why = " (phase 1 does not)" if phase == "phase2" and not degenerate["phase1"] else ""
+            warnings.warn(f"phase {phase[-1]} predicts class {int(pred[0])} "
+                          f"for all {pred.size} validation rows{why}")
+    report = _evaluation_report(labels["phase2"], val_ds.y)
 
     with replacing(out) as tmp:  # which syncs model/ with the rest of the run
         model_dir = os.path.join(tmp, "model")
@@ -189,6 +188,7 @@ def cmd_train(data, schema, config, seed, val_fraction, lr, epochs, batch_size, 
             "n_train": train_ds.n_rows,
             "n_val": val_ds.n_rows,
             "n_features": train_ds.n_features,
+            "degenerate": degenerate,
         }, os.path.join(tmp, "manifest.json"))
 
     click.echo(f"run directory: {out}")

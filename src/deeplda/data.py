@@ -126,11 +126,19 @@ def _columns(header: list[str], schema: DataSchema) -> tuple[int, list[int]]:
     feature_cols = [i for i, h in enumerate(header) if i != target_col and h not in dropped]
     if not feature_cols:
         raise DataError("no feature columns remain after schema drops")
-    names = [header[i] for i in feature_cols]
+    _check_names([header[i] for i in feature_cols])
+    return target_col, feature_cols
+
+
+def _check_names(names) -> None:
+    """Refuse a feature name that no header gives: one with surrounding whitespace, or a repeat."""
+    for name in names:
+        if name != name.strip():
+            raise DataError(f"feature column {name!r} has surrounding whitespace, "
+                            "which a header's names are stripped of")
     if len(set(names)) < len(names):
         twice = next(name for name in names if names.count(name) > 1)
         raise DataError(f"feature column {twice!r} appears more than once")
-    return target_col, feature_cols
 
 
 def _feature_names(header: list[str], schema: DataSchema) -> tuple[str, ...]:
@@ -325,8 +333,7 @@ def load_split(path, schema: DataSchema, val_fraction: float, rng: SplitMix64) -
     # The fitted record judges the validation cells too: one that leaves the
     # float64 range when standardized is missing, as one past it when parsed is.
     val_x = x[val_idx]
-    with np.errstate(over="ignore"):
-        val_x[np.isinf((val_x - std.mean) / std.std)] = np.nan
+    val_x[np.isinf(_standardize(std, val_x.copy()))] = np.nan
     train = _dataset(names, x[train_idx], y[train_idx], medians, std)
     val = _dataset(names, val_x, y[val_idx], medians, std)
     return train, val, std
@@ -345,9 +352,12 @@ def read_blocks(path, schema: DataSchema, size: int, standardizer: Standardizer)
     """
     with _csv_rows(path) as (header, rows):
         found = _feature_names(header, schema)
-        if found != standardizer.names:
-            raise DataError(f"dataset features {list(found)} do not match "
-                            f"the model's {list(standardizer.names)}")
+        names = standardizer.names
+        if found != names:
+            i = next(i for i in range(len(found) + 1) if found[i:i + 1] != names[i:i + 1])
+            got, want = (repr(n[i]) if i < len(n) else "absent" for n in (found, names))
+            raise DataError(f"dataset feature {i + 1} is {got}, the model's is {want} "
+                            f"(the dataset has {len(found)} features, the model {len(names)})")
         held = None
         for block in _row_blocks(header, rows, schema, size):
             if held is not None and len(block[1]) == 1:  # the last block, as size > 1
@@ -368,7 +378,8 @@ class Standardizer:
     Create one with :func:`fit_standardizer` on the training split; there
     is no API that updates the statistics from later data, which is what
     keeps validation rows out of the normalization. Construction refuses
-    arrays of unequal lengths, a non-finite value and a deviation not above 0.
+    arrays of unequal lengths, a non-finite value, a deviation not above 0 and
+    a name that no data file's header can give (:func:`_check_names`).
     """
 
     def __init__(self, mean: np.ndarray, std: np.ndarray, medians: np.ndarray, names=()):
@@ -380,6 +391,7 @@ class Standardizer:
                              f"{self.mean.shape}, {self.std.shape} and {self.medians.shape}")
         if self.names and len(self.names) != self.n_features:
             raise ShapeError(f"{len(self.names)} feature names for {self.n_features} features")
+        _check_names(self.names)
         if not np.all(np.isfinite([self.mean, self.std, self.medians])):
             raise DataError("standardizer means, deviations and medians must be finite")
         if not np.all(self.std > 0):

@@ -102,26 +102,11 @@ def f_score(cm: ConfusionMatrix) -> float:
     return _f_from(precision(cm), recall(cm))
 
 
-def report_dict(cm: ConfusionMatrix) -> dict:
-    """Machine-readable report: counts plus the four headline metrics.
+def format_report(cm: ConfusionMatrix) -> str:
+    """Aligned plain-text report with the 2x2 matrix and the four metrics.
     Each degenerate metric warns once."""
     acc, p, r = accuracy(cm), precision(cm), recall(cm)
-    return {
-        "tp": cm.tp,
-        "fp": cm.fp,
-        "fn": cm.fn,
-        "tn": cm.tn,
-        "total": cm.total,
-        "accuracy": acc,
-        "precision": p,
-        "recall": r,
-        "f_score": _f_from(p, r),
-    }
-
-
-def format_report(cm: ConfusionMatrix) -> str:
-    """Aligned plain-text report with the 2x2 matrix and the four metrics."""
-    m = report_dict(cm)
+    m = {"accuracy": acc, "precision": p, "recall": r, "f_score": _f_from(p, r)}
     width = max(6, len(str(cm.total)))
     lines = [
         "confusion matrix (positive class = 1)",
@@ -129,7 +114,7 @@ def format_report(cm: ConfusionMatrix) -> str:
         f"  actual=1  {cm.tp:>{width}}  {cm.fn:>{width}}",
         f"  actual=0  {cm.fp:>{width}}  {cm.tn:>{width}}",
         "",
-    ] + [f"{name:<9}  {m[name]:.6f}" for name in ("accuracy", "precision", "recall", "f_score")]
+    ] + [f"{name:<9}  {value:.6f}" for name, value in m.items()]
     return "\n".join(lines) + "\n"
 
 

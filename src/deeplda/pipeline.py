@@ -209,11 +209,14 @@ def replacing(directory):
     directory after it, so after an OS crash ``directory`` holds no file shorter than
     written. Once the sibling has landed only an interrupt raises, and the previous
     directory goes all the same: one that cannot be removed, or a parent that cannot
-    be synced, is named in a warning."""
+    be synced, is named in a warning. A sibling already there for this process's pid
+    was left by a killed process that had it, so it is removed first."""
     target = os.path.abspath(directory)
     os.makedirs(os.path.dirname(target), exist_ok=True)
     tmp = f"{target}.tmp-{os.getpid()}"
     stale = f"{tmp}.old"
+    if os.path.isdir(tmp) and not os.path.islink(tmp):  # a live process's pid is its own
+        shutil.rmtree(tmp)
     try:
         os.mkdir(tmp)
         yield tmp

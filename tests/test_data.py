@@ -329,7 +329,9 @@ class TestLoadDataset:
         # read_blocks compares the names, so another width is refused by its header,
         # before any row defect.
         path = _write(tmp_path, "id,a,b,label\n1,0.5,2,1\n2,x\n")
-        with pytest.raises(DataError, match=re.escape("['a', 'b'] do not match the model's")):
+        with pytest.raises(DataError, match=re.escape(
+                "dataset feature 3 is absent, the model's is 'c' "
+                "(the dataset has 2 features, the model 3)")):
             next(read_blocks(path, SCHEMA, 4, s))
 
 
@@ -398,7 +400,9 @@ class TestReadBlocks:
     def test_the_header_is_checked_before_any_row(self, tmp_path):
         path = _write(tmp_path, "id,a,b,label\n1,0.5\n")
         s = Standardizer(np.zeros(2), np.ones(2), np.zeros(2), ("a", "c"))
-        with pytest.raises(DataError, match=re.escape("['a', 'b'] do not match the model's")):
+        with pytest.raises(DataError, match=re.escape(
+                "dataset feature 2 is 'b', the model's is 'c' "
+                "(the dataset has 2 features, the model 2)")):
             next(read_blocks(path, SCHEMA, 4, s))
         with pytest.raises(DataError, match="row 1: expected 4 cells"):
             next(read_blocks(path, SCHEMA, 4, Standardizer(*_IDENTITY, FEATURES)))
@@ -635,6 +639,15 @@ class TestStandardizer:
         with pytest.raises(ShapeError, match=f"{len(names)} feature names for 2 features"):
             Standardizer(*_IDENTITY, names)
         assert Standardizer(*_IDENTITY).names == ()
+
+    @pytest.mark.parametrize("names, why", [
+        (("a", "a"), "feature column 'a' appears more than once"),
+        ((" a", "b"), "feature column ' a' has surrounding whitespace"),
+    ], ids=["repeated", "surrounding whitespace"])
+    def test_rejects_a_name_no_header_can_give(self, names, why):
+        # A model that recorded one would load and then score no file.
+        with pytest.raises(DataError, match=re.escape(why)):
+            Standardizer(*_IDENTITY, names)
 
 
 def _balanced_dataset(n0, n1, seed=0):

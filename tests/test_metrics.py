@@ -16,7 +16,6 @@ from deeplda import (
     history_to_csv,
     precision,
     recall,
-    report_dict,
 )
 from deeplda.metrics import CURVE_HEADER, DegenerateMetricWarning
 
@@ -96,11 +95,6 @@ class TestDegenerateMetrics:
 
 
 class TestReport:
-    def test_report_dict_keys_and_values(self):
-        d = report_dict(ConfusionMatrix(2, 1, 1, 1))
-        assert d["tp"] == 2 and d["total"] == 5
-        assert d["accuracy"] == 0.6
-
     def test_format_contains_matrix_and_all_four_lines(self):
         text = format_report(ConfusionMatrix(8, 1, 2, 22))
         assert "confusion matrix (positive class = 1)" in text

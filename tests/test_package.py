@@ -167,6 +167,27 @@ def test_missing_cells_are_filled_in_one_place():
         ("data", "_dataset", "np.copyto")}
 
 
+def test_features_are_standardized_in_one_place():
+    # train, load_split's overflow probe and read_blocks all scale through
+    # _standardize. The probe once repeated the arithmetic, and the two copies
+    # must agree bit for bit, or a cell passes the probe and then overflows.
+    found = set()
+    for path in sorted(Path(deeplda.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.BinOp):
+                    op, operand = node.op, node.right
+                elif isinstance(node, ast.AugAssign):
+                    op, operand = node.op, node.value
+                else:
+                    continue
+                if isinstance(operand, ast.Attribute) and (type(op), operand.attr) in {
+                        (ast.Sub, "mean"), (ast.Div, "std")}:
+                    found.add((path.stem, fn.name))
+    assert found == {("data", "_standardize")}
+
+
 def test_a_models_preprocessing_is_checked_by_one_rule():
     # A model checks that its standardizer names each phase-1 input when it is
     # made, and train_two_phase applies the same rule before it trains; a second
