@@ -109,10 +109,6 @@ def _resolve_common(cfg: dict, data, schema, seed, val_fraction, out):
             _given(seed, cfg, "seed", DEFAULT_SEED), val_fraction, _given(out, cfg, "out"))
 
 
-def _evaluation_report(labels, truth) -> str:
-    return format_report(confusion(labels, truth.astype(int)))
-
-
 @click.group(name="deeplda")
 def cli():
     """Two-phase deep discriminant classifier for tabular binary data."""
@@ -167,7 +163,7 @@ def cmd_train(data, schema, config, seed, val_fraction, lr, epochs, batch_size, 
             why = " (phase 1 does not)" if phase == "phase2" and not degenerate["phase1"] else ""
             warnings.warn(f"phase {phase[-1]} predicts class {int(pred[0])} "
                           f"for all {pred.size} validation rows{why}")
-    report = _evaluation_report(labels["phase2"], val_ds.y)
+    report = format_report(confusion(labels["phase2"], val_ds.y))
 
     with replacing(out) as tmp:  # which syncs model/ with the rest of the run
         model_dir = os.path.join(tmp, "model")
@@ -253,7 +249,7 @@ def cmd_baseline(data, schema, config, seed, val_fraction, ridge):
     model = fit_fisher(train_ds, ridge)
     scores, labels = predict_lda(model, val_ds.x)
     click.echo(f"fisher baseline on {val_ds.n_rows} validation rows (seed {seed})")
-    click.echo(_evaluation_report(labels, val_ds.y))
+    click.echo(format_report(confusion(labels, val_ds.y)))
 
 
 def _show_warning(message, *args, **kwargs):

@@ -40,7 +40,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-7
 
-# Rows per block of :func:`predict`, whose two shared buffers hold ROWS + 1
+# Rows per block of a :func:`scorer`, whose two shared buffers hold ROWS + 1
 # rows of the widest layer. Each block's GEMM packs the weight matrix again,
 # so smaller blocks cost more time than the memory they save (timings in the
 # README's design notes). With one BLAS thread the blocks keep the bits of
@@ -679,34 +679,31 @@ def adam_step(net: Network, grads: Gradients, learning_rate: float) -> Network:
 def predict(
     net: Network, x: np.ndarray, threshold: float = 0.5
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Infer-mode probabilities and hard labels (prob >= threshold -> 1).
-
-    Only the dense layers run, since dropout is the identity at inference.
-    The rows go through them in blocks of :data:`ROWS`, holding one layer's
-    input and output for one block at a time, so activation memory does not
-    grow with the row count. The blocks share two buffers, as fresh ones
-    would be faulted in again for every block. The bits equal the
-    whole-matrix :func:`forward`: blocks start at multiples of ``ROWS`` and
-    a trailing one-row block joins the block before it (see :data:`ROWS`).
-    """
-    (probs,) = predict_blocks(net, [x])
+    """Infer-mode probabilities from a :func:`scorer`, and labels (prob >= threshold -> 1)."""
+    probs = scorer(net)(x)
     labels = (probs[:, 0] >= threshold).astype(np.int64)
     return probs, labels
 
 
-def predict_blocks(net: Network, blocks):
-    """Infer-mode probabilities of each block of rows that ``blocks`` yields,
-    in order, as :func:`predict` gives them for that block alone.
+def scorer(net: Network):
+    """A function from a matrix of rows to its infer-mode probabilities.
 
-    Every block runs in :func:`predict`'s row blocks through the same two
-    buffers. They are made for the first block, with room for ``ROWS + 1``
-    rows once it has ``ROWS``, so a caller that reads a file in blocks of
-    ``ROWS`` rows, the last perhaps one longer, scores it with one pair.
+    Only the dense layers run, since dropout is the identity at inference.
+    The rows go through them in blocks of :data:`ROWS`, holding one layer's
+    input and output for one block at a time, so activation memory does not
+    grow with the row count. All blocks of all the matrices it is given share
+    two buffers, made for the first one with room for ``ROWS + 1`` rows once
+    it has ``ROWS``: a file read in blocks of ``ROWS`` rows, the last perhaps
+    one longer, is scored with one pair. The bits equal the whole-matrix
+    :func:`forward`: blocks start at multiples of ``ROWS`` and a trailing
+    one-row block joins the block before it (see :data:`ROWS`).
     """
     layers = net.dense_layers()
     width = max(layer.units for layer in layers)
     scratch = (np.empty(0), np.empty(0))
-    for x in blocks:
+
+    def score(x: np.ndarray) -> np.ndarray:
+        nonlocal scratch
         x = _checked_input(net, x)
         n = x.shape[0]
         size = (n if n < ROWS else ROWS + 1) * width
@@ -722,7 +719,9 @@ def predict_blocks(net: Network, blocks):
                 out = scratch[k % 2][: len(a) * w.shape[1]].reshape(len(a), -1)
                 a = _dense(layer, a, w, b, out)
             probs[start:stop] = a
-        yield probs
+        return probs
+
+    return score
 
 
 def fit(

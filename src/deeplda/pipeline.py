@@ -30,8 +30,8 @@ from .network import (
     init_network,
     load_network,
     predict,
-    predict_blocks,
     save_network,
+    scorer,
 )
 from .rng import SplitMix64
 
@@ -166,20 +166,15 @@ def evaluate_two_phase(model: TwoPhaseModel, path, schema: DataSchema) -> Confus
 
     The file is read by :func:`~deeplda.data.read_blocks` with the model's
     standardizer, in blocks of :data:`~deeplda.network.ROWS` rows, and each
-    block is scored as it comes, through one pair of buffers per phase, so a
-    model scores a file of any length in the memory of one block. The labels
-    equal :func:`predict_two_phase`'s on the same features.
+    block goes through one :func:`~deeplda.network.scorer` per phase as it
+    comes, so a model scores a file of any length in the memory of one block
+    and one pair of buffers per phase. The labels equal
+    :func:`predict_two_phase`'s on the same features.
     """
-    truth = []  # the labels of the block being scored: each walk yields a block as it reads one
-
-    def features():
-        for block in read_blocks(path, schema, ROWS, model.standardizer):
-            truth.append(block.y)
-            yield block.x
-
+    score1, score2 = scorer(model.phase1), scorer(model.phase2)
     counts = ConfusionMatrix(0, 0, 0, 0)
-    for probs in predict_blocks(model.phase2, predict_blocks(model.phase1, features())):
-        counts += confusion(probs[:, 0] >= model.config2.threshold, truth.pop())
+    for block in read_blocks(path, schema, ROWS, model.standardizer):
+        counts += confusion(score2(score1(block.x))[:, 0] >= model.config2.threshold, block.y)
     return counts
 
 
@@ -210,13 +205,16 @@ def replacing(directory):
     written. Once the sibling has landed only an interrupt raises, and the previous
     directory goes all the same: one that cannot be removed, or a parent that cannot
     be synced, is named in a warning. A sibling already there for this process's pid
-    was left by a killed process that had it, so it is removed first."""
+    was left by a killed process that had it, so it is removed first; but a set-aside
+    previous directory stays while ``directory`` is missing, as it holds the only one."""
     target = os.path.abspath(directory)
     os.makedirs(os.path.dirname(target), exist_ok=True)
     tmp = f"{target}.tmp-{os.getpid()}"
     stale = f"{tmp}.old"
     if os.path.isdir(tmp) and not os.path.islink(tmp):  # a live process's pid is its own
         shutil.rmtree(tmp)
+    if os.path.isdir(target) and os.path.lexists(stale):  # the swap sets target aside there
+        _remove(stale)
     try:
         os.mkdir(tmp)
         yield tmp
@@ -254,16 +252,21 @@ def _remove_stale(target: str, stale: str) -> None:
     if not os.path.lexists(stale):
         return
     try:
-        if os.path.islink(stale):  # a link to a directory: the link goes, its target stays
-            os.unlink(stale)
-        else:
-            shutil.rmtree(stale)
+        _remove(stale)
     except OSError as exc:
         warnings.warn(f"{target} holds the new run, but the previous one is left "
                       f"at {stale}: {exc}")
     except BaseException:  # an interrupt part way: finish the removal, then raise it
         shutil.rmtree(stale, ignore_errors=True)
         raise
+
+
+def _remove(path: str) -> None:
+    """Remove a directory, or a link to one, whose target then stays."""
+    if os.path.islink(path):
+        os.unlink(path)
+    else:
+        shutil.rmtree(path)
 
 
 def save_two_phase(model: TwoPhaseModel, directory) -> None:

@@ -232,16 +232,40 @@ class TestTrainCommand:
         assert _tree(out) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]  # no *.tmp-* sibling
 
+    @pytest.mark.parametrize("present", [True, False], ids=["run", "none"])
+    @pytest.mark.parametrize("suffix", ["", ".old"], ids=["new", "old"])
     def test_a_sibling_left_with_this_pid_does_not_stop_the_run(self, toy_csv, tmp_path,
-                                                                capsys):
-        # A killed train leaves its sibling; a later process may be given its pid.
-        left = tmp_path / f"run.tmp-{os.getpid()}"
+                                                                capsys, suffix, present):
+        # A killed train leaves its new run's sibling, or the previous run it
+        # set aside in the swap; a later process may be given its pid.
+        out = tmp_path / "run"
+        if present:
+            assert _run(capsys, *_train_args(toy_csv, out, "--seed", "1", *FAST))[0] == 0
+        left = tmp_path / f"run.tmp-{os.getpid()}{suffix}"
         (left / "model").mkdir(parents=True)
         (left / "model" / "phase1.npz").write_bytes(b"cut short")
-        code, _, err = _run(capsys, *_train_args(toy_csv, tmp_path / "run", *FAST))
+        code, _, err = _run(capsys, *_train_args(toy_csv, out, *FAST))
         assert code == 0, err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
-        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == RUN_FILES
+        assert sorted(p.name for p in out.iterdir()) == RUN_FILES
+
+    def test_a_run_set_aside_with_this_pid_comes_back_if_the_write_fails(
+            self, toy_csv, tmp_path, capsys, monkeypatch):
+        # A train killed in the swap, between its two renames, leaves the
+        # only previous run in its .old sibling.
+        out = tmp_path / "run"
+        assert _run(capsys, *_train_args(toy_csv, out, "--seed", "1", *FAST))[0] == 0
+        before = _tree(out)
+        os.rename(out, tmp_path / f"run.tmp-{os.getpid()}.old")
+
+        def fail(model, directory):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(deeplda.cli, "_write_two_phase", fail)
+        code, _, err = _run(capsys, *_train_args(toy_csv, out, "--seed", "2", *FAST))
+        assert code == 2 and "disk full" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
+        assert _tree(out) == before
 
     def test_sigterm_ends_in_one_line_and_restores_the_handler(self, toy_csv, tmp_path,
                                                                capsys, monkeypatch):

@@ -684,21 +684,30 @@ class TestFastPathBits:
         # 128 rows, 4.2 MB at 256.
         assert peak < 2.5e6
 
-    def test_predict_blocks_keep_the_whole_matrix_bits(self):
-        # numpy reads the BLAS thread count at import, so the check runs in a
-        # child process pinned to one thread, where the bits are promised.
+    def test_predict_and_scored_file_blocks_keep_the_whole_matrix_bits(self):
+        # One scorer per spec is fed every matrix in the blocks read_blocks
+        # hands over, as evaluate feeds it a file: ROWS rows each, a one-row
+        # tail joined to the block before. numpy reads the BLAS thread count
+        # at import, so the check runs in a child process pinned to one
+        # thread, where the bits are promised.
         code = textwrap.dedent("""
             import numpy as np
             from deeplda import build_phase1_spec, build_phase2_spec, forward, init_network, predict
-            from deeplda.network import ROWS
+            from deeplda.network import ROWS, scorer
             from deeplda.rng import SplitMix64
 
             for spec in (build_phase1_spec(), build_phase2_spec()):
                 net = init_network(spec, SplitMix64(7))
+                score = scorer(net)
                 for n in (0, 1, 2, ROWS - 1, ROWS, ROWS + 1, ROWS + 2, 2 * ROWS + 1, 3 * ROWS + 5):
                     x = np.random.default_rng(n).normal(size=(n, spec.input_dim))
-                    probs = predict(net, x)[0]
-                    assert np.array_equal(probs, forward(net, x, mode="infer")[0]), (spec, n)
+                    want = forward(net, x, mode="infer")[0].view(np.uint64)
+                    assert np.array_equal(predict(net, x)[0].view(np.uint64), want), (spec, n)
+                    blocks = [x[i:i + ROWS] for i in range(0, max(n, 1), ROWS)]
+                    if len(blocks) > 1 and len(blocks[-1]) == 1:
+                        blocks[-2:] = [x[-ROWS - 1:]]
+                    got = np.concatenate([score(block) for block in blocks])
+                    assert np.array_equal(got.view(np.uint64), want), (spec, n)
         """)
         env = child_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
