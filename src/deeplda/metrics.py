@@ -120,7 +120,7 @@ def format_report(cm: ConfusionMatrix) -> str:
 
 @dataclass(frozen=True)
 class EpochRecord:
-    """One epoch of training curves: accuracies in [0, 1], losses >= 0."""
+    """One epoch of training curves, as :func:`~deeplda.network.fit` measured it."""
 
     epoch: int
     accuracy: float
@@ -128,47 +128,14 @@ class EpochRecord:
     val_accuracy: float
     val_loss: float
 
-    def __post_init__(self):
-        if self.epoch < 1:
-            raise ValueError(f"epoch indices start at 1, got {self.epoch}")
-        for name in ("accuracy", "val_accuracy"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        for name in ("loss", "val_loss"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
-
 
 @dataclass
 class TrainingHistory:
-    """Per-epoch records with contiguous epoch indices 1..E, and the last
-    validation pass's probabilities (set by ``fit``, None before)."""
+    """Per-epoch records in epoch order, and the last validation pass's
+    probabilities (set by ``fit``, None before)."""
 
     records: list[EpochRecord] = field(default_factory=list)
     val_probs: np.ndarray | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        for i, rec in enumerate(self.records, start=1):
-            if rec.epoch != i:
-                raise ValueError(f"epoch indices must be 1..E contiguous; index {i} holds {rec.epoch}")
-
-    def append(self, record: EpochRecord) -> None:
-        if record.epoch != len(self.records) + 1:
-            raise ValueError(
-                f"expected epoch {len(self.records) + 1} next, got {record.epoch}"
-            )
-        self.records.append(record)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
 
 
 CURVE_HEADER = ("Epochs", "accuracy", "loss", "val_accuracy", "val_loss")
@@ -180,11 +147,11 @@ def _fmt(value: float) -> str:
 
 def history_to_csv(history: TrainingHistory, path) -> None:
     """Write curves in the fixed column order, newline-terminated."""
-    if len(history) == 0:
+    if not history.records:
         raise ValueError("refusing to write an empty history")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CURVE_HEADER) + "\n")
-        for r in history:
+        for r in history.records:
             fh.write(
                 f"{r.epoch},{_fmt(r.accuracy)},{_fmt(r.loss)},"
                 f"{_fmt(r.val_accuracy)},{_fmt(r.val_loss)}\n"

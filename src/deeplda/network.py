@@ -749,9 +749,11 @@ def fit(
     Train metrics are batch-size-weighted running averages computed before
     each update; validation metrics come from one full infer-mode pass
     after the epoch, whose probabilities the history keeps as
-    ``val_probs``. Reported losses include the L2 penalty. A batch or
-    validation loss that is not finite raises :class:`NumericalError`
-    naming the epoch and batch.
+    ``val_probs``. Reported losses include the L2 penalty. ``fit`` is the
+    one place that checks these numbers: a batch loss that is not finite,
+    or one that overflows the epoch's weighted loss sum, raises
+    :class:`NumericalError` naming the epoch and batch, and so does a
+    validation loss that is not finite, naming the epoch.
     """
     for what, ds in (("training", train), ("validation", val)):
         if ds.n_features != net.spec.input_dim:
@@ -776,6 +778,8 @@ def fit(
             if not math.isfinite(loss):
                 raise NumericalError(f"training loss is {loss} at epoch {epoch}, batch {batch}")
             loss_sum += loss * xb.shape[0]
+            if not math.isfinite(loss_sum):
+                raise NumericalError(f"training loss sum overflows at epoch {epoch}, batch {batch}")
             pred_pos = out[:, 0] >= config.threshold
             correct += int(np.sum(pred_pos == (yb[:, 0] >= 0.5)))
             # The cache is fit's own, so the walk may overwrite it.
@@ -787,7 +791,7 @@ def fit(
         val_loss = val_bce + l2_penalty(net)
         if not math.isfinite(val_loss):
             raise NumericalError(f"validation loss is {val_loss} after epoch {epoch}")
-        history.append(
+        history.records.append(
             EpochRecord(
                 epoch=epoch,
                 accuracy=correct / n,

@@ -138,7 +138,8 @@ def train_two_phase(
     :func:`~deeplda.data.load_split` returns them with the ``standardizer`` the model
     records, beside ``seed``; a standardizer :class:`TwoPhaseModel` refuses is refused
     before phase 1 is made.
-    A loss that goes non-finite raises :class:`NumericalError` naming the phase.
+    A loss that goes non-finite, or an epoch loss sum that overflows, raises
+    :class:`NumericalError` naming the phase.
     """
     _check_inputs(train.n_features, standardizer)
     phase1 = init_network(build_phase1_spec(train.n_features, config1.l2_lambda), rng)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import deeplda.cli
@@ -319,6 +319,18 @@ class TestTrainCommand:
         assert "epoch 1, batch" in err
         assert "Traceback" not in err
         assert not (out / "model").exists()
+
+    def test_epoch_loss_sum_that_overflows_is_numerical_error(self, toy_csv, tmp_path, capsys):
+        # After the first step each batch loss is finite, but the weighted
+        # sum of two of them is past the largest float.
+        out = tmp_path / "run"
+        code, _, err = _run(capsys, *_train_args(toy_csv, out, "--epochs", "1",
+                                                 "--lr", "3e150", "--l2", "1"))
+        assert code == 3
+        assert "numerical error: phase 1:" in err
+        assert "epoch 1, batch" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []  # no --out and no *.tmp-* sibling
 
     def test_different_seed_changes_curves(self, toy_csv, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -1112,8 +1124,11 @@ class TestWarnings:
 # rows). --epochs is always given, and never above 1, so no drawn config
 # value makes a run long.
 _INPUTS = ("flags", "config", "schema", "csv", "out")
-# Valid values include huge rates, which pass the checks and then diverge (exit 3).
-_VALID_FLAGS = {"--lr": ["0.001", "1e-5", "0.1", "1e300"], "--l2": ["0", "0.01", "1e308"],
+# Valid values include huge rates, which pass the checks and then diverge (exit 3):
+# at 5e150 and an L2 coefficient of 1, the loss of a batch after the first step
+# is finite, but once it is weighted by 4 or more rows the epoch's sum overflows.
+_VALID_FLAGS = {"--lr": ["0.001", "1e-5", "0.1", "5e150", "1e300"],
+                "--l2": ["0", "0.01", "1", "1e308"],
                 "--batch-size": ["8", "64", "9" * 30], "--seed": ["0", "7", "9" * 30],
                 "--val-fraction": ["0.25", "0.5"]}
 _HOSTILE_FLAGS = {"--lr": ["0", "-1", "nan", "inf", "-inf", "1e400", "x"],
@@ -1209,7 +1224,7 @@ def _train_inputs(draw):
                                              else ["1"]))
     config, schema, csv = draw(_data_files(broken))
     out = draw(st.sampled_from(_FOREIGN_OUT if "out" in broken else _RUN_OUT))
-    return flags, config, schema, csv, out
+    return broken, flags, config, schema, csv, out
 
 
 def _write_inputs(tmp, config, schema, csv) -> list[str]:
@@ -1249,9 +1264,13 @@ def _stand_in_run(path):
 
 @pytest.mark.filterwarnings("default::RuntimeWarning")  # as outside the test suite
 @given(inputs=_train_inputs())
+# Batches of 8 and 4 rows: the second batch's loss is finite, and the epoch's sum overflows.
+@example(inputs=(set(), {"--lr": "5e150", "--l2": "1", "--batch-size": "8",
+                         "--val-fraction": "0.25", "--epochs": "1"},
+                 None, b'{"target": "label"}', _csv(_BOTH_CLASSES * 4), "absent"))
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_train_keeps_the_exit_code_contract_on_any_input(inputs):
-    flags, config, schema, csv, out_kind = inputs
+    broken, flags, config, schema, csv, out_kind = inputs
     with tempfile.TemporaryDirectory() as tmp:
         files = _write_inputs(tmp, config, schema, csv)
         out, real = os.path.join(tmp, "run"), os.path.join(tmp, "real")
@@ -1280,6 +1299,7 @@ def test_train_keeps_the_exit_code_contract_on_any_input(inputs):
             out_arg = out
         code, output = _main_in_process(["train", *files, "--out", out_arg,
                                          *[x for item in flags.items() for x in item]])
+        assert code != 1 or {"flags", "config"} & broken, output  # usage errors are theirs
         assert not [name for name in os.listdir(tmp) if ".tmp-" in name]
         assert _tree(real) == real_before  # never written or deleted through a link
         if code == 0:

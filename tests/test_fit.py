@@ -44,8 +44,8 @@ def test_history_row_count_equals_epochs():
     net = init_network(SPEC, SplitMix64(1))
     cfg = TrainConfig(learning_rate=1e-3, epochs=7, batch_size=4)
     _, history = fit(net, train, val, cfg, SplitMix64(1))
-    assert len(history) == 7
-    assert [r.epoch for r in history] == list(range(1, 8))
+    assert len(history.records) == 7
+    assert [r.epoch for r in history.records] == list(range(1, 8))
 
 
 def test_same_seed_bitwise_identical_histories():
@@ -56,7 +56,7 @@ def test_same_seed_bitwise_identical_histories():
         rng = SplitMix64(42)
         net = init_network(SPEC, rng)
         _, h = fit(net, train, val, cfg, rng)
-        return [(r.accuracy, r.loss, r.val_accuracy, r.val_loss) for r in h]
+        return [(r.accuracy, r.loss, r.val_accuracy, r.val_loss) for r in h.records]
 
     assert run() == run()
 
@@ -94,7 +94,7 @@ def test_first_epoch_metrics_match_manual_single_batch_replay():
     val_loss = val_bce + l2_penalty(mirror)
     val_acc = float(np.mean((val_out[:, 0] >= 0.5) == (val.y >= 0.5)))
 
-    rec = history[0]
+    rec = history.records[0]
     assert rec.loss == pre_loss
     assert rec.accuracy == pre_acc
     assert rec.val_loss == val_loss
@@ -231,7 +231,7 @@ def test_reported_loss_includes_l2_penalty():
     rng_a, rng_b = SplitMix64(7), SplitMix64(7)
     _, h_reg = fit(init_network(spec_reg, rng_a), train, val, cfg, rng_a)
     _, h_free = fit(init_network(spec_free, rng_b), train, val, cfg, rng_b)
-    assert h_reg[0].loss > h_free[0].loss
+    assert h_reg.records[0].loss > h_free.records[0].loss
 
 
 def test_feature_width_mismatch_rejected():
@@ -264,6 +264,21 @@ def test_validation_loss_that_is_not_finite_is_numerical_error():
         fit(net, train, val, cfg, rng)
 
 
+def test_epoch_loss_sum_that_overflows_is_numerical_error():
+    # One weight gives an L2 penalty of 4e307, so each batch loss is finite
+    # and so is a 4-row batch's share of the sum, 1.6e308 (as is the square
+    # of the weight's gradient, which Adam takes), but the second batch
+    # takes the sum past the largest float, about 1.8e308.
+    train, val = _toy_sets()
+    rng = SplitMix64(0)
+    net = init_network(NetworkSpec(4, (dense(8, "sigmoid", 1.0), dense(1, "sigmoid"))), rng)
+    net.weights[0][0, 0] = 4e307 ** 0.5
+    cfg = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=4)
+    with pytest.raises(NumericalError, match=r"^training loss sum overflows at epoch 1, batch 2$"):
+        fit(net, train, val, cfg, rng)
+    assert net.version == 1
+
+
 def test_small_overfit_reaches_high_accuracy():
     # miniature of the wide-net capacity run: memorize 16 separable rows
     train, _ = _toy_sets(n_train=16, seed=8)
@@ -272,4 +287,4 @@ def test_small_overfit_reaches_high_accuracy():
     net = init_network(spec, rng)
     cfg = TrainConfig(learning_rate=1e-2, epochs=80, batch_size=16, l2_lambda=0.0)
     _, history = fit(net, train, train, cfg, rng)
-    assert max(r.accuracy for r in history) >= 0.99
+    assert max(r.accuracy for r in history.records) >= 0.99

@@ -134,34 +134,10 @@ class TestMetricBoundsProperty:
 
 
 class TestHistory:
-    def _history(self, n=3):
-        h = TrainingHistory()
-        for e in range(1, n + 1):
-            h.append(EpochRecord(e, 0.5 + e / 100, 1.0 / e, 0.4 + e / 100, 1.1 / e))
-        return h
-
-    def test_epoch_contiguity_enforced(self):
-        h = self._history(2)
-        with pytest.raises(ValueError):
-            h.append(EpochRecord(5, 0.5, 0.5, 0.5, 0.5))
-        with pytest.raises(ValueError):
-            TrainingHistory(records=[EpochRecord(2, 0.5, 0.5, 0.5, 0.5)])
-
-    def test_record_validation(self):
-        with pytest.raises(ValueError):
-            EpochRecord(0, 0.5, 0.5, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            EpochRecord(1, 1.2, 0.5, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            EpochRecord(1, 0.5, -0.1, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            EpochRecord(1, 0.5, float("nan"), 0.5, 0.5)
-
     def test_csv_header_and_formatting(self, tmp_path):
         path = tmp_path / "curve.csv"
-        h = TrainingHistory()
-        h.append(EpochRecord(1, 0.5, 0.693147180559945, 0.25, 1.0))
-        h.append(EpochRecord(2, 0.75, 0.25, 0.5, 0.125))
+        h = TrainingHistory([EpochRecord(1, 0.5, 0.693147180559945, 0.25, 1.0),
+                             EpochRecord(2, 0.75, 0.25, 0.5, 0.125)])
         history_to_csv(h, path)
         text = path.read_text()
         lines = text.splitlines()

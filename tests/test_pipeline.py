@@ -150,16 +150,16 @@ class TestTrainTwoPhase:
         train, val = self._sets()
         cfg2 = TrainConfig(learning_rate=1e-3, epochs=5, batch_size=64)
         _, h1, h2 = train_two_phase(train, val, FAST, cfg2, SplitMix64(0), _fitted(train))
-        assert len(h1) == FAST.epochs
-        assert len(h2) == 5
+        assert len(h1.records) == FAST.epochs
+        assert len(h2.records) == 5
 
     def test_same_seed_identical_history_pair(self):
         train, val = self._sets(seed=1)
 
         def run():
             _, h1, h2 = train_two_phase(train, val, FAST, FAST, SplitMix64(21), _fitted(train))
-            return ([(r.loss, r.val_loss) for r in h1],
-                    [(r.loss, r.val_loss) for r in h2])
+            return ([(r.loss, r.val_loss) for r in h1.records],
+                    [(r.loss, r.val_loss) for r in h2.records])
 
         assert run() == run()
 
@@ -169,7 +169,7 @@ class TestTrainTwoPhase:
         z_val = predict(model.phase1, val.x)[0]
         probs, _ = predict(model.phase2, z_val, model.config2.threshold)
         acc = float(np.mean((probs[:, 0] >= 0.5) == (val.y >= 0.5)))
-        assert abs(h2[-1].val_accuracy - acc) < 1e-12
+        assert abs(h2.records[-1].val_accuracy - acc) < 1e-12
 
     def test_histories_keep_the_final_validation_probabilities(self):
         train, val = self._sets(seed=3)
