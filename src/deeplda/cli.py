@@ -265,23 +265,24 @@ def _terminate(signum, frame):
 
 
 def main(argv=None) -> int:
-    """Entry point with the documented exit-code mapping. Each Python
-    warning is printed as one ``deeplda: warning:`` line, without the
-    library source line. While it runs, SIGTERM ends the command as Ctrl-C
-    does; the previous handler is restored on return."""
+    """Run ``argv`` (default ``sys.argv[1:]``) and return its documented exit
+    code; it never raises ``SystemExit``. Each Python warning is printed as one
+    ``deeplda: warning:`` line, without the library source line. While it runs,
+    SIGTERM ends the command as Ctrl-C does; the previous handler is restored."""
     previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
-            cli.main(args=argv, prog_name="deeplda", standalone_mode=False)
+            with cli.make_context("deeplda", sys.argv[1:] if argv is None else list(argv)) as ctx:
+                cli.invoke(ctx)
         return 0
     except click.exceptions.Exit as exc:
         return int(exc.exit_code)
     except click.ClickException as exc:
         exc.show()
         return 1
-    except click.exceptions.Abort:  # what click raises for a KeyboardInterrupt
-        print("deeplda: interrupted", file=sys.stderr)
+    except (KeyboardInterrupt, EOFError):  # the empty line ends a terminal's "^C" line
+        print("\ndeeplda: interrupted", file=sys.stderr)
         return 130
     except _Terminated:
         print("deeplda: terminated", file=sys.stderr)

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import errno
 import io
 import itertools
 import json
@@ -16,6 +17,7 @@ import time
 import zipfile
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -209,11 +211,12 @@ class TestTrainCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == (["run"] if previous else [])
 
     @pytest.mark.parametrize("error, code, line", [
-        (KeyboardInterrupt(), 130, "deeplda: interrupted"),
+        (KeyboardInterrupt(), 130, "\ndeeplda: interrupted"),
+        (EOFError(), 130, "\ndeeplda: interrupted"),
         (MemoryError("Unable to allocate 8.00 EiB"), 2,
          "deeplda: out of memory: Unable to allocate 8.00 EiB"),
         (MemoryError(), 2, "deeplda: out of memory"),
-    ], ids=["interrupt", "out of memory", "out of memory without a message"])
+    ], ids=["interrupt", "end of input", "out of memory", "out of memory without a message"])
     def test_interrupt_or_out_of_memory_ends_in_one_line(self, toy_csv, tmp_path, capsys,
                                                          monkeypatch, error, code, line):
         out = tmp_path / "run"
@@ -227,8 +230,8 @@ class TestTrainCommand:
         monkeypatch.setattr(deeplda.cli, "_write_two_phase", fail)
         got, _, err = _run(capsys, *_train_args(toy_csv, out, "--seed", "2", *FAST))
         assert got == code
-        # click puts a newline before its Abort, which ends a terminal's "^C" line.
-        assert [text for text in err.splitlines() if text] == warned.splitlines() + [line]
+        # main() puts an empty line before "interrupted", which ends a terminal's "^C" line.
+        assert err == warned + line + "\n"
         assert _tree(out) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]  # no *.tmp-* sibling
 
@@ -1043,6 +1046,54 @@ class TestExitCodes:
         assert code == 0
         for cmd in ("train", "evaluate", "inspect", "baseline"):
             assert cmd in stdout
+
+    @pytest.mark.parametrize("command", ["inspect", "--help", "evaluate", "baseline", "train"])
+    def test_an_output_pipe_whose_reader_has_gone_is_one_data_error(
+            self, toy_csv, tmp_path, request, command):
+        # A real command in a child process, whose standard output is a pipe
+        # with no reader from the start: its first line fails to flush.
+        csv_path, schema_path = toy_csv
+        out = tmp_path / "run"
+        if command == "evaluate":
+            blobs, _ = request.getfixturevalue("trained_model")
+            (tmp_path / "model").mkdir()
+            for name, blob in blobs.items():
+                (tmp_path / "model" / name).write_bytes(blob)
+            (tmp_path / "d.csv").write_bytes(_csv(_BOTH_CLASSES))
+            (tmp_path / "s.json").write_bytes(_MODEL_SCHEMA)
+            args = ["evaluate", "--model", str(tmp_path / "model"),
+                    "--data", str(tmp_path / "d.csv"), "--schema", str(tmp_path / "s.json")]
+        elif command == "baseline":
+            args = ["baseline", "--data", str(csv_path), "--schema", str(schema_path)]
+        elif command == "train":
+            args = _train_args(toy_csv, out, *FAST)
+        else:
+            args = [command]
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys, deeplda.cli; sys.exit(deeplda.cli.main())",
+                 *args], env=child_env(OPENBLAS_NUM_THREADS="1"), stdout=write,
+                stderr=subprocess.PIPE, text=True, timeout=600)
+        finally:
+            os.close(write)
+        lines = [line for line in proc.stderr.splitlines()
+                 if not line.startswith("deeplda: warning: ")]
+        assert (proc.returncode, lines) == (2, ["deeplda: data error: [Errno 32] Broken pipe"])
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+        if command == "train":  # the run landed before its report was printed
+            assert sorted(p.name for p in out.iterdir()) == RUN_FILES
+
+    def test_an_output_pipe_whose_reader_has_gone_leaves_the_streams(self, capsys, monkeypatch):
+        def gone(*args, **kwargs):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        streams = sys.stdout, sys.stderr
+        monkeypatch.setattr(click, "echo", gone)
+        code, _, err = _run(capsys, "inspect")
+        assert sys.stdout is streams[0] and sys.stderr is streams[1]
+        assert (code, err) == (2, "deeplda: data error: [Errno 32] Broken pipe\n")
 
 
 class TestWarnings:

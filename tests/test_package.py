@@ -195,3 +195,25 @@ def test_a_models_preprocessing_is_checked_by_one_rule():
     assert {call for call in _guarded_calls() if call[2] == "_check_inputs"} == {
         ("pipeline", "__post_init__", "_check_inputs"),
         ("pipeline", "train_two_phase", "_check_inputs")}
+
+
+def test_every_command_ends_through_one_exit_code_mapping():
+    # click's Command.main maps a closed output pipe to a silent exit 1 and
+    # Ctrl-C to its own Abort, behind main()'s back; so main() makes and
+    # invokes the command's context itself and maps every ending.
+    package = Path(deeplda.__file__).resolve().parent
+    passed, named = set(), set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                passed |= {(path.stem, k.arg) for k in node.keywords if k.arg == "standalone_mode"}
+            if isinstance(node, (ast.Attribute, ast.Name)) and "Abort" in (
+                    getattr(node, "attr", None), getattr(node, "id", None)):
+                named.add((path.stem, ast.unparse(node)))
+    assert (passed, named) == (set(), set())
+    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    calls = {ast.unparse(node.func) for node in ast.walk(main) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute) and ast.unparse(node.func.value) == "cli"}
+    assert calls == {"cli.make_context", "cli.invoke"}
