@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 data error or out of memory,
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import signal
@@ -268,7 +269,8 @@ def main(argv=None) -> int:
     """Run ``argv`` (default ``sys.argv[1:]``) and return its documented exit
     code; it never raises ``SystemExit``. Each Python warning is printed as one
     ``deeplda: warning:`` line, without the library source line. While it runs,
-    SIGTERM ends the command as Ctrl-C does; the previous handler is restored."""
+    SIGTERM ends the command as Ctrl-C does; the previous handler is restored.
+    When stdout's reader has gone, file descriptor 1 is left on the null device."""
     previous = signal.signal(signal.SIGTERM, _terminate)
     try:
         with warnings.catch_warnings():
@@ -289,6 +291,10 @@ def main(argv=None) -> int:
         return 143
     except (DataError, ShapeError, OSError) as exc:
         print(f"deeplda: data error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            # What stdout still buffers goes to the null device, not to a failing exit flush.
+            with contextlib.suppress(AttributeError, OSError):  # stdout None or without an fd
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     except MemoryError as exc:
         print(f"deeplda: out of memory: {exc}".removesuffix(": "), file=sys.stderr)

@@ -1069,12 +1069,14 @@ class TestExitCodes:
             args = _train_args(toy_csv, out, *FAST)
         else:
             args = [command]
+        env = child_env(OPENBLAS_NUM_THREADS="1")
+        env.pop("PYTHONUNBUFFERED", None)  # buffered stdout, whose exit flush must not fail
         read, write = os.pipe()
         os.close(read)
         try:
             proc = subprocess.run(
                 [sys.executable, "-c", "import sys, deeplda.cli; sys.exit(deeplda.cli.main())",
-                 *args], env=child_env(OPENBLAS_NUM_THREADS="1"), stdout=write,
+                 *args], env=env, stdout=write,
                 stderr=subprocess.PIPE, text=True, timeout=600)
         finally:
             os.close(write)
